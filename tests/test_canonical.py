@@ -383,3 +383,31 @@ def test_diff_values_are_json_native(dpo_obj):
     other = load_fixture("dpo_alternate_reference.json")
     for _, a, b in diff(dpo_obj, other):
         json.dumps([a, b])  # must not smuggle Decimals out
+
+
+# --- pinned byte form over fixtures and the fuzzer ---------------------------------
+
+# sha256 over canonicalize(parse(text)) for every fixtures/*.json in sorted
+# order, then canonicalize(random_object(rng)) 1000 times with
+# rng = random.Random(2024); each item is followed by b"\n". Any change to
+# the canonical byte form, however small, moves this digest.
+CORPUS_DIGEST = "2a4fa6f85bbae6b010bc93c568cad62ee964e50d7e34db9d1f38f4feeaea5425"
+
+
+def _pinned_corpus():
+    from conftest import FIXTURES
+
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield parse(path.read_text(encoding="utf-8"))
+    rng = random.Random(2024)
+    for _ in range(1000):
+        yield random_object(rng)
+
+
+def test_canonical_bytes_pinned_over_fixtures_and_fuzz_corpus():
+    digest = hashlib.sha256()
+    for obj in _pinned_corpus():
+        blob = canonicalize(obj)
+        digest.update(blob + b"\n")
+        assert validate(parse(blob.decode("utf-8"))) == []
+    assert digest.hexdigest() == CORPUS_DIGEST
