@@ -9,186 +9,10 @@ between named method configs and that schema, probes whether an objective
 admits a fixed-reference normal form (emitting finite witnesses when it does
 not), and validates equivalence/divergence claims with a small training
 harness.
+
+Import the submodules directly (gkpo.schema, gkpo.canonical, gkpo.algebra,
+gkpo.adapters, gkpo.reducibility, gkpo.engine, gkpo.harness, gkpo.cli); only
+gkpo.engine and gkpo.harness load numpy.
 """
 
-from .algebra import (
-    AdditivePenalty,
-    Ladder,
-    MultiplicativeWeight,
-    NormalForm,
-    PairSample,
-    ReferenceAdjust,
-    ScaleFixResult,
-    collect,
-    delta_score,
-    ladder_margin,
-    margin,
-    margins_equal,
-    recover_scale,
-    scale_fix,
-    weight,
-)
-from .adapters import (
-    BlockedConversionError,
-    ConversionResult,
-    MethodConfig,
-    configs_equal,
-    from_gkpo,
-    normalize_config,
-    roundtrip,
-    to_gkpo,
-)
-from .canonical import (
-    attach_hash,
-    canonical_form,
-    canonical_number,
-    canonicalize,
-    diff,
-    opal_hash,
-    scale_fix_object,
-)
-from .engine import (
-    LinearScorer,
-    bootstrap_ci,
-    bootstrap_diff_ci,
-    decision,
-    grad_objective,
-    kendall_tau,
-    link_grad,
-    link_value,
-    loss_grad,
-    loss_value,
-    mcnemar_exact,
-    object_margin,
-    object_normal_form,
-    objective,
-    scorer_margin,
-)
-from .harness import (
-    HarnessParams,
-    SyntheticDataset,
-    TrainRun,
-    gen_dataset,
-    run_h1,
-    run_h2,
-    train_run,
-)
-from .reducibility import (
-    Evidence,
-    GateProbeResult,
-    GateWitness,
-    PiecewisePsi,
-    ScoreProbeResult,
-    ScoreWitness,
-    ShiftProbeResult,
-    ShiftWitness,
-    classify,
-    interleaving_margins,
-    probe_gate,
-    probe_score,
-    probe_shift,
-)
-from .schema import (
-    DatasetOps,
-    GkpoObject,
-    ParseError,
-    PenaltyEntry,
-    Provenance,
-    ReducibilityBlock,
-    ReferenceSpec,
-    SCHEMA_VERSION,
-    ScoreSpec,
-    Violation,
-    WeightSpec,
-    parse,
-    require_valid,
-    serialize,
-    to_json_dict,
-    validate,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdditivePenalty",
-    "BlockedConversionError",
-    "ConversionResult",
-    "DatasetOps",
-    "Evidence",
-    "GateProbeResult",
-    "GateWitness",
-    "GkpoObject",
-    "HarnessParams",
-    "Ladder",
-    "LinearScorer",
-    "MethodConfig",
-    "MultiplicativeWeight",
-    "NormalForm",
-    "PairSample",
-    "ParseError",
-    "PenaltyEntry",
-    "PiecewisePsi",
-    "Provenance",
-    "ReducibilityBlock",
-    "ReferenceAdjust",
-    "ReferenceSpec",
-    "SCHEMA_VERSION",
-    "ScaleFixResult",
-    "ScoreProbeResult",
-    "ScoreSpec",
-    "ScoreWitness",
-    "ShiftProbeResult",
-    "ShiftWitness",
-    "SyntheticDataset",
-    "TrainRun",
-    "Violation",
-    "WeightSpec",
-    "attach_hash",
-    "bootstrap_ci",
-    "bootstrap_diff_ci",
-    "canonical_form",
-    "canonical_number",
-    "canonicalize",
-    "classify",
-    "collect",
-    "configs_equal",
-    "decision",
-    "delta_score",
-    "diff",
-    "from_gkpo",
-    "gen_dataset",
-    "grad_objective",
-    "interleaving_margins",
-    "kendall_tau",
-    "ladder_margin",
-    "link_grad",
-    "link_value",
-    "loss_grad",
-    "loss_value",
-    "margin",
-    "margins_equal",
-    "mcnemar_exact",
-    "normalize_config",
-    "object_margin",
-    "object_normal_form",
-    "objective",
-    "opal_hash",
-    "parse",
-    "probe_gate",
-    "probe_score",
-    "probe_shift",
-    "recover_scale",
-    "require_valid",
-    "roundtrip",
-    "run_h1",
-    "run_h2",
-    "scale_fix",
-    "scale_fix_object",
-    "scorer_margin",
-    "serialize",
-    "to_gkpo",
-    "to_json_dict",
-    "train_run",
-    "validate",
-    "weight",
-]

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
+from . import algebra
 from .algebra import PairSample
 from .reducibility import ShiftProbeResult, classify, probe_shift
 from .schema import (
@@ -297,14 +298,11 @@ def _absorbable_weight(
     Factor values are positive by construction, so None is unambiguous."""
     if probe is None:
         return None
-    products = []
-    for sample in probe:
-        w = 1.0
-        for name in obj.weight.factors:
-            if name not in sample.omega:
-                return None
-            w *= sample.omega[name]
-        products.append(w)
+    nf = algebra.object_normal_form(obj)
+    try:
+        products = [algebra.weight(nf, sample) for sample in probe]
+    except KeyError:  # a sample lacks one of the factors
+        return None
     if not products:
         return None
     if max(products) - min(products) > ABSORB_TOL:

@@ -11,13 +11,20 @@ The normal-form `scale` field carries an applied scale-equivalence constant c.
 It multiplies the score side and divides the weight side simultaneously, so
 `margin()` is invariant to it by construction; `delta_score()` and `weight()`
 expose the two scaled views separately.
+
+A GKPO object folds to a normal form through `object_normal_form`; the
+`object_*` functions evaluate its margin on realized samples through
+`delta_score` and `weight`, with the object's reference and constant weight
+applied on top.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
+
+from .schema import GkpoObject
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,32 @@ class PairSample:
                 raise ValueError(
                     f"omega[{name!r}] must be positive, got {value!r}"
                 )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def sample_from_row(row: Any) -> PairSample:
+    """PairSample from one decoded JSON row of a probe or pair-dataset file.
+
+    prompt_id (string) and delta_u (number) are required; delta_phi, omega and
+    delta_ref are optional name -> number maps. Other keys are the caller's.
+    Raises ValueError naming the first bad field.
+    """
+    if not isinstance(row, dict):
+        raise ValueError("sample row must be a JSON object")
+    if not isinstance(row.get("prompt_id"), str):
+        raise ValueError("prompt_id must be a string")
+    if not _is_number(row.get("delta_u")):
+        raise ValueError("delta_u must be a number")
+    tables = {}
+    for key in ("delta_phi", "omega", "delta_ref"):
+        table = row.get(key, {})
+        if not isinstance(table, dict) or not all(map(_is_number, table.values())):
+            raise ValueError(f"{key} must map names to numbers")
+        tables[key] = table
+    return PairSample(row["prompt_id"], row["delta_u"], **tables)
 
 
 @dataclass(frozen=True)
@@ -185,6 +218,56 @@ def weight(nf: NormalForm, sample: PairSample) -> float:
     for name in nf.weight_factors:
         w *= _lookup(sample.omega, name, "weight factor", sample)
     return w / nf.scale
+
+
+# ---------------------------------------------------------------------------
+# Object-level evaluation (GKPO object + realized sample)
+
+# Keys under which per-prompt / per-dataset reference values travel in
+# PairSample.delta_ref when an object's reference form is not fixed.
+PROMPT_OFFSET_KEY = "prompt_offset"
+DATASET_OFFSET_KEY = "dataset_offset"
+
+
+def object_normal_form(obj: GkpoObject) -> NormalForm:
+    coeffs: dict[str, float] = {}
+    for p in obj.penalties:
+        coeffs[p.name] = coeffs.get(p.name, 0.0) + p.coeff
+    factors = obj.weight.factors if obj.weight.form == "product" else ()
+    return NormalForm(coeffs, tuple(sorted(factors)), ())
+
+
+def _object_weight(obj: GkpoObject, nf: NormalForm, sample: PairSample) -> float:
+    if obj.weight.form == "constant":
+        return float(obj.weight.constant)
+    if obj.weight.form == "product":
+        return weight(nf, sample)
+    raise ValueError(
+        f"weight form {obj.weight.form!r} has no sample-level numeric value"
+    )
+
+
+def object_weight(obj: GkpoObject, sample: PairSample) -> float:
+    return _object_weight(obj, object_normal_form(obj), sample)
+
+
+def object_reference(obj: GkpoObject, sample: PairSample) -> float:
+    """Fixed value, or the sample's per-prompt / per-dataset offset."""
+    form = obj.reference.form
+    if form in ("fixed_zero", "fixed_scalar"):
+        return float(obj.reference.value)
+    if form == "per_prompt":
+        return float(sample.delta_ref[PROMPT_OFFSET_KEY])
+    if form == "per_dataset":
+        return float(sample.delta_ref.get(DATASET_OFFSET_KEY, 0.0))
+    raise ValueError(f"reference form {form!r} has no sample-level numeric value")
+
+
+def object_margin(obj: GkpoObject, sample: PairSample) -> float:
+    """(delta_score - reference) * weight for the object's normal form."""
+    nf = object_normal_form(obj)
+    gap = delta_score(nf, sample) - object_reference(obj, sample)
+    return gap * _object_weight(obj, nf, sample)
 
 
 @dataclass(frozen=True)

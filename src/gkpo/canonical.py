@@ -2,9 +2,9 @@
 
 Canonical form is produced in three steps:
 
-* collection: duplicate penalty names folded by summing, penalties sorted by
-  name, factor / citation / group / reason lists sorted (reasons deduplicated),
-  witness keys sorted;
+* normalisation: the plain `schema.to_json_dict` mapping with penalties sorted
+  by name and factor / citation / group / reason lists sorted (reasons
+  deduplicated); validation runs first, so penalty names are unique;
 * optional scale fixing: with a probe set, the constant c that brings the
   probe median of |delta f*| to 1 is absorbed as weight.constant/c and beta*c
   (constant-form weights only; an all-zero probe leaves c at 1 and flags
@@ -27,17 +27,21 @@ from typing import Any, Iterable
 
 from . import algebra
 from .algebra import PairSample, ScaleFixResult
-from .engine import object_normal_form
-from .schema import GkpoObject, require_valid
+from .schema import GkpoObject, require_valid, to_json_dict
 
 _QUANTUM = Decimal("0.000001")
 
 
-def canonical_number(value) -> str:
-    """Round half-even to 1e-6; emit the shortest plain decimal form."""
+def _num(value) -> Decimal:
+    """Round half-even to the 1e-6 grid."""
     with localcontext() as ctx:
         ctx.prec = 500  # exact for any finite double at this quantum
-        d = Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN)
+        return Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN)
+
+
+def canonical_number(value) -> str:
+    """Round half-even to 1e-6; emit the shortest plain decimal form."""
+    d = _num(value)
     if d == 0:
         return "0"
     text = format(d, "f")
@@ -64,12 +68,6 @@ def _emit(value: Any) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _num(value) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = 500
-        return Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN)
-
-
 def scale_fix_object(
     obj: GkpoObject, probe: Iterable[PairSample]
 ) -> tuple[GkpoObject, ScaleFixResult]:
@@ -81,7 +79,7 @@ def scale_fix_object(
     require_valid(obj)
     if obj.weight.form != "constant":
         raise ValueError("scale fixing requires a constant-form weight")
-    result = algebra.scale_fix(object_normal_form(obj), probe)
+    result = algebra.scale_fix(algebra.object_normal_form(obj), probe)
     if result.scale_undefined:
         return obj, result
     c = result.c
@@ -93,82 +91,42 @@ def scale_fix_object(
     return fixed, result
 
 
-def canonical_form(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> dict:
-    """Nested dict of the canonical content; numbers are quantized Decimals."""
+def _normalized(obj: GkpoObject, probe: Iterable[PairSample] | None) -> dict:
+    """to_json_dict without provenance.opal_hash, order-free lists sorted."""
     require_valid(obj)
     if probe is not None:
         obj, _ = scale_fix_object(obj, probe)
+    form = to_json_dict(obj)
+    # opal_hash is excluded so the hash can be written back into the object
+    # without changing what it hashes to.
+    form["provenance"].pop("opal_hash", None)
+    form["provenance"]["citations"].sort()
+    form["penalties"].sort(key=lambda entry: entry["name"])
+    form["weight"].get("factors", []).sort()
+    form["dataset_ops"]["group_weights"].sort()
+    form["dataset_ops"]["group_penalties"].sort()
+    red = form["reducibility"]
+    red["reasons"] = sorted(set(red["reasons"]))
+    return form
 
-    folded: dict[str, Any] = {}
-    for p in obj.penalties:  # defensive: valid objects have unique names
-        if p.name in folded:
-            folded[p.name]["lambda"] += Decimal(p.coeff)
-        else:
-            entry: dict[str, Any] = {"name": p.name, "lambda": Decimal(p.coeff)}
-            if p.meta_gate is not None:
-                entry["meta"] = {"gate": p.meta_gate}
-            folded[p.name] = entry
-    penalties = []
-    for name in sorted(folded):
-        entry = dict(folded[name])
-        entry["lambda"] = _num(entry["lambda"])
-        penalties.append(entry)
 
-    weight: dict[str, Any] = {"form": obj.weight.form}
-    if obj.weight.constant is not None:
-        weight["constant"] = _num(obj.weight.constant)
-    if obj.weight.factors:
-        weight["factors"] = sorted(obj.weight.factors)
-    if obj.weight.score_fn is not None:
-        weight["score_fn"] = obj.weight.score_fn
+def _quantized(value: Any) -> Any:
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, float)):
+        return _num(value)
+    if isinstance(value, dict):
+        return {key: _quantized(item) for key, item in value.items()}
+    return [_quantized(item) for item in value]
 
-    score: dict[str, Any] = {"type": obj.score.type}
-    if obj.score.custom_name is not None:
-        score["custom_name"] = obj.score.custom_name
 
-    reference: dict[str, Any] = {"form": obj.reference.form}
-    if obj.reference.value is not None:
-        reference["value"] = _num(obj.reference.value)
-
-    witness: dict[str, Any] = {}
-    for key in sorted(obj.reducibility.witness):
-        value = obj.reducibility.witness[key]
-        if isinstance(value, (list, tuple)):
-            witness[key] = [_num(item) for item in value]
-        else:
-            witness[key] = _num(value)
-
-    return {
-        "version": obj.version,
-        "score": score,
-        "weight": weight,
-        "reference": reference,
-        "link": obj.link,
-        "loss": obj.loss,
-        "beta": _num(obj.beta),
-        "penalties": penalties,
-        "dataset_ops": {
-            "group_weights": sorted(obj.dataset_ops.group_weights),
-            "group_penalties": sorted(obj.dataset_ops.group_penalties),
-            "composition": obj.dataset_ops.composition,
-        },
-        "provenance": {
-            # opal_hash is excluded so the hash can be written back into the
-            # object without changing what it hashes to.
-            "method": obj.provenance.method,
-            "citations": sorted(obj.provenance.citations),
-            "notes": obj.provenance.notes,
-        },
-        "reducibility": {
-            "inside_R": obj.reducibility.inside_R,
-            "reasons": sorted(set(obj.reducibility.reasons)),
-            "witness": witness,
-        },
-    }
+def canonical_form(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> dict:
+    """Nested dict of the canonical content; numbers are quantized Decimals."""
+    return _quantized(_normalized(obj, probe))
 
 
 def canonicalize(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> bytes:
-    return _emit(canonical_form(obj, probe)).encode("utf-8")
+    return _emit(_normalized(obj, probe)).encode("utf-8")
 
 
 def opal_hash(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> str:

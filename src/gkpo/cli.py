@@ -16,11 +16,9 @@ import os
 import sys
 from typing import Any, Sequence
 
-from . import harness as hn
 from .adapters import METHODS, MethodConfig, from_gkpo, to_gkpo
-from .algebra import PairSample
+from .algebra import PairSample, object_margin, sample_from_row
 from .canonical import canonicalize, diff, opal_hash, scale_fix_object
-from .engine import object_margin
 from .reducibility import PiecewisePsi, probe_gate, probe_score, probe_shift
 from .schema import (
     GkpoObject,
@@ -60,8 +58,23 @@ def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: str) -> Any:
+    """Decoded JSON from a file; malformed or too deeply nested text is a ValueError."""
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise _UsageError(f"{token!r} is not a number") from None
 
 
 def _load_object(path: str) -> GkpoObject:
@@ -77,17 +90,8 @@ def _load_probe(path: str) -> list[PairSample]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-            samples.append(
-                PairSample(
-                    prompt_id=row["prompt_id"],
-                    delta_u=row["delta_u"],
-                    delta_phi=row.get("delta_phi", {}),
-                    omega=row.get("omega", {}),
-                    delta_ref=row.get("delta_ref", {}),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
+            samples.append(sample_from_row(json.loads(line)))
+        except (ValueError, RecursionError) as exc:
             raise _Failure(f"{path}:{i}: bad probe sample: {exc}") from exc
     if not samples:
         raise _Failure(f"{path}: probe file is empty")
@@ -155,9 +159,8 @@ def cmd_hash(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    text = _read_text(args.path)
     try:
-        raw = json.loads(text)
+        raw = _read_json(args.path)
     except ValueError as exc:
         raise _Failure(f"{args.path}: not JSON: {exc}") from exc
 
@@ -167,7 +170,7 @@ def cmd_convert(args) -> int:
         params = {k: v for k, v in raw.items() if k != "method"}
         try:
             obj = to_gkpo(MethodConfig(raw["method"], params))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:  # TypeError: a wrong-typed value
             raise _Failure(str(exc)) from exc
         sys.stdout.write(serialize(obj) + "\n")
         return EXIT_OK
@@ -195,10 +198,7 @@ def cmd_convert(args) -> int:
 
 
 def _probe_payload(args) -> dict[str, Any]:
-    if args.file:
-        spec = json.loads(_read_text(args.file))
-    else:
-        spec = None
+    spec = _read_json(args.file) if args.file else None
 
     if args.kind == "shift":
         if spec is not None:
@@ -206,8 +206,8 @@ def _probe_payload(args) -> dict[str, Any]:
         else:
             if len(args.values) < 3:
                 raise _UsageError("shift needs RAW_GAP and at least two offsets")
-            gap = float(args.values[0])
-            pairs = [(gap, float(v)) for v in args.values[1:]]
+            gap = _number(args.values[0])
+            pairs = [(gap, _number(v)) for v in args.values[1:]]
         outcome = probe_shift(pairs)
         payload: dict[str, Any] = {"kind": "shift", "feasible": outcome.feasible}
         if outcome.feasible:
@@ -226,7 +226,7 @@ def _probe_payload(args) -> dict[str, Any]:
                 parts = token.split(",")
                 if len(parts) != 3:
                     raise _UsageError(f"gate item {token!r} is not PHI1,PHI2,TOTAL")
-                items.append(tuple(float(p) for p in parts))
+                items.append(tuple(_number(p) for p in parts))
             if not items:
                 raise _UsageError("gate needs at least one PHI1,PHI2,TOTAL item")
         outcome = probe_gate(items)
@@ -246,7 +246,7 @@ def _probe_payload(args) -> dict[str, Any]:
     else:
         if len(args.values) != 4:
             raise _UsageError("score needs DELTA_U SHIFT PSI_BELOW PSI_AT_OR_ABOVE")
-        du, shift, below, above = (float(v) for v in args.values)
+        du, shift, below, above = (_number(v) for v in args.values)
     outcome = probe_score(du, shift, PiecewisePsi(below, above))
     return {
         "kind": "score",
@@ -261,7 +261,7 @@ def cmd_probe(args) -> int:
         payload = _probe_payload(args)
     except _UsageError:
         raise
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise _Failure(f"probe failed: {exc}") from exc
     _print_json(payload, args.pretty)
     return EXIT_OK
@@ -370,6 +370,8 @@ _HARNESS_KEYS = {
 
 
 def _harness_setup(which: str, config: dict[str, Any]):
+    from . import harness as hn
+
     unknown = set(config) - _HARNESS_KEYS
     if unknown:
         raise _UsageError(f"unknown harness config keys: {sorted(unknown)}")
@@ -392,10 +394,12 @@ def _harness_setup(which: str, config: dict[str, Any]):
 
 
 def cmd_harness(args) -> int:
+    from . import harness as hn  # numpy; the document commands never load it
+
     config: dict[str, Any] = {}
     if args.config:
         try:
-            config = json.loads(_read_text(args.config))
+            config = _read_json(args.config)
             if not isinstance(config, dict):
                 raise ValueError("config must be a JSON object")
         except ValueError as exc:

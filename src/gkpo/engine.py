@@ -10,23 +10,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import NormalForm, PairSample, margin as nf_margin
-from .schema import GkpoObject, WeightSpec
+# Object-level evaluation lives in algebra; the names stay importable here.
+from .algebra import (
+    DATASET_OFFSET_KEY,
+    PROMPT_OFFSET_KEY,
+    NormalForm,
+    PairSample,
+    margin as nf_margin,
+    object_margin,
+    object_normal_form,
+    object_reference,
+    object_weight,
+)
+from .schema import WeightSpec
 
 LINKS = ("identity", "logistic", "tanh", "hinge")
 LOSSES = ("logistic", "bce", "hinge", "mse")
 # hinge is only weakly increasing; it is evaluatable but excluded from
 # strict-monotonicity (order-preservation) claims.
 STRICT_LINKS = frozenset({"identity", "logistic", "tanh"})
-
-# Keys under which per-prompt / per-dataset reference values travel in
-# PairSample.delta_ref when an object's reference form is not fixed.
-PROMPT_OFFSET_KEY = "prompt_offset"
-DATASET_OFFSET_KEY = "dataset_offset"
 
 
 def link_value(kind: str, x):
@@ -171,62 +177,6 @@ def grad_objective(
     g = link_value(link, z)
     coeff = float(loss_grad(loss, g)) * float(link_grad(link, z)) * beta * w_total
     return coeff * scorer.delta_features(sample.prompt_id)
-
-
-# ---------------------------------------------------------------------------
-# Object-level evaluation (GKPO object + realized sample)
-
-
-def object_normal_form(obj: GkpoObject) -> NormalForm:
-    coeffs: dict[str, float] = {}
-    for p in obj.penalties:
-        coeffs[p.name] = coeffs.get(p.name, 0.0) + p.coeff
-    factors = obj.weight.factors if obj.weight.form == "product" else ()
-    return NormalForm(coeffs, tuple(sorted(factors)), ())
-
-
-def object_weight(obj: GkpoObject, sample: PairSample) -> float:
-    if obj.weight.form == "constant":
-        return float(obj.weight.constant)
-    if obj.weight.form == "product":
-        w = 1.0
-        for name in sorted(obj.weight.factors):
-            w *= sample.omega[name]
-        return w
-    raise ValueError(
-        f"weight form {obj.weight.form!r} has no sample-level numeric value"
-    )
-
-
-def object_reference(obj: GkpoObject, sample: PairSample) -> float:
-    """Fixed value, per-sample offset, or both summed with any named terms."""
-    form = obj.reference.form
-    if form in ("fixed_zero", "fixed_scalar"):
-        return float(obj.reference.value)
-    if form == "per_prompt":
-        return float(sample.delta_ref[PROMPT_OFFSET_KEY])
-    if form == "per_dataset":
-        return float(sample.delta_ref.get(DATASET_OFFSET_KEY, 0.0))
-    raise ValueError(f"reference form {form!r} has no sample-level numeric value")
-
-
-def object_delta_score(
-    obj: GkpoObject, sample: PairSample, scorer: LinearScorer | None = None
-) -> float:
-    gap = sample.delta_u
-    if scorer is not None:
-        gap += scorer.delta_score(sample.prompt_id)
-    coeffs = object_normal_form(obj).penalty_coeffs
-    for name in sorted(coeffs):
-        gap -= coeffs[name] * sample.delta_phi[name]
-    return gap
-
-
-def object_margin(
-    obj: GkpoObject, sample: PairSample, scorer: LinearScorer | None = None
-) -> float:
-    gap = object_delta_score(obj, sample, scorer)
-    return (gap - object_reference(obj, sample)) * object_weight(obj, sample)
 
 
 # ---------------------------------------------------------------------------

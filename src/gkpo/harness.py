@@ -28,10 +28,15 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import PairSample
+from .algebra import (
+    PROMPT_OFFSET_KEY,
+    PairSample,
+    object_margin,
+    object_weight,
+    sample_from_row,
+)
 from .canonical import canonicalize, opal_hash
 from .engine import (
-    PROMPT_OFFSET_KEY,
     bootstrap_diff_ci,
     kendall_tau,
     link_grad,
@@ -39,8 +44,6 @@ from .engine import (
     loss_grad,
     loss_value,
     mcnemar_exact,
-    object_margin,
-    object_weight,
 )
 from .schema import GkpoObject, parse
 
@@ -110,6 +113,9 @@ class HarnessParams:
             raise ValueError("steps, learning_rate, eval_every must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        # bootstrap_ci's floor, checked here so a bad config fails before training
+        if self.bootstrap_resamples < 100:
+            raise ValueError("bootstrap_resamples must be at least 100")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,33 +236,34 @@ def save_jsonl(data: SyntheticDataset, path: str) -> None:
 
 
 def load_jsonl(path: str) -> SyntheticDataset:
+    """Read a gkpo-pairs-1 file; a malformed line raises ValueError at path:line."""
+    pairs = []
+    slices: dict[str, list[int]] = {}
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "gkpo-pairs-1":
-            raise ValueError(f"{path}: not a gkpo-pairs-1 file")
-        pairs = []
-        slices: dict[str, list[int]] = {}
-        for i, line in enumerate(fh):
-            row = json.loads(line)
-            pairs.append(
-                DatasetPair(
-                    sample=PairSample(
-                        prompt_id=row["prompt_id"],
-                        delta_u=row["delta_u"],
-                        delta_phi=row["delta_phi"],
-                        omega=row["omega"],
-                        delta_ref=row["delta_ref"],
-                    ),
+        try:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or header.get("format") != "gkpo-pairs-1":
+                raise ValueError("not a gkpo-pairs-1 file")
+            seed = header["seed"]
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{path}:1: bad header: {exc}") from exc
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                row = json.loads(line)
+                pair = DatasetPair(
+                    sample=sample_from_row(row),
                     features_pos=row["features_pos"],
                     features_neg=row["features_neg"],
                     label=row["label"],
                 )
-            )
-            slices.setdefault(row["slice"], []).append(i)
+                slices.setdefault(row["slice"], []).append(len(pairs))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad pair row: {exc}") from exc
+            pairs.append(pair)
     return SyntheticDataset(
         pairs=tuple(pairs),
         slices={k: tuple(v) for k, v in slices.items()},
-        seed=header["seed"],
+        seed=seed,
     )
 
 

@@ -152,6 +152,13 @@ def _strict_pairs(pairs):
     return seen
 
 
+def _float(value: int | float, path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError("number out of range", path) from None
+
+
 class _Node:
     """One JSON object during parsing: typed extraction plus unknown-key rejection."""
 
@@ -199,7 +206,7 @@ class _Node:
             return default
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError("expected a number", self._sub(key))
-        return float(value)
+        return _float(value, self._sub(key))
 
     def take_bool(self, key: str, *, required: bool = True, default: Any = None):
         value, present = self._pop(key, required)
@@ -254,13 +261,13 @@ def _parse_witness(node: _Node | None) -> dict[str, Any]:
         if isinstance(value, bool):
             raise ParseError("expected a number or a flat number array", path)
         if isinstance(value, (int, float)):
-            out[key] = float(value)
+            out[key] = _float(value, path)
         elif isinstance(value, list):
             items = []
             for i, item in enumerate(value):
                 if isinstance(item, bool) or not isinstance(item, (int, float)):
                     raise ParseError("expected a number", f"{path}[{i}]")
-                items.append(float(item))
+                items.append(_float(item, f"{path}[{i}]"))
             out[key] = items
         else:
             raise ParseError("expected a number or a flat number array", path)
@@ -279,6 +286,8 @@ def parse(text: str) -> GkpoObject:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # e.g. integer digit limit, depth
+        raise ParseError(f"invalid JSON: {exc}") from None
 
     root = _Node(raw, "")
     version = root.take_str("version")
@@ -524,6 +533,8 @@ def validate(obj: GkpoObject) -> list[Violation]:
     red = obj.reducibility
     if red.inside_R and red.reasons:
         bad("reducibility", "inside_R is true but reasons are present")
+    if not red.inside_R and not red.reasons:
+        bad("reducibility.reasons", "inside_R is false but no reason is given")
     for i, reason in enumerate(red.reasons):
         if reason not in REASON_CODES:
             bad(f"reducibility.reasons[{i}]", f"unknown reason {reason!r}")

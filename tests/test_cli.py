@@ -405,3 +405,115 @@ def test_stderr_errors_are_single_json_lines(capsys):
         assert len(lines) == 1
         payload = json.loads(lines[0])
         assert set(payload) == {"error", "code"}
+
+
+def test_probe_row_errors_name_path_and_line(capsys, tmp_path):
+    probe = tmp_path / "probe.jsonl"
+    probe.write_text('{"prompt_id": "a", "delta_u": 1.0}\n{"prompt_id": "b"}\n')
+    argv = ["hash", SCALE_HALF, "--scale-fix", "--probe", str(probe)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_FAILURE
+    assert_error_line(err, EXIT_FAILURE)
+    assert f"{probe}:2:" in json.loads(err)["error"]
+
+
+# --- nonzero exits never leak a traceback ----------------------------------------
+
+
+def assert_single_error_line(err: str, code: int):
+    lines = [l for l in err.splitlines() if l]
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["code"] == code
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": "gkpo-1.0\xff"}')
+    code, _, err = run_cli(capsys, "validate", str(path))
+    assert code == EXIT_USAGE
+    assert_single_error_line(err, EXIT_USAGE)
+
+
+def test_huge_integer_is_parse_failure(capsys, tmp_path):
+    text = fixture_path("dpo_fixed_reference.json").read_text(encoding="utf-8")
+    assert '"beta": 1.0,' in text
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"beta": 1.0,', '"beta": ' + "9" * 400 + ","))
+    code, _, err = run_cli(capsys, "hash", str(path))
+    assert code == EXIT_FAILURE
+    assert_single_error_line(err, EXIT_FAILURE)
+
+
+def test_deeply_nested_json_is_parse_failure(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for command in (["validate"], ["hash"], ["convert", "--to", "DPO"]):
+        code, _, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == EXIT_FAILURE, command
+        assert_single_error_line(err, EXIT_FAILURE)
+
+
+def test_bad_command_line_number_is_usage_error(capsys):
+    for argv in (
+        ["probe", "shift", "0.2", "x", "1"],
+        ["probe", "gate", "1,y,1"],
+        ["probe", "score", "0.4", "-0.8", "2", "z"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert_single_error_line(err, EXIT_USAGE)
+
+
+def test_config_value_of_wrong_type_is_failure(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": "DPO", "beta": [1.0], "ref": 0.0}))
+    code, _, err = run_cli(capsys, "convert", str(path))
+    assert code == EXIT_FAILURE
+    assert_single_error_line(err, EXIT_FAILURE)
+
+
+def test_harness_too_few_resamples_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "few.json"
+    cfg.write_text(json.dumps({"size": 20, "seeds": [0], "bootstrap_resamples": 5}))
+    code, _, err = run_cli(capsys, "harness", "h1", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert_single_error_line(err, EXIT_USAGE)
+
+# --- import graph ----------------------------------------------------------------
+
+
+def test_document_commands_leave_numpy_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gkpo
+
+    script = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from gkpo.cli import main",
+            "calls = [",
+            f"    ['validate', {DPO!r}],",
+            f"    ['hash', {DPO!r}],",
+            f"    ['canonicalize', {RRHF!r}],",
+            f"    ['convert', {RRHF!r}, '--to', 'DPO'],",
+            f"    ['diff', {DPO!r}, {DPO_ALT!r}],",
+            "    ['demo'],",
+            "]",
+            "for argv in calls:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, argv",
+            "print('numpy' in sys.modules)",
+        ]
+    )
+    src = str(Path(gkpo.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

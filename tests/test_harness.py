@@ -299,3 +299,16 @@ def test_h2_report_serialization():
     json.dumps(d)
     text = report.to_text()
     assert "discord" in text and "flip agreement" in text
+
+
+def test_jsonl_malformed_row_names_path_and_line(tmp_path):
+    data = gen_dataset(4, 2, "none", seed=3)
+    path = tmp_path / "d.jsonl"
+    save_jsonl(data, path)
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[2])
+    row["delta_u"] = "high"
+    lines[2] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{path.name}:3: .*delta_u"):
+        load_jsonl(path)

@@ -326,3 +326,24 @@ def test_unused_optionals_are_omitted_not_null():
     assert "custom_name" not in d["score"]
     assert "opal_hash" not in d["provenance"]
     assert "null" not in json.dumps(d)
+
+
+def test_validate_outside_R_requires_a_reason():
+    obj = GkpoObject(reducibility=ReducibilityBlock(inside_R=False, reasons=()))
+    assert "reducibility.reasons" in paths(validate(obj))
+    with_reason = GkpoObject(
+        reducibility=ReducibilityBlock(inside_R=False, reasons=("reference_shift",))
+    )
+    assert validate(with_reason) == []
+
+
+def test_parse_out_of_range_integer_is_parse_error():
+    doc = dict(MINIMAL, beta=10**400)
+    with pytest.raises(ParseError) as info:
+        parse(json.dumps(doc))
+    assert info.value.path == "beta"
+
+
+def test_parse_deep_nesting_is_parse_error():
+    with pytest.raises(ParseError):
+        parse("[" * 100_000)
