@@ -15,7 +15,7 @@ expose the two scaled views separately.
 A GKPO object folds to a normal form through `object_normal_form`; the
 `object_*` functions evaluate its margin on realized samples through
 `delta_score` and `weight`, with the object's reference and constant weight
-applied on top.
+applied on top. `object_margins_and_weights` folds once for many samples.
 """
 
 from __future__ import annotations
@@ -263,11 +263,28 @@ def object_reference(obj: GkpoObject, sample: PairSample) -> float:
     raise ValueError(f"reference form {form!r} has no sample-level numeric value")
 
 
+def object_margins_and_weights(
+    obj: GkpoObject, samples: Iterable[PairSample]
+) -> tuple[list[float], list[float]]:
+    """Margin and weight of each sample, folding obj to its normal form once.
+
+    The weights equal object_weight's bit for bit; object_margin is this
+    function on one sample.
+    """
+    nf = object_normal_form(obj)
+    margins: list[float] = []
+    weights: list[float] = []
+    for sample in samples:
+        gap = delta_score(nf, sample) - object_reference(obj, sample)
+        w = _object_weight(obj, nf, sample)
+        margins.append(gap * w)
+        weights.append(w)
+    return margins, weights
+
+
 def object_margin(obj: GkpoObject, sample: PairSample) -> float:
     """(delta_score - reference) * weight for the object's normal form."""
-    nf = object_normal_form(obj)
-    gap = delta_score(nf, sample) - object_reference(obj, sample)
-    return gap * _object_weight(obj, nf, sample)
+    return object_margins_and_weights(obj, (sample,))[0][0]
 
 
 @dataclass(frozen=True)

@@ -183,8 +183,50 @@ def grad_objective(
 # Decision statistics
 
 
+def _tied_pairs(*keys: np.ndarray) -> int:
+    """Pairs equal in every key, for keys sorted so that such pairs are adjacent.
+
+    A non-finite value ties with nothing: inf - inf is nan, not 0.
+    """
+    new_run = np.zeros(keys[0].size, dtype=bool)
+    new_run[0] = True
+    for key in keys:
+        new_run[1:] |= (key[1:] != key[:-1]) | ~np.isfinite(key[1:])
+    lengths = np.diff(np.flatnonzero(np.append(new_run, True)))
+    return int(np.sum(lengths * (lengths - 1) // 2))
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], by bottom-up merging.
+
+    Level w stably merges sorted blocks of width w in pairs. A right-block
+    element at index j that lands at merged position p has p - j left
+    elements at or below it, so w - (p - j) left elements above it.
+    """
+    size = 1 << (ranks.size - 1).bit_length()
+    a = np.full(size, ranks.size, dtype=np.int64)  # padding sorts last
+    a[: ranks.size] = ranks
+    count = 0
+    w = 1
+    while w < size:
+        rows = a.reshape(-1, 2 * w)
+        perm = np.argsort(rows, axis=1, kind="stable")
+        pos = np.empty_like(perm)
+        np.put_along_axis(pos, perm, np.broadcast_to(np.arange(2 * w), perm.shape), 1)
+        count += w * w * rows.shape[0] - int(np.sum(pos[:, w:] - np.arange(w)))
+        a = np.take_along_axis(rows, perm, axis=1).ravel()
+        w *= 2
+    return count
+
+
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
-    """Tie-corrected (tau-b) rank correlation over all pairs."""
+    """Tie-corrected (tau-b) rank correlation over all pairs.
+
+    Knight's merge-sort algorithm (Knight 1966, JASA 61:436): O(n log n) time
+    and O(n) memory. Pair counts are exact integers, so identical inputs give
+    exactly 1.0. A nan, or an infinity that occurs twice, leaves a pair
+    without a sign, and the result is nan.
+    """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -192,44 +234,73 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise ValueError("need at least two observations")
-    iu = np.triu_indices(n, k=1)
-    sx = np.sign(x[:, None] - x[None, :])[iu]
-    sy = np.sign(y[:, None] - y[None, :])[iu]
-    concordant_minus_discordant = float(np.sum(sx * sy))
-    n0 = n * (n - 1) / 2.0
-    n1 = n0 - float(np.sum(sx != 0))  # pairs tied in x
-    n2 = n0 - float(np.sum(sy != 0))  # pairs tied in y
-    denom = math.sqrt((n0 - n1) * (n0 - n2))
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    y_sorted = np.sort(y)
+    n0 = n * (n - 1) // 2
+    n1 = _tied_pairs(x)  # pairs tied in x
+    n2 = _tied_pairs(y_sorted)  # pairs tied in y
+    n3 = _tied_pairs(x, y)  # pairs tied in both
+    denom = math.sqrt(float(n0 - n1) * float(n0 - n2))
     if denom == 0.0:
         raise ValueError("kendall tau undefined: one input is entirely tied")
-    return concordant_minus_discordant / denom
+    for v in (x, y):
+        if np.isnan(v).any() or max(
+            np.count_nonzero(v == np.inf), np.count_nonzero(v == -np.inf)
+        ) > 1:
+            return math.nan
+    # sorted by (x, y), so the pairs discordant are the strict inversions of y
+    discordant = _inversions(np.searchsorted(y_sorted, y))
+    return float(n0 - n1 - n2 + n3 - 2 * discordant) / denom
 
 
 def mcnemar_exact(n01: int, n10: int) -> float:
-    """Exact two-sided binomial test on discordant counts; p = 1 when none."""
+    """Exact two-sided binomial test on discordant counts; p = 1 when none.
+
+    The tail sum of C(n, i) for i <= min(n01, n10) is an exact integer, each
+    term made from the last by term * (n - i) // (i + 1): O(min(n01, n10))
+    big-integer steps. When 2k + 1 >= n the tail holds half the mass or
+    more, and p is 1.
+    """
     if n01 < 0 or n10 < 0:
         raise ValueError("counts must be nonnegative")
     n = n01 + n10
-    if n == 0:
-        return 1.0
     k = min(n01, n10)
-    tail = sum(math.comb(n, i) for i in range(k + 1))
+    if 2 * k + 1 >= n:
+        return 1.0
+    term = tail = 1
+    for i in range(k):
+        term = term * (n - i) // (i + 1)
+        tail += term
     p = 2 * tail / (1 << n)
     return min(1.0, p)
+
+
+# index elements drawn per block of bootstrap resamples
+_BOOTSTRAP_BLOCK = 1 << 18
 
 
 def bootstrap_ci(
     values: Sequence[float], resamples: int = 1000, seed: int = 0
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap (2.5%, 97.5%) for the mean of values."""
+    """Seeded percentile bootstrap (2.5%, 97.5%) for the mean of values.
+
+    Resamples are drawn and averaged in row blocks of about 2**18 indices, so
+    memory stays bounded; the generator yields the same stream drawn whole or
+    in blocks, so the interval does not depend on the block size.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("values must be nonempty")
     if resamples < 100:
         raise ValueError("resamples must be at least 100")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    rows = max(1, _BOOTSTRAP_BLOCK // arr.size)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(resamples, start + rows)
+        idx = rng.integers(0, arr.size, size=(stop - start, arr.size))
+        means[start:stop] = arr[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
 

@@ -31,8 +31,9 @@ import numpy as np
 from .algebra import (
     PROMPT_OFFSET_KEY,
     PairSample,
-    object_margin,
-    object_weight,
+    object_margin,  # noqa: F401  bench/tracing.py resolves it here by name
+    object_margins_and_weights,
+    object_weight,  # noqa: F401  likewise
     sample_from_row,
 )
 from .canonical import canonicalize, opal_hash
@@ -284,12 +285,9 @@ def train_run(
     n = len(data.pairs)
     if n == 0:
         raise ValueError("dataset is empty")
-    base_margins = np.array(
-        [object_margin(obj, p.sample) for p in data.pairs], dtype=float
-    )
-    weights = np.array(
-        [object_weight(obj, p.sample) for p in data.pairs], dtype=float
-    )
+    base, w = object_margins_and_weights(obj, [p.sample for p in data.pairs])
+    base_margins = np.array(base, dtype=float)
+    weights = np.array(w, dtype=float)
     dmat = data.delta_feature_matrix
     dim = dmat.shape[1]
 

@@ -38,23 +38,10 @@ def load_fixture(name: str) -> GkpoObject:
 
 
 def load_probe_jsonl(name: str):
-    from gkpo.algebra import PairSample
+    from gkpo.algebra import sample_from_row
 
-    out = []
-    for line in fixture_text(name).splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        out.append(
-            PairSample(
-                prompt_id=row["prompt_id"],
-                delta_u=row["delta_u"],
-                delta_phi=row.get("delta_phi", {}),
-                omega=row.get("omega", {}),
-                delta_ref=row.get("delta_ref", {}),
-            )
-        )
-    return out
+    lines = fixture_text(name).splitlines()
+    return [sample_from_row(json.loads(line)) for line in lines if line.strip()]
 
 
 @pytest.fixture

@@ -312,3 +312,22 @@ def test_jsonl_malformed_row_names_path_and_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"{path.name}:3: .*delta_u"):
         load_jsonl(path)
+
+
+# --- scale ---------------------------------------------------------------------------
+
+SCALE = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100)
+
+
+def test_run_h1_at_twenty_thousand_pairs():
+    # all-pairs rank statistics would need gigabytes at this size
+    data = gen_dataset(20_000, 4, "none", seed=5)
+    report = run_h1(dpo_spec(0.10), folded_ppo_spec(), data, SCALE)
+    assert report.min_tau == 1.0
+    assert report.all_traces_equal
+
+
+def test_run_h2_at_twenty_thousand_pairs():
+    data = gen_dataset(20_000, 4, "witness_slice", seed=5)
+    report = run_h2(dpo_spec(0.0), orpo_shift_spec(), data, SCALE)
+    assert report.min_flip_agreement == 1.0
