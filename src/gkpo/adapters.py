@@ -19,7 +19,7 @@ from_gkpo blocks when the object sits outside the reducible class (reasons
 copied from its reducibility block) or when the target shape cannot express
 the normal form. Shape blocks use result-level codes that are not schema
 reason codes: "weight_not_absorbable" (product weight and no probe, or probe
-products not constant), "penalty_not_representable", and
+products not constant to a relative ABSORB_TOL), "penalty_not_representable", and
 "reference_not_representable".
 """
 
@@ -57,7 +57,9 @@ CITATIONS: dict[str, tuple[str, ...]] = {
 CONVERTED = "converted"
 BLOCKED = "blocked"
 
-# Absolute spread allowed when a probe decides a product weight is constant.
+# Spread (max - min), relative to the largest product, allowed when a probe
+# decides a product weight is constant; relative, so the units of omega do
+# not change the decision.
 ABSORB_TOL = 1e-9
 
 
@@ -305,7 +307,7 @@ def _absorbable_weight(
         return None
     if not products:
         return None
-    if max(products) - min(products) > ABSORB_TOL:
+    if max(products) - min(products) > ABSORB_TOL * max(products):
         return None
     return products[0]
 

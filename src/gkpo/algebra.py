@@ -12,10 +12,16 @@ It multiplies the score side and divides the weight side simultaneously, so
 `margin()` is invariant to it by construction; `delta_score()` and `weight()`
 expose the two scaled views separately.
 
-A GKPO object folds to a normal form through `object_normal_form`; the
-`object_*` functions evaluate its margin on realized samples through
-`delta_score` and `weight`, with the object's reference and constant weight
-applied on top. `object_margins_and_weights` folds once for many samples.
+A GKPO object folds to a normal form through `object_normal_form`;
+`object_margins_and_weights` evaluates its margin through `delta_score` and
+`weight`, with the object's reference and constant weight applied on top.
+
+The evaluators use only `-`, `*` and `/` on the sample's attributes
+`delta_u`, `delta_phi`, `omega` and `delta_ref`, so they run unchanged on one
+`PairSample` of floats and on a columnar batch whose attributes are arrays
+(`harness.PairBatch`). They never update in place (`gap = gap - x`, not
+`gap -= x`), which on a batch would write into its columns. This module does
+not import numpy.
 """
 
 from __future__ import annotations
@@ -91,6 +97,10 @@ class PairSample:
                     f"omega[{name!r}] must be positive, got {value!r}"
                 )
 
+    def lacking(self, table: Mapping[str, float], name: str) -> str:
+        """Prompt id an error names when `name` is missing from `table`."""
+        return self.prompt_id
+
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -155,12 +165,12 @@ def collect(ladder: Ladder | Iterable[Operator]) -> NormalForm:
     return NormalForm(coeffs, tuple(sorted(factors)), tuple(sorted(refs)))
 
 
-def _lookup(table: Mapping[str, float], name: str, kind: str, sample: PairSample):
+def _lookup(table: Mapping[str, Any], name: str, kind: str, sample: Any):
     try:
         return table[name]
     except KeyError:
         raise KeyError(
-            f"{kind} {name!r} missing from sample {sample.prompt_id!r}"
+            f"{kind} {name!r} missing from sample {sample.lacking(table, name)!r}"
         ) from None
 
 
@@ -173,14 +183,14 @@ def margin(nf: NormalForm, sample: PairSample) -> float:
     """
     gap = sample.delta_u
     for name in sorted(nf.penalty_coeffs):
-        gap -= nf.penalty_coeffs[name] * _lookup(
+        gap = gap - nf.penalty_coeffs[name] * _lookup(
             sample.delta_phi, name, "penalty", sample
         )
     for name in nf.ref_terms:
-        gap -= _lookup(sample.delta_ref, name, "reference term", sample)
+        gap = gap - _lookup(sample.delta_ref, name, "reference term", sample)
     w = 1.0
     for name in nf.weight_factors:
-        w *= _lookup(sample.omega, name, "weight factor", sample)
+        w = w * _lookup(sample.omega, name, "weight factor", sample)
     return gap * w
 
 
@@ -192,11 +202,11 @@ def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> fl
     w = 1.0
     for op in ops:
         if isinstance(op, AdditivePenalty):
-            gap -= op.coeff * _lookup(sample.delta_phi, op.name, "penalty", sample)
+            gap = gap - op.coeff * _lookup(sample.delta_phi, op.name, "penalty", sample)
         elif isinstance(op, MultiplicativeWeight):
-            w *= _lookup(sample.omega, op.name, "weight factor", sample)
+            w = w * _lookup(sample.omega, op.name, "weight factor", sample)
         elif isinstance(op, ReferenceAdjust):
-            ref += _lookup(sample.delta_ref, op.name, "reference term", sample)
+            ref = ref + _lookup(sample.delta_ref, op.name, "reference term", sample)
         else:
             raise TypeError(f"not a ladder operator: {op!r}")
     return (gap - ref) * w
@@ -206,7 +216,7 @@ def delta_score(nf: NormalForm, sample: PairSample) -> float:
     """Score-side view of the triple: scale * (delta_u - sum(coeff*delta_phi))."""
     gap = sample.delta_u
     for name in sorted(nf.penalty_coeffs):
-        gap -= nf.penalty_coeffs[name] * _lookup(
+        gap = gap - nf.penalty_coeffs[name] * _lookup(
             sample.delta_phi, name, "penalty", sample
         )
     return nf.scale * gap
@@ -216,7 +226,7 @@ def weight(nf: NormalForm, sample: PairSample) -> float:
     """Weight-side view of the triple: prod(omega) / scale."""
     w = 1.0
     for name in nf.weight_factors:
-        w *= _lookup(sample.omega, name, "weight factor", sample)
+        w = w * _lookup(sample.omega, name, "weight factor", sample)
     return w / nf.scale
 
 
@@ -237,7 +247,7 @@ def object_normal_form(obj: GkpoObject) -> NormalForm:
     return NormalForm(coeffs, tuple(sorted(factors)), ())
 
 
-def _object_weight(obj: GkpoObject, nf: NormalForm, sample: PairSample) -> float:
+def _object_weight(obj: GkpoObject, nf: NormalForm, sample: Any) -> Any:
     if obj.weight.form == "constant":
         return float(obj.weight.constant)
     if obj.weight.form == "product":
@@ -247,44 +257,43 @@ def _object_weight(obj: GkpoObject, nf: NormalForm, sample: PairSample) -> float
     )
 
 
-def object_weight(obj: GkpoObject, sample: PairSample) -> float:
-    return _object_weight(obj, object_normal_form(obj), sample)
-
-
-def object_reference(obj: GkpoObject, sample: PairSample) -> float:
-    """Fixed value, or the sample's per-prompt / per-dataset offset."""
+def _object_reference(obj: GkpoObject, sample: Any) -> Any:
     form = obj.reference.form
     if form in ("fixed_zero", "fixed_scalar"):
         return float(obj.reference.value)
     if form == "per_prompt":
-        return float(sample.delta_ref[PROMPT_OFFSET_KEY])
+        return sample.delta_ref[PROMPT_OFFSET_KEY]
     if form == "per_dataset":
-        return float(sample.delta_ref.get(DATASET_OFFSET_KEY, 0.0))
+        return sample.delta_ref.get(DATASET_OFFSET_KEY, 0.0)
     raise ValueError(f"reference form {form!r} has no sample-level numeric value")
 
 
-def object_margins_and_weights(
-    obj: GkpoObject, samples: Iterable[PairSample]
-) -> tuple[list[float], list[float]]:
-    """Margin and weight of each sample, folding obj to its normal form once.
+def object_reference(obj: GkpoObject, sample: PairSample) -> float:
+    """Fixed value, or the sample's per-prompt / per-dataset offset."""
+    return float(_object_reference(obj, sample))
 
-    The weights equal object_weight's bit for bit; object_margin is this
-    function on one sample.
+
+def object_margins_and_weights(obj: GkpoObject, s: Any) -> tuple[Any, Any]:
+    """(margin, weight) of obj on s, folding obj to its normal form once.
+
+    margin = (delta_score - reference) * weight. s is one PairSample (two
+    floats come back) or a batch of columns (arrays come back; a constant
+    weight stays one float). Each batch entry equals the PairSample result
+    bit for bit.
     """
     nf = object_normal_form(obj)
-    margins: list[float] = []
-    weights: list[float] = []
-    for sample in samples:
-        gap = delta_score(nf, sample) - object_reference(obj, sample)
-        w = _object_weight(obj, nf, sample)
-        margins.append(gap * w)
-        weights.append(w)
-    return margins, weights
+    gap = delta_score(nf, s) - _object_reference(obj, s)
+    w = _object_weight(obj, nf, s)
+    return gap * w, w
+
+
+def object_weight(obj: GkpoObject, sample: PairSample) -> float:
+    return _object_weight(obj, object_normal_form(obj), sample)
 
 
 def object_margin(obj: GkpoObject, sample: PairSample) -> float:
     """(delta_score - reference) * weight for the object's normal form."""
-    return object_margins_and_weights(obj, (sample,))[0][0]
+    return object_margins_and_weights(obj, sample)[0]
 
 
 @dataclass(frozen=True)

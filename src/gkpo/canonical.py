@@ -22,26 +22,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import replace
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from typing import Any, Iterable
 
 from . import algebra
 from .algebra import PairSample, ScaleFixResult
-from .schema import GkpoObject, require_valid, to_json_dict
-
-_QUANTUM = Decimal("0.000001")
-
-
-def _num(value) -> Decimal:
-    """Round half-even to the 1e-6 grid."""
-    with localcontext() as ctx:
-        ctx.prec = 500  # exact for any finite double at this quantum
-        return Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN)
+from .schema import GkpoObject, quantize, require_valid, to_json_dict
 
 
 def canonical_number(value) -> str:
     """Round half-even to 1e-6; emit the shortest plain decimal form."""
-    d = _num(value)
+    d = quantize(value)
     if d == 0:
         return "0"
     text = format(d, "f")
@@ -114,7 +105,7 @@ def _quantized(value: Any) -> Any:
     if isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, float)):
-        return _num(value)
+        return quantize(value)
     if isinstance(value, dict):
         return {key: _quantized(item) for key, item in value.items()}
     return [_quantized(item) for item in value]

@@ -14,6 +14,11 @@ full-batch gradient descent:
   never depend on the trained scorer and the predicted flips are a property
   of the spec, not of the optimizer.
 
+Datasets are columnar: a SyntheticDataset holds one PairBatch (prompt ids,
+delta_u and name -> column maps) plus (n, d) feature blocks and labels, and
+the spec's margins are evaluated once per column, not once per pair. Its
+`pairs` view of per-pair objects is built only when asked for.
+
 Datasets serialize to line-delimited JSON: a header line
 {"format": "gkpo-pairs-1", "seed": ...} followed by one pair per line with
 keys, in order: prompt_id, delta_u, features_pos, features_neg, label, slice,
@@ -23,8 +28,9 @@ delta_phi, omega, delta_ref.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -57,8 +63,98 @@ FLIP_GAP = 0.20
 FLIP_OFFSET = 0.50
 
 
+class Columns(dict):
+    """name -> float64 column for the names every row of a batch carries.
+
+    `partial` maps each name that only some rows carry to (present mask,
+    values with 0.0 where absent). Indexing such a name raises KeyError, as a
+    PairSample lacking it would; `get` fills the absent rows with the default.
+    """
+
+    def __init__(self, full=(), partial=()):
+        super().__init__(full)
+        self.partial = dict(partial)
+
+    def get(self, name, default=None):
+        if name in self.partial:
+            present, values = self.partial[name]
+            return np.where(present, values, default)
+        return super().get(name, default)
+
+    def rows(self, n: int) -> list[dict[str, float]]:
+        """The per-row name -> value maps, full names first."""
+        rows: list[dict[str, float]] = [{} for _ in range(n)]
+        for name, col in self.items():
+            for row, value in zip(rows, col.tolist()):
+                row[name] = value
+        for name, (present, values) in self.partial.items():
+            for row, has, value in zip(rows, present.tolist(), values.tolist()):
+                if has:
+                    row[name] = value
+        return rows
+
+
+_TABLES = ("delta_phi", "omega", "delta_ref")
+
+
+@dataclass(frozen=True, eq=False)
+class PairBatch:
+    """PairSample's attributes as columns, one entry per pair.
+
+    algebra's evaluators run on it unchanged: delta_u is an array and each
+    name -> value map is a Columns of arrays.
+    """
+
+    prompt_ids: tuple[str, ...]
+    delta_u: np.ndarray
+    delta_phi: Columns
+    omega: Columns
+    delta_ref: Columns
+
+    def __len__(self) -> int:
+        return len(self.delta_u)
+
+    def lacking(self, table: Columns, name: str) -> str:
+        """Prompt id of the first row whose table lacks name."""
+        entry = table.partial.get(name)
+        return self.prompt_ids[0 if entry is None else int(np.argmin(entry[0]))]
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[PairSample]) -> PairBatch:
+        tables = {}
+        for attr in _TABLES:
+            maps = [getattr(s, attr) for s in samples]
+            full, partial = {}, {}
+            for name in dict.fromkeys(name for m in maps for name in m):
+                present = np.array([name in m for m in maps])
+                values = np.array([m.get(name, 0.0) for m in maps], dtype=float)
+                if present.all():
+                    full[name] = values
+                else:
+                    partial[name] = (present, values)
+            tables[attr] = Columns(full, partial)
+        return cls(
+            prompt_ids=tuple(s.prompt_id for s in samples),
+            delta_u=np.array([s.delta_u for s in samples], dtype=float),
+            **tables,
+        )
+
+    def samples(self) -> list[PairSample]:
+        n = len(self)
+        return [
+            PairSample(*fields)
+            for fields in zip(
+                self.prompt_ids,
+                self.delta_u.tolist(),
+                *(getattr(self, attr).rows(n) for attr in _TABLES),
+            )
+        ]
+
+
 @dataclass(frozen=True)
 class DatasetPair:
+    """One pair of a SyntheticDataset, as its `pairs` view hands it out."""
+
     sample: PairSample
     features_pos: np.ndarray
     features_neg: np.ndarray
@@ -75,28 +171,45 @@ class DatasetPair:
             raise ValueError("label must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticDataset:
-    pairs: tuple[DatasetPair, ...]
+    """Pairs held as columns: a PairBatch, (n, d) feature blocks for the pos
+    and neg sides, and labels[n] as floats (+1/-1).
+
+    `pairs` is a per-pair view built on first access; training and the H1/H2
+    runners read the columns only.
+    """
+
+    batch: PairBatch
+    features_pos: np.ndarray
+    features_neg: np.ndarray
+    labels: np.ndarray
     slices: dict[str, tuple[int, ...]]
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(
             self, "slices", {k: tuple(v) for k, v in self.slices.items()}
         )
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.batch)
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([p.label for p in self.pairs], dtype=float)
-
-    @property
+    @cached_property
     def delta_feature_matrix(self) -> np.ndarray:
-        return np.stack([p.features_pos - p.features_neg for p in self.pairs])
+        return self.features_pos - self.features_neg
+
+    @cached_property
+    def pairs(self) -> tuple[DatasetPair, ...]:
+        return tuple(
+            DatasetPair(sample, fp, fn, label)
+            for sample, fp, fn, label in zip(
+                self.batch.samples(),
+                self.features_pos,
+                self.features_neg,
+                self.labels.astype(int).tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -170,47 +283,47 @@ def gen_dataset(
 
     rng = np.random.default_rng(seed)
     theta_star = rng.standard_normal(feature_dim)
-    pairs: list[DatasetPair] = []
-    for i in range(n_global):
-        fp = rng.standard_normal(feature_dim)
-        fn = rng.standard_normal(feature_dim)
-        du = 0.5 * rng.standard_normal()
-        # orient each pair so the side a hidden scorer prefers sits on pos;
-        # the trainer's loss presumes that layout, as collected data would
-        if du + float(theta_star @ (fp - fn)) < 0:
-            fp, fn, du = fn, fp, -du
-        pairs.append(
-            DatasetPair(
-                sample=PairSample(
-                    prompt_id=f"p{i}",
-                    delta_u=du,
-                    delta_ref={PROMPT_OFFSET_KEY: 0.0},
-                ),
-                features_pos=fp,
-                features_neg=fn,
-                label=1,
-            )
-        )
-    zeros = np.zeros(feature_dim)
-    for k in range(instances):
-        for tag, offset in (("a", FLIP_OFFSET), ("b", -FLIP_OFFSET)):
-            pairs.append(
-                DatasetPair(
-                    sample=PairSample(
-                        prompt_id=f"w{k}{tag}",
-                        delta_u=FLIP_GAP,
-                        delta_ref={PROMPT_OFFSET_KEY: offset},
-                    ),
-                    features_pos=zeros,
-                    features_neg=zeros,
-                    label=1,
-                )
-            )
+    # row i is what per-pair draws of fp(d), fn(d), du would give
+    draws = rng.standard_normal((n_global, 2 * feature_dim + 1))
+    fp, fn = draws[:, :feature_dim], draws[:, feature_dim:-1]
+    du = 0.5 * draws[:, -1]
+    # orient each pair so the side a hidden scorer prefers sits on pos;
+    # the trainer's loss presumes that layout, as collected data would
+    delta = fp - fn
+    score = du + delta @ theta_star
+    # the matrix product rounds differently from a per-row dot product; where
+    # that could move the sign, decide with the per-row product
+    bound = 2 * (feature_dim + 1) * np.finfo(float).eps
+    bound *= np.abs(du) + np.abs(delta) @ np.abs(theta_star)
+    for i in np.flatnonzero(np.abs(score) <= bound):
+        score[i] = du[i] + float(theta_star @ (fp[i] - fn[i]))
+    flip = score < 0
+    flip_rows = flip[:, None]
+
+    zeros = np.zeros((n_slice, feature_dim))
+    offsets = np.tile([FLIP_OFFSET, -FLIP_OFFSET], instances)
+    batch = PairBatch(
+        prompt_ids=tuple(f"p{i}" for i in range(n_global))
+        + tuple(f"w{k}{tag}" for k in range(instances) for tag in "ab"),
+        delta_u=np.concatenate([np.where(flip, -du, du), np.full(n_slice, FLIP_GAP)]),
+        delta_phi=Columns(),
+        omega=Columns(),
+        delta_ref=Columns(
+            {PROMPT_OFFSET_KEY: np.concatenate([np.zeros(n_global), offsets])}
+        ),
+    )
     slices = {
         SLICE_KEY: tuple(range(n_global, size)),
         BACKGROUND_KEY: tuple(range(n_global)),
     }
-    return SyntheticDataset(pairs=tuple(pairs), slices=slices, seed=seed)
+    return SyntheticDataset(
+        batch=batch,
+        features_pos=np.concatenate([np.where(flip_rows, fn, fp), zeros]),
+        features_neg=np.concatenate([np.where(flip_rows, fp, fn), zeros]),
+        labels=np.ones(size),
+        slices=slices,
+        seed=seed,
+    )
 
 
 def save_jsonl(data: SyntheticDataset, path: str) -> None:
@@ -238,7 +351,7 @@ def save_jsonl(data: SyntheticDataset, path: str) -> None:
 
 def load_jsonl(path: str) -> SyntheticDataset:
     """Read a gkpo-pairs-1 file; a malformed line raises ValueError at path:line."""
-    pairs = []
+    pairs: list[DatasetPair] = []
     slices: dict[str, list[int]] = {}
     with open(path, encoding="utf-8") as fh:
         try:
@@ -257,13 +370,22 @@ def load_jsonl(path: str) -> SyntheticDataset:
                     features_neg=row["features_neg"],
                     label=row["label"],
                 )
+                shape = (pairs[0] if pairs else pair).features_pos.shape
+                if not pair.features_pos.shape == pair.features_neg.shape == shape:
+                    raise ValueError(f"features must have shape {shape}")
+                if len(shape) != 1:
+                    raise ValueError("features must be lists of numbers")
                 slices.setdefault(row["slice"], []).append(len(pairs))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad pair row: {exc}") from exc
             pairs.append(pair)
+    dim = len(pairs[0].features_pos) if pairs else 0
     return SyntheticDataset(
-        pairs=tuple(pairs),
-        slices={k: tuple(v) for k, v in slices.items()},
+        batch=PairBatch.from_samples([p.sample for p in pairs]),
+        features_pos=np.array([p.features_pos for p in pairs]).reshape(len(pairs), dim),
+        features_neg=np.array([p.features_neg for p in pairs]).reshape(len(pairs), dim),
+        labels=np.array([p.label for p in pairs], dtype=float),
+        slices=slices,
         seed=seed,
     )
 
@@ -282,12 +404,10 @@ def train_run(
     spec: GkpoObject, data: SyntheticDataset, hp: HarnessParams, seed: int
 ) -> TrainRun:
     obj = _canonical_spec(spec)
-    n = len(data.pairs)
+    n = len(data)
     if n == 0:
         raise ValueError("dataset is empty")
-    base, w = object_margins_and_weights(obj, [p.sample for p in data.pairs])
-    base_margins = np.array(base, dtype=float)
-    weights = np.array(w, dtype=float)
+    base_margins, weights = object_margins_and_weights(obj, data.batch)
     dmat = data.delta_feature_matrix
     dim = dmat.shape[1]
 
@@ -544,10 +664,6 @@ class H2Report:
         return "\n".join(lines)
 
 
-def _sign(x: float) -> int:
-    return (x > 0) - (x < 0)
-
-
 def run_h2(
     base: GkpoObject,
     shifted: GkpoObject,
@@ -568,14 +684,9 @@ def run_h2(
     labels = data.labels
     # witness prediction per slice pair: shifted margin sign is the sign of
     # the frozen gap minus that prompt's offset
-    pred_sign = np.array(
-        [
-            _sign(
-                data.pairs[i].sample.delta_u
-                - data.pairs[i].sample.delta_ref[PROMPT_OFFSET_KEY]
-            )
-            for i in slice_idx
-        ]
+    batch = data.batch
+    pred_sign = np.sign(
+        batch.delta_u[slice_idx] - batch.delta_ref[PROMPT_OFFSET_KEY][slice_idx]
     )
     results = []
     for seed in hp.seeds:
@@ -596,12 +707,8 @@ def run_h2(
         slice_wins_base = wins_base[slice_idx]
         slice_wins_shift = wins_shift[slice_idx]
         pred_wins = (labels[slice_idx] * pred_sign) > 0
-        observed_dir = _sign(
-            float(np.mean(slice_wins_shift)) - float(np.mean(slice_wins_base))
-        )
-        predicted_dir = _sign(
-            float(np.mean(pred_wins)) - float(np.mean(slice_wins_base))
-        )
+        observed_dir = np.sign(np.mean(slice_wins_shift) - np.mean(slice_wins_base))
+        predicted_dir = np.sign(np.mean(pred_wins) - np.mean(slice_wins_base))
         n01 = int(np.sum(slice_wins_base & ~slice_wins_shift))
         n10 = int(np.sum(~slice_wins_base & slice_wins_shift))
         results.append(
@@ -616,7 +723,7 @@ def run_h2(
                 flip_agreement=agreement,
                 discordant_slice_pairs=int(np.sum(sb != ss)),
                 slice_mcnemar_p=mcnemar_exact(n01, n10),
-                direction_consistent=observed_dir == predicted_dir,
+                direction_consistent=bool(observed_dir == predicted_dir),
             )
         )
     return H2Report(results=tuple(results))

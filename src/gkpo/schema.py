@@ -16,6 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import Any, Callable, Mapping
 
 SCHEMA_VERSION = "gkpo-1.0"
@@ -453,12 +454,31 @@ def _finite(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+_QUANTUM = Decimal("0.000001")
+_STEP = float(_QUANTUM)  # a value of at least one step never quantizes to 0
+
+
+def quantize(value) -> Decimal:
+    """Round half-even to the canonical 1e-6 grid."""
+    with localcontext() as ctx:
+        ctx.prec = 500  # exact for any finite double at this quantum
+        return Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN)
+
+
 def validate(obj: GkpoObject) -> list[Violation]:
     """Check every schema invariant; returns an empty list iff the object is valid."""
     v: list[Violation] = []
 
     def bad(path: str, message: str):
         v.append(Violation(path, message))
+
+    def positive(path: str, x: Any):
+        # a positive value that quantizes to 0 would canonicalize to an
+        # invalid object and hash equal to every other such value
+        if not _finite(x) or x <= 0:
+            bad(path, "must be a finite positive real")
+        elif x < _STEP and quantize(x) == 0:
+            bad(path, "must not round to 0 on the canonical 1e-6 grid")
 
     if obj.version != SCHEMA_VERSION:
         bad("version", f"must be {SCHEMA_VERSION!r}, got {obj.version!r}")
@@ -476,8 +496,8 @@ def validate(obj: GkpoObject) -> list[Violation]:
     if w.form == "constant":
         if w.constant is None:
             bad("weight.constant", "required for constant form")
-        elif not _finite(w.constant) or w.constant <= 0:
-            bad("weight.constant", "must be a finite positive real")
+        else:
+            positive("weight.constant", w.constant)
     elif w.constant is not None:
         bad("weight.constant", "only allowed for constant form")
     if (len(w.factors) > 0) != (w.form == "product"):
@@ -506,8 +526,7 @@ def validate(obj: GkpoObject) -> list[Violation]:
         bad("link", f"unknown link {obj.link!r}")
     if obj.loss not in LOSS_NAMES:
         bad("loss", f"unknown loss {obj.loss!r}")
-    if not _finite(obj.beta) or obj.beta <= 0:
-        bad("beta", "must be a finite positive real")
+    positive("beta", obj.beta)
 
     seen = set()
     for i, p in enumerate(obj.penalties):

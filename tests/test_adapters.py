@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpo.adapters import (
     ABSORB_TOL,
+    _absorbable_weight,
     CITATIONS,
     METHODS,
     BlockedConversionError,
@@ -426,3 +429,32 @@ def test_configs_equal_tolerance_and_structure():
     p3 = MethodConfig("RRHF", {"beta": 1.0, "penalties": {"b_phi": 1.0}})
     assert configs_equal(p1, p2)
     assert not configs_equal(p1, p3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    clip=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6),
+    spread_exponent=st.floats(-16.0, -3.0),
+    power=st.sampled_from([-20, 20]),
+)
+def test_absorption_decision_ignores_the_units_of_omega(clip, spread_exponent, power):
+    # products clip * var_floor hover around 3.0 with a relative spread near
+    # 10**spread_exponent, straddling the tolerance for some draws
+    obj = load_fixture("kto_product_weight.json")
+    spread = 10.0**spread_exponent
+
+    def probe(scale):
+        return [
+            PairSample(
+                f"p{i}",
+                1.0,
+                omega={
+                    "clip_snr": c * scale,
+                    "var_floor": 3.0 * (1.0 + spread * (i % 2)) / c * scale,
+                },
+            )
+            for i, c in enumerate(clip)
+        ]
+
+    decided = _absorbable_weight(obj, probe(1.0)) is None
+    assert (_absorbable_weight(obj, probe(2.0**power)) is None) == decided

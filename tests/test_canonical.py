@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpo.algebra import PairSample
 from gkpo.canonical import (
@@ -411,3 +413,29 @@ def test_canonical_bytes_pinned_over_fixtures_and_fuzz_corpus():
         digest.update(blob + b"\n")
         assert validate(parse(blob.decode("utf-8"))) == []
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+# --- positive fields keep a nonzero canonical value ----------------------------------
+
+
+@pytest.mark.parametrize("value", [1e-7, 4e-7, 5e-7])
+def test_positive_fields_that_round_to_zero_are_violations(value):
+    obj = random_object(random.Random(5))
+    assert [v.path for v in validate(replace(obj, beta=value))] == ["beta"]
+    constant = replace(obj, weight=WeightSpec(form="constant", constant=value))
+    assert [v.path for v in validate(constant)] == ["weight.constant"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.floats(1e-9, 1e3, exclude_min=False),
+    constant=st.floats(1e-9, 1e3),
+)
+def test_canonical_form_of_an_off_grid_object_reparses_valid(seed, beta, constant):
+    obj = replace(random_object(random.Random(seed)), beta=beta)
+    if obj.weight.form == "constant":
+        obj = replace(obj, weight=WeightSpec(form="constant", constant=constant))
+    if validate(obj):
+        return
+    assert validate(parse(canonicalize(obj).decode("utf-8"))) == []

@@ -1,0 +1,308 @@
+"""Columnar pair batches against the per-pair forms they replace.
+
+The batch evaluator must equal object_margin / object_weight bit for bit and
+fail with the same message; the columnar gen_dataset must equal the per-pair
+generator kept here as its oracle.
+"""
+
+import json
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkpo.algebra import (
+    DATASET_OFFSET_KEY,
+    PROMPT_OFFSET_KEY,
+    PairSample,
+    object_margin,
+    object_margins_and_weights,
+    object_weight,
+)
+from gkpo.harness import (
+    BACKGROUND_KEY,
+    FLIP_GAP,
+    FLIP_OFFSET,
+    SHIFT_PROFILES,
+    SLICE_KEY,
+    DatasetPair,
+    HarnessParams,
+    PairBatch,
+    gen_dataset,
+    load_jsonl,
+    run_h1,
+    run_h2,
+    save_jsonl,
+)
+from gkpo.schema import ReferenceSpec
+
+from conftest import random_object
+from test_harness import dpo_spec, folded_ppo_spec, orpo_shift_spec
+
+_REFERENCES = (
+    ReferenceSpec(form="fixed_zero", value=0.0),
+    ReferenceSpec(form="fixed_scalar", value=-0.375),
+    ReferenceSpec(form="per_prompt", value=None),
+    ReferenceSpec(form="per_dataset", value=None),
+)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _fuzzed_case(seed: int):
+    """A fuzzed object with a random reference form, and samples carrying every
+    name it reads; the dataset offset is present in only some samples."""
+    rng = random.Random(seed)
+    obj = replace(random_object(rng), reference=rng.choice(_REFERENCES))
+    factors = obj.weight.factors if obj.weight.form == "product" else ()
+    scale = 10.0 ** rng.randint(-3, 3)
+    samples = []
+    for i in range(rng.randint(1, 12)):
+        ref = {PROMPT_OFFSET_KEY: rng.uniform(-2, 2)}
+        if rng.random() < 0.5:
+            ref[DATASET_OFFSET_KEY] = rng.uniform(-2, 2)
+        samples.append(
+            PairSample(
+                f"s{i}",
+                rng.gauss(0, 1) * scale,
+                delta_phi={p.name: rng.gauss(0, 3) for p in obj.penalties},
+                omega={f: rng.uniform(0.01, 5.0) for f in factors},
+                delta_ref=ref,
+            )
+        )
+    return rng, obj, samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_evaluator_equals_per_sample_bit_for_bit(seed):
+    _, obj, samples = _fuzzed_case(seed)
+    margins, weights = object_margins_and_weights(obj, PairBatch.from_samples(samples))
+    weights = np.broadcast_to(weights, margins.shape)
+    assert _bits(margins) == _bits([object_margin(obj, s) for s in samples])
+    assert _bits(weights) == _bits([object_weight(obj, s) for s in samples])
+
+
+def _first_error(obj, samples) -> str:
+    for sample in samples:
+        try:
+            object_margin(obj, sample)
+        except KeyError as exc:
+            return str(exc)
+    raise AssertionError("no sample fails")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_evaluator_names_the_same_missing_name_and_sample(seed):
+    rng, obj, samples = _fuzzed_case(seed)
+    used = [("delta_phi", p.name) for p in obj.penalties]
+    if obj.weight.form == "product":
+        used += [("omega", f) for f in obj.weight.factors]
+    if obj.reference.form == "per_prompt":
+        used.append(("delta_ref", PROMPT_OFFSET_KEY))
+    if not used:
+        return
+    table, name = rng.choice(used)
+    holes = rng.sample(range(len(samples)), rng.randint(1, len(samples)))
+    for i in holes:
+        kept = {k: v for k, v in getattr(samples[i], table).items() if k != name}
+        samples[i] = replace(samples[i], **{table: kept})
+    with pytest.raises(KeyError) as err:
+        object_margins_and_weights(obj, PairBatch.from_samples(samples))
+    assert str(err.value) == _first_error(obj, samples)
+
+
+# --- gen_dataset against the per-pair generator ------------------------------------
+
+
+def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
+    """The per-pair generator the columnar gen_dataset replaced: pairs, slices."""
+    if shift_profile == "none":
+        instances = 0
+    elif shift_profile == "two_prompt_flip":
+        instances = 1
+    else:
+        instances = size // 4
+    n_slice = 2 * instances
+    n_global = size - n_slice
+
+    rng = np.random.default_rng(seed)
+    theta_star = rng.standard_normal(feature_dim)
+    pairs = []
+    for i in range(n_global):
+        fp = rng.standard_normal(feature_dim)
+        fn = rng.standard_normal(feature_dim)
+        du = 0.5 * rng.standard_normal()
+        if du + float(theta_star @ (fp - fn)) < 0:
+            fp, fn, du = fn, fp, -du
+        pairs.append(
+            DatasetPair(
+                sample=PairSample(
+                    prompt_id=f"p{i}", delta_u=du, delta_ref={PROMPT_OFFSET_KEY: 0.0}
+                ),
+                features_pos=fp,
+                features_neg=fn,
+                label=1,
+            )
+        )
+    zeros = np.zeros(feature_dim)
+    for k in range(instances):
+        for tag, offset in (("a", FLIP_OFFSET), ("b", -FLIP_OFFSET)):
+            pairs.append(
+                DatasetPair(
+                    sample=PairSample(
+                        prompt_id=f"w{k}{tag}",
+                        delta_u=FLIP_GAP,
+                        delta_ref={PROMPT_OFFSET_KEY: offset},
+                    ),
+                    features_pos=zeros,
+                    features_neg=zeros,
+                    label=1,
+                )
+            )
+    slices = {
+        SLICE_KEY: tuple(range(n_global, size)),
+        BACKGROUND_KEY: tuple(range(n_global)),
+    }
+    return pairs, slices
+
+
+def assert_matches_oracle(data, pairs, slices):
+    assert data.slices == slices
+    assert len(data) == len(pairs) == len(data.pairs)
+    for got, want in zip(data.pairs, pairs):
+        assert got.sample == want.sample
+        assert got.label == want.label
+    for attr in ("features_pos", "features_neg"):
+        want = np.stack([getattr(p, attr) for p in pairs])
+        assert _bits(getattr(data, attr)) == _bits(want)
+    want_delta = np.stack([p.features_pos - p.features_neg for p in pairs])
+    assert _bits(data.delta_feature_matrix) == _bits(want_delta)
+    assert _bits(data.batch.delta_u) == _bits([p.sample.delta_u for p in pairs])
+    assert _bits(data.labels) == _bits([p.label for p in pairs])
+
+
+@pytest.mark.parametrize("profile", SHIFT_PROFILES)
+@pytest.mark.parametrize("size", [2, 5, 37, 1000])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_gen_dataset_equals_per_pair_generator(profile, size, dim):
+    if profile == "witness_slice" and size < 4:
+        return
+    for seed in (0, 1, 7):
+        data = gen_dataset(size, dim, profile, seed)
+        assert_matches_oracle(data, *per_pair_gen_dataset(size, dim, profile, seed))
+
+
+class _Stream:
+    """Stands in for a numpy Generator: serves fixed values in draw order,
+    whatever the shapes asked for."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        shape = (size,) if isinstance(size, int) else size
+        count = int(np.prod(shape))
+        out, self.values = self.values[:count], self.values[count:]
+        return np.array(out).reshape(shape)
+
+
+def test_gen_dataset_orients_near_zero_rows_like_the_per_pair_dot(monkeypatch):
+    # du is set to -(theta . x) as the per-row dot product rounds it, and one
+    # ulp either side, so each row's orientation hangs on that rounding
+    dim = 7
+    rng = np.random.default_rng(12)
+    theta = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4, dim)
+    values, drawn_du = list(theta), []
+    for _ in range(60):
+        fp = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4, dim)
+        fn = rng.standard_normal(dim)
+        s = float(theta @ (fp - fn))
+        du = rng.choice([-s, np.nextafter(-s, np.inf), np.nextafter(-s, -np.inf)])
+        values += [*fp, *fn, 2.0 * du]  # gen_dataset halves the drawn value
+        drawn_du.append(du)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _Stream(values))
+    data = gen_dataset(60, dim, "none", seed=0)
+    pairs, slices = per_pair_gen_dataset(60, dim, "none", seed=0)
+    assert_matches_oracle(data, pairs, slices)
+    flipped = sum(p.sample.delta_u != du for p, du in zip(pairs, drawn_du))
+    assert 0 < flipped < 60
+
+
+# --- the h1/h2 path is columnar --------------------------------------------------
+
+
+def test_harness_path_constructs_no_per_pair_objects(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} constructed")
+
+    monkeypatch.setattr(PairSample, "__init__", refuse)
+    monkeypatch.setattr(DatasetPair, "__init__", refuse)
+    hp = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100)
+    run_h1(dpo_spec(0.10), folded_ppo_spec(), gen_dataset(60, 4, "none", 1), hp)
+    run_h2(dpo_spec(0.0), orpo_shift_spec(), gen_dataset(60, 4, "witness_slice", 1), hp)
+
+
+# --- files whose rows carry different names ------------------------------------------
+
+
+def _write_rows(path, rows):
+    lines = [json.dumps({"format": "gkpo-pairs-1", "seed": 0})]
+    for i, extra in enumerate(rows):
+        row = {
+            "prompt_id": f"r{i}",
+            "delta_u": 0.25 * (i + 1),
+            "features_pos": [1.0, 0.0],
+            "features_neg": [0.0, 0.5],
+            "label": 1,
+            "slice": BACKGROUND_KEY,
+            "delta_phi": {},
+            "omega": {},
+            "delta_ref": {},
+        }
+        for key, table in extra.items():
+            row[key] = table
+        lines.append(json.dumps(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_loaded_ragged_names_evaluate_like_the_rows(tmp_path, orpo_shift_obj):
+    path = tmp_path / "ragged.jsonl"
+    _write_rows(
+        path,
+        [
+            {"delta_ref": {PROMPT_OFFSET_KEY: 0.5, DATASET_OFFSET_KEY: 0.125}},
+            {"delta_ref": {PROMPT_OFFSET_KEY: -0.5}},
+            {"delta_ref": {DATASET_OFFSET_KEY: -0.25}},
+        ],
+    )
+    data = load_jsonl(path)
+    samples = [p.sample for p in data.pairs]
+    assert samples[2].delta_ref == {DATASET_OFFSET_KEY: -0.25}
+
+    per_dataset = replace(orpo_shift_obj, reference=_REFERENCES[3])
+    margins, _ = object_margins_and_weights(per_dataset, data.batch)
+    assert _bits(margins) == _bits([object_margin(per_dataset, s) for s in samples])
+
+    with pytest.raises(KeyError) as err:
+        object_margins_and_weights(orpo_shift_obj, data.batch)
+    assert str(err.value) == _first_error(orpo_shift_obj, samples)
+
+    resaved = tmp_path / "again.jsonl"
+    save_jsonl(data, resaved)
+    assert [p.sample for p in load_jsonl(resaved).pairs] == samples
+
+
+def test_load_rejects_rows_of_another_feature_length(tmp_path):
+    path = tmp_path / "short.jsonl"
+    _write_rows(path, [{}, {"features_neg": [0.0]}])
+    with pytest.raises(ValueError, match=rf"{path.name}:3: .*features"):
+        load_jsonl(path)
