@@ -174,24 +174,35 @@ def _lookup(table: Mapping[str, Any], name: str, kind: str, sample: Any):
         ) from None
 
 
-def margin(nf: NormalForm, sample: PairSample) -> float:
-    """(delta_u - sum(coeff * delta_phi) - sum(delta_ref)) * prod(omega).
-
-    The scale field cancels between the score and weight sides of the triple,
-    so it does not appear here. Penalty names are consumed in sorted order so
-    that ladders differing only in operator order produce bit-identical sums.
-    """
+def _penalty_gap(nf: NormalForm, sample: PairSample) -> float:
+    """delta_u - sum(coeff * delta_phi), penalty names consumed in sorted order
+    so that ladders differing only in operator order give bit-identical sums."""
     gap = sample.delta_u
     for name in sorted(nf.penalty_coeffs):
         gap = gap - nf.penalty_coeffs[name] * _lookup(
             sample.delta_phi, name, "penalty", sample
         )
-    for name in nf.ref_terms:
-        gap = gap - _lookup(sample.delta_ref, name, "reference term", sample)
+    return gap
+
+
+def factor_product(nf: NormalForm, sample: PairSample) -> float:
+    """prod(omega) over the normal form's weight factors, without the scale."""
     w = 1.0
     for name in nf.weight_factors:
         w = w * _lookup(sample.omega, name, "weight factor", sample)
-    return gap * w
+    return w
+
+
+def margin(nf: NormalForm, sample: PairSample) -> float:
+    """(delta_u - sum(coeff * delta_phi) - sum(delta_ref)) * prod(omega).
+
+    The scale field cancels between the score and weight sides of the triple,
+    so it does not appear here.
+    """
+    gap = _penalty_gap(nf, sample)
+    for name in nf.ref_terms:
+        gap = gap - _lookup(sample.delta_ref, name, "reference term", sample)
+    return gap * factor_product(nf, sample)
 
 
 def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> float:
@@ -214,20 +225,12 @@ def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> fl
 
 def delta_score(nf: NormalForm, sample: PairSample) -> float:
     """Score-side view of the triple: scale * (delta_u - sum(coeff*delta_phi))."""
-    gap = sample.delta_u
-    for name in sorted(nf.penalty_coeffs):
-        gap = gap - nf.penalty_coeffs[name] * _lookup(
-            sample.delta_phi, name, "penalty", sample
-        )
-    return nf.scale * gap
+    return nf.scale * _penalty_gap(nf, sample)
 
 
 def weight(nf: NormalForm, sample: PairSample) -> float:
     """Weight-side view of the triple: prod(omega) / scale."""
-    w = 1.0
-    for name in nf.weight_factors:
-        w = w * _lookup(sample.omega, name, "weight factor", sample)
-    return w / nf.scale
+    return factor_product(nf, sample) / nf.scale
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Canonical form is produced in three steps:
 * optional scale fixing: with a probe set, the constant c that brings the
   probe median of |delta f*| to 1 is absorbed as weight.constant/c and beta*c
   (constant-form weights only; an all-zero probe leaves c at 1 and flags
-  scale_undefined);
+  scale_undefined); the rescaled object is validated again, so a beta pushed
+  below the 1e-6 grid raises ValueError instead of emitting "beta":0;
 * serialization: keys sorted lexicographically at every level, numbers rounded
   half-even to 1e-6 and emitted as the shortest plain decimal of the rounded
   value (no exponent, no trailing zeros, "-0" becomes "0"), compact
@@ -65,7 +66,8 @@ def scale_fix_object(
     """Absorb the probe-derived scale constant into (weight.constant, beta).
 
     The product beta * margin is exactly invariant under the transform, so
-    losses and decisions on the probe (or any data) are unchanged.
+    losses and decisions on the probe (or any data) are unchanged. Both the
+    object and its rescaling are validated (ValueError).
     """
     require_valid(obj)
     if obj.weight.form != "constant":
@@ -79,14 +81,15 @@ def scale_fix_object(
         weight=replace(obj.weight, constant=obj.weight.constant / c),
         beta=obj.beta * c,
     )
-    return fixed, result
+    return require_valid(fixed), result
 
 
 def _normalized(obj: GkpoObject, probe: Iterable[PairSample] | None) -> dict:
     """to_json_dict without provenance.opal_hash, order-free lists sorted."""
-    require_valid(obj)
-    if probe is not None:
-        obj, _ = scale_fix_object(obj, probe)
+    if probe is None:
+        require_valid(obj)
+    else:
+        obj, _ = scale_fix_object(obj, probe)  # validates obj and its rescaling
     form = to_json_dict(obj)
     # opal_hash is excluded so the hash can be written back into the object
     # without changing what it hashes to.

@@ -10,6 +10,7 @@ stdout; --pretty indents it for reading.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -356,23 +357,14 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-_HARNESS_KEYS = {
-    "size",
-    "feature_dim",
-    "data_seed",
-    "steps",
-    "learning_rate",
-    "seeds",
-    "eval_every",
-    "init_scale",
-    "bootstrap_resamples",
-}
+_DATA_KEYS = ("size", "feature_dim", "data_seed")
 
 
 def _harness_setup(which: str, config: dict[str, Any]):
     from . import harness as hn
 
-    unknown = set(config) - _HARNESS_KEYS
+    known = {*_DATA_KEYS, *(f.name for f in dataclasses.fields(hn.HarnessParams))}
+    unknown = set(config) - known
     if unknown:
         raise _UsageError(f"unknown harness config keys: {sorted(unknown)}")
     defaults = {"h1": (300, 6, "none"), "h2": (1000, 8, "witness_slice")}[which]
@@ -381,12 +373,7 @@ def _harness_setup(which: str, config: dict[str, Any]):
     try:
         data = hn.gen_dataset(size, dim, defaults[2], seed=config.get("data_seed", 0))
         hp = hn.HarnessParams(
-            steps=config.get("steps", 150),
-            learning_rate=config.get("learning_rate", 0.5),
-            seeds=tuple(config.get("seeds", range(10))),
-            eval_every=config.get("eval_every", 10),
-            init_scale=config.get("init_scale", 0.1),
-            bootstrap_resamples=config.get("bootstrap_resamples", 1000),
+            **{k: v for k, v in config.items() if k not in _DATA_KEYS}
         )
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad harness config: {exc}") from exc

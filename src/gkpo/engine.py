@@ -1,7 +1,10 @@
 """Objective evaluation and decision statistics.
 
-Losses are evaluated as loss(link(beta * margin)). Links and losses accept
-scalars or numpy arrays. The logistic loss uses the overflow-safe form
+Losses are evaluated as loss(link(beta * margin)) by `objective`, and their
+slope in the margin by `objective_slope`, the one place that applies the
+chain rule. Both run elementwise on a scalar or a numpy array of margins:
+`grad_objective` calls the slope for one sample, and `harness.train_run`
+for every pair of a batch. The logistic loss uses the overflow-safe form
 max(0, -z) + log1p(exp(-|z|)). Decisions are strict margin signs; a zero
 margin is a zero decision.
 """
@@ -20,6 +23,7 @@ from .algebra import (
     PROMPT_OFFSET_KEY,
     NormalForm,
     PairSample,
+    factor_product,
     margin as nf_margin,
     object_margin,
     object_normal_form,
@@ -91,10 +95,17 @@ def loss_grad(kind: str, z):
     raise ValueError(f"loss {kind!r} is not evaluatable")
 
 
-def objective(loss: str, link: str, beta: float, margin_value: float) -> float:
+def objective(loss: str, link: str, beta: float, m):
+    """loss(link(beta * m)), elementwise; a scalar m gives a numpy float."""
     if not beta > 0:
         raise ValueError("beta must be positive")
-    return float(loss_value(loss, link_value(link, beta * margin_value)))
+    return loss_value(loss, link_value(link, beta * m))
+
+
+def objective_slope(loss: str, link: str, beta: float, m):
+    """d objective / d m = loss'(link(beta * m)) * link'(beta * m) * beta."""
+    z = beta * m
+    return loss_grad(loss, link_value(link, z)) * link_grad(link, z) * beta
 
 
 def decision(margin_value: float) -> int:
@@ -170,13 +181,9 @@ def grad_objective(
     if weight_spec is not None and weight_spec.form == "constant":
         w_extra = float(weight_spec.constant)
     m = scorer_margin(scorer, nf, sample) * w_extra
-    w_total = w_extra
-    for name in nf.weight_factors:
-        w_total *= sample.omega[name]
-    z = beta * m
-    g = link_value(link, z)
-    coeff = float(loss_grad(loss, g)) * float(link_grad(link, z)) * beta * w_total
-    return coeff * scorer.delta_features(sample.prompt_id)
+    w_total = w_extra * factor_product(nf, sample)
+    slope = objective_slope(loss, link, beta, m) * w_total
+    return slope * scorer.delta_features(sample.prompt_id)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ delta_phi, omega, delta_ref.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
@@ -46,11 +46,9 @@ from .canonical import canonicalize, opal_hash
 from .engine import (
     bootstrap_diff_ci,
     kendall_tau,
-    link_grad,
-    link_value,
-    loss_grad,
-    loss_value,
     mcnemar_exact,
+    objective,
+    objective_slope,
 )
 from .schema import GkpoObject, parse
 
@@ -417,26 +415,15 @@ def train_run(
     trace_steps: list[int] = []
     margin_rows: list[np.ndarray] = []
     loss_rows: list[float] = []
-
-    def margins(t: np.ndarray) -> np.ndarray:
-        return base_margins + (dmat @ t) * weights
-
-    for step in range(hp.steps):
-        m = margins(theta)
-        z = obj.beta * m
-        g = link_value(obj.link, z)
-        if step % hp.eval_every == 0:
+    for step in range(hp.steps + 1):
+        m = base_margins + (dmat @ theta) * weights
+        if step % hp.eval_every == 0 or step == hp.steps:
             trace_steps.append(step)
             margin_rows.append(m)
-            loss_rows.append(float(np.mean(loss_value(obj.loss, g))))
-        coeff = loss_grad(obj.loss, g) * link_grad(obj.link, z) * obj.beta * weights
-        theta = theta - hp.learning_rate * (dmat.T @ coeff) / n
-
-    m = margins(theta)
-    z = obj.beta * m
-    trace_steps.append(hp.steps)
-    margin_rows.append(m)
-    loss_rows.append(float(np.mean(loss_value(obj.loss, link_value(obj.link, z)))))
+            loss_rows.append(float(np.mean(objective(obj.loss, obj.link, obj.beta, m))))
+        if step < hp.steps:
+            slope = objective_slope(obj.loss, obj.link, obj.beta, m) * weights
+            theta = theta - hp.learning_rate * (dmat.T @ slope) / n
 
     return TrainRun(
         spec=obj,
@@ -495,19 +482,7 @@ class H1Report:
             "min_tau": self.min_tau,
             "min_decision_match": self.min_decision_match,
             "all_traces_equal": self.all_traces_equal,
-            "per_seed": [
-                {
-                    "seed": r.seed,
-                    "tau": r.tau,
-                    "decision_match": r.decision_match,
-                    "win_rate_a": r.win_rate_a,
-                    "win_rate_b": r.win_rate_b,
-                    "win_diff_ci": list(r.win_diff_ci),
-                    "mcnemar_p": r.mcnemar_p,
-                    "traces_equal": r.traces_equal,
-                }
-                for r in self.results
-            ],
+            "per_seed": [asdict(r) for r in self.results],
         }
 
     def to_text(self) -> str:
@@ -622,22 +597,7 @@ class H2Report:
             "max_slice_mcnemar_p": self.max_slice_p,
             "min_flip_agreement": self.min_flip_agreement,
             "direction_consistency": self.direction_consistency,
-            "per_seed": [
-                {
-                    "seed": r.seed,
-                    "global_win_base": r.global_win_base,
-                    "global_win_shifted": r.global_win_shifted,
-                    "slice_win_base": r.slice_win_base,
-                    "slice_win_shifted": r.slice_win_shifted,
-                    "predicted_flips": r.predicted_flips,
-                    "observed_flips": r.observed_flips,
-                    "flip_agreement": r.flip_agreement,
-                    "discordant_slice_pairs": r.discordant_slice_pairs,
-                    "slice_mcnemar_p": r.slice_mcnemar_p,
-                    "direction_consistent": r.direction_consistent,
-                }
-                for r in self.results
-            ],
+            "per_seed": [asdict(r) for r in self.results],
         }
 
     def to_text(self) -> str:

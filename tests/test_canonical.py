@@ -330,6 +330,17 @@ def test_scale_fix_object_flags_degenerate_probe():
     assert opal_hash(fixed) == opal_hash(obj)
 
 
+def test_scale_fix_refuses_a_rescaled_beta_below_the_grid(dpo_obj):
+    # median |delta| of 1e7 gives c = 1e-7, so beta 1.0 becomes 1e-7, which
+    # would canonicalize to "beta":0 and fail on re-parse
+    probe = [PairSample("a", 1e7), PairSample("b", -1e7)]
+    message = "must not round to 0 on the canonical 1e-6 grid"
+    with pytest.raises(ValueError, match=message):
+        scale_fix_object(dpo_obj, probe)
+    with pytest.raises(ValueError, match=message):
+        canonicalize(dpo_obj, probe=probe)
+
+
 def test_canonicalize_with_probe_folds_the_scale():
     half = load_fixture("scale_half_weight.json")
     twin = load_fixture("scale_prescaled_twin.json")

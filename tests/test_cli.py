@@ -143,6 +143,24 @@ def test_hash_scale_fix_flag_pairing(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["hash", "canonicalize"])
+def test_scale_fix_below_the_grid_is_failure(capsys, tmp_path, command):
+    probe = tmp_path / "huge.jsonl"
+    probe.write_text(
+        '{"prompt_id": "a", "delta_u": 1e7}\n{"prompt_id": "b", "delta_u": -1e7}\n'
+    )
+    code, out, err = run_cli(
+        capsys, command, DPO, "--scale-fix", "--probe", str(probe)
+    )
+    assert code == EXIT_FAILURE
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["code"] == EXIT_FAILURE
+    assert "must not round to 0 on the canonical 1e-6 grid" in payload["error"]
+
+
 # --- convert ---------------------------------------------------------------------------
 
 

@@ -1,18 +1,24 @@
 """Synthetic data generation, training determinism, and the H1/H2 runners."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gkpo.adapters import MethodConfig, to_gkpo
+from gkpo.algebra import object_margin
 from gkpo.canonical import opal_hash
+from gkpo.engine import objective
 from gkpo.harness import (
     BACKGROUND_KEY,
     FLIP_GAP,
     FLIP_OFFSET,
     SLICE_KEY,
+    Columns,
     HarnessParams,
+    PairBatch,
+    SyntheticDataset,
     gen_dataset,
     load_jsonl,
     run_h1,
@@ -21,6 +27,7 @@ from gkpo.harness import (
     train_run,
 )
 from gkpo.engine import PROMPT_OFFSET_KEY
+from gkpo.schema import PenaltyEntry, WeightSpec
 
 
 def dpo_spec(ref: float = 0.10):
@@ -201,6 +208,61 @@ def test_train_run_loss_decreases():
     data = gen_dataset(60, 5, "none", seed=4)
     run = train_run(dpo_spec(0.0), data, HarnessParams(steps=100, seeds=(0,)), seed=0)
     assert run.loss_trace[-1] < run.loss_trace[0]
+
+
+def weighted_dataset(n: int = 16, dim: int = 3, seed: int = 11) -> SyntheticDataset:
+    """Pairs carrying penalty gaps and weight factors, which gen_dataset omits."""
+    rng = np.random.default_rng(seed)
+    batch = PairBatch(
+        prompt_ids=tuple(f"q{i}" for i in range(n)),
+        delta_u=rng.normal(size=n),
+        delta_phi=Columns({"phi_a": rng.normal(size=n), "phi_b": rng.normal(size=n)}),
+        omega=Columns({"om_a": rng.uniform(0.5, 2.0, n), "om_b": rng.uniform(0.5, 2.0, n)}),
+        delta_ref=Columns(),
+    )
+    fp, fn = rng.normal(size=(2, n, dim))
+    return SyntheticDataset(batch, fp, fn, np.ones(n), {}, seed)
+
+
+WEIGHTINGS = {
+    "constant": {"weight": WeightSpec(form="constant", constant=1.5)},
+    "product_with_penalties": {
+        "weight": WeightSpec(form="product", constant=None, factors=("om_b", "om_a")),
+        "penalties": (PenaltyEntry("phi_b", -0.2), PenaltyEntry("phi_a", 0.3)),
+    },
+}
+
+
+@pytest.mark.parametrize("weighting", sorted(WEIGHTINGS))
+@pytest.mark.parametrize(
+    "loss, link", [("logistic", "identity"), ("mse", "tanh"), ("bce", "logistic")]
+)
+def test_train_run_step_is_minus_rate_times_mean_loss_gradient(weighting, loss, link):
+    data = weighted_dataset()
+    spec = replace(dpo_spec(0.10), loss=loss, link=link, beta=0.7, **WEIGHTINGS[weighting])
+    hp = HarnessParams(steps=1, learning_rate=0.3, seeds=(5,))
+    run = train_run(spec, data, hp, seed=5)
+    obj = run.spec
+    theta0 = hp.init_scale * np.random.default_rng(5).standard_normal(3)
+
+    # per pair, through the PairSample evaluator: the scorer's gap joins delta_u
+    def mean_loss(theta):
+        losses = []
+        for p in data.pairs:
+            gap = float(theta @ (p.features_pos - p.features_neg))
+            scored = replace(p.sample, delta_u=p.sample.delta_u + gap)
+            losses.append(objective(obj.loss, obj.link, obj.beta, object_margin(obj, scored)))
+        return np.mean(losses)
+
+    h = 1e-5
+    fd = np.array([
+        (mean_loss(theta0 + h * e) - mean_loss(theta0 - h * e)) / (2 * h)
+        for e in np.eye(3)
+    ])
+    step = (theta0 - run.theta) / hp.learning_rate
+    np.testing.assert_allclose(step, fd, rtol=1e-6, atol=1e-10)
+    assert run.trace_steps == (0, 1)
+    assert run.loss_trace[0] == pytest.approx(mean_loss(theta0), rel=1e-12)
 
 
 def test_harness_params_guards():
