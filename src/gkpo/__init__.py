@@ -11,8 +11,12 @@ not), and validates equivalence/divergence claims with a small training
 harness.
 
 Import the submodules directly (gkpo.schema, gkpo.canonical, gkpo.algebra,
-gkpo.adapters, gkpo.reducibility, gkpo.engine, gkpo.harness, gkpo.cli); only
-gkpo.engine and gkpo.harness load numpy.
+gkpo.adapters, gkpo.reducibility, gkpo.engine, gkpo.harness, gkpo.cli). Each
+CLI command loads only the modules it runs: `validate` loads gkpo.schema;
+`hash`, `canonicalize` and `diff` add gkpo.canonical (and gkpo.algebra with
+--scale-fix); `probe` adds gkpo.reducibility; `convert` adds gkpo.algebra,
+gkpo.reducibility and gkpo.adapters. Only gkpo.engine and gkpo.harness load
+numpy, and only `harness` loads them.
 """
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ from . import algebra
 from .algebra import PairSample
 from .reducibility import ShiftProbeResult, classify, probe_shift
 from .schema import (
+    METHODS,
     DatasetOps,
     GkpoObject,
     PenaltyEntry,
@@ -43,8 +44,6 @@ from .schema import (
     WeightSpec,
     require_valid,
 )
-
-METHODS = ("DPO", "PPO_RM", "RRHF", "ORPO", "KTO_GRPO")
 
 CITATIONS: dict[str, tuple[str, ...]] = {
     "DPO": ("rafailov2023direct",),

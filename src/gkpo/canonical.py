@@ -24,11 +24,12 @@ import hashlib
 import json
 from dataclasses import replace
 from decimal import Decimal
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from . import algebra
-from .algebra import PairSample, ScaleFixResult
 from .schema import GkpoObject, quantize, require_valid, to_json_dict
+
+if TYPE_CHECKING:
+    from .algebra import PairSample, ScaleFixResult
 
 
 def canonical_number(value) -> str:
@@ -69,6 +70,8 @@ def scale_fix_object(
     losses and decisions on the probe (or any data) are unchanged. Both the
     object and its rescaling are validated (ValueError).
     """
+    from . import algebra  # only scale fixing needs it; `hash` alone does not
+
     require_valid(obj)
     if obj.weight.form != "constant":
         raise ValueError("scale fixing requires a constant-form weight")

@@ -28,6 +28,8 @@ delta_phi, omega, delta_ref.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -210,6 +212,12 @@ class SyntheticDataset:
         )
 
 
+def require_int(name: str, value: Any) -> None:
+    """TypeError unless value is an integer; a bool is not one here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HarnessParams:
     steps: int = 150
@@ -221,6 +229,18 @@ class HarnessParams:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for name in ("steps", "eval_every", "bootstrap_resamples"):
+            require_int(name, getattr(self, name))
+        for seed in self.seeds:
+            require_int("seeds", seed)
+            if seed < 0:  # np.random.default_rng takes no negative seed
+                raise ValueError(f"seeds must be non-negative, got {seed}")
+        for name in ("learning_rate", "init_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.steps < 1 or self.learning_rate <= 0 or self.eval_every < 1:
             raise ValueError("steps, learning_rate, eval_every must be positive")
         if not self.seeds:

@@ -28,6 +28,7 @@ REFERENCE_FORMS = frozenset(
 )
 LINK_NAMES = frozenset({"identity", "logistic", "tanh", "hinge", "custom"})
 LOSS_NAMES = frozenset({"logistic", "bce", "hinge", "mse", "custom"})
+METHODS = ("DPO", "PPO_RM", "RRHF", "ORPO", "KTO_GRPO")  # the adapters' targets
 COMPOSITIONS = frozenset({"dataset_then_policy", "policy_then_dataset"})
 REASON_CODES = frozenset(
     {"reference_shift", "non_additive_gate", "score_dependent_weight"}

@@ -497,6 +497,37 @@ def test_harness_too_few_resamples_is_usage_error(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert_single_error_line(err, EXIT_USAGE)
 
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"seeds": "ab"},
+        {"seeds": [True]},
+        {"seeds": [0.5]},
+        {"seeds": [-1]},
+        {"steps": 2.5},
+        {"steps": True},
+        {"eval_every": 1.5},
+        {"bootstrap_resamples": 100.0},
+        {"learning_rate": "a"},
+        {"learning_rate": True},
+        {"learning_rate": float("nan")},
+        {"init_scale": "a"},
+        {"init_scale": float("inf")},
+        {"size": 20.0},
+        {"feature_dim": True},
+        {"data_seed": "x"},
+    ],
+    ids=repr,
+)
+def test_harness_config_of_wrong_type_is_usage_error(capsys, tmp_path, override):
+    cfg = tmp_path / "typed.json"
+    base = {"size": 20, "seeds": [0], "steps": 5, "bootstrap_resamples": 100}
+    cfg.write_text(json.dumps({**base, **override}))
+    code, _, err = run_cli(capsys, "harness", "h1", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert_single_error_line(err, EXIT_USAGE)
+
 # --- import graph ----------------------------------------------------------------
 
 
@@ -535,3 +566,53 @@ def test_document_commands_leave_numpy_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+DOCUMENT_COMMANDS = {
+    "validate": (["validate", DPO], {"schema"}),
+    "hash": (["hash", DPO], {"schema", "canonical"}),
+    "hash --scale-fix": (
+        ["hash", SCALE_HALF, "--scale-fix", "--probe", SCALE_PROBE],
+        {"schema", "canonical", "algebra"},
+    ),
+    "canonicalize": (["canonicalize", RRHF], {"schema", "canonical"}),
+    "diff": (["diff", DPO, DPO_ALT], {"schema", "canonical"}),
+    "convert": (
+        ["convert", RRHF, "--to", "RRHF"],
+        {"schema", "algebra", "reducibility", "adapters"},
+    ),
+    "probe": (["probe", "shift", "0.2", "0.5", "-0.5"], {"schema", "reducibility"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENT_COMMANDS))
+def test_each_command_loads_only_the_modules_it_runs(command):
+    """A cold `python -m gkpo.cli` run imports gkpo, the modules its command
+    uses and no numpy; the interpreter's import log (-X importtime) lists
+    every module the run loaded."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gkpo
+
+    argv, modules = DOCUMENT_COMMANDS[command]
+    src = str(Path(gkpo.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gkpo.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    }
+    assert {m for m in loaded if m.split(".")[0] == "gkpo"} == {
+        "gkpo",
+        *(f"gkpo.{m}" for m in modules),
+    }
+    assert not {m for m in loaded if m.split(".")[0] == "numpy"}
