@@ -122,6 +122,21 @@ def _sorted_map(value: Mapping[str, Any], where: str) -> dict[str, float]:
     return {name: float(value[name]) for name in sorted(value)}
 
 
+def _shift_evidence(ev: Any) -> dict[str, Any]:
+    """ORPO's shift_evidence with exactly a raw gap and two offsets, all finite."""
+    if isinstance(ev, Mapping) and set(ev) == {"raw_gap", "offsets"}:
+        offsets = ev["offsets"] if isinstance(ev["offsets"], (list, tuple)) else ()
+        values = [ev["raw_gap"], *offsets]
+        if len(values) == 3 and all(
+            algebra.is_number(v) and math.isfinite(v) for v in values
+        ):
+            return {"raw_gap": float(values[0]), "offsets": [float(v) for v in offsets]}
+    raise ValueError(
+        'ORPO shift_evidence must be {"raw_gap": g, "offsets": [o1, o2]} '
+        "with finite numbers g, o1 and o2"
+    )
+
+
 def normalize_config(cfg: MethodConfig) -> MethodConfig:
     """Check required keys, reject unknown ones, fill defaults, sort maps."""
     required = _REQUIRED[cfg.method]
@@ -164,15 +179,8 @@ def normalize_config(cfg: MethodConfig) -> MethodConfig:
         else:
             if params["offset"] is not None:
                 raise ValueError("ORPO per_prompt mode takes no fixed offset")
-            ev = params["shift_evidence"]
-            if ev is not None:
-                offsets = [float(o) for o in ev["offsets"]]
-                if len(offsets) != 2:
-                    raise ValueError("shift_evidence needs exactly two offsets")
-                params["shift_evidence"] = {
-                    "raw_gap": float(ev["raw_gap"]),
-                    "offsets": offsets,
-                }
+            if params["shift_evidence"] is not None:
+                params["shift_evidence"] = _shift_evidence(params["shift_evidence"])
     elif method == "KTO_GRPO":
         mode = params["weight_mode"]
         if mode not in ("constant", "product", "score_dependent"):

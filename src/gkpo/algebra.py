@@ -27,6 +27,7 @@ not import numpy.
 from __future__ import annotations
 
 import statistics
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
@@ -102,8 +103,11 @@ class PairSample:
         return self.prompt_id
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_number(value: Any) -> bool:
+    """A float, or an int that a float can hold; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
 def sample_from_row(row: Any) -> PairSample:
@@ -117,12 +121,12 @@ def sample_from_row(row: Any) -> PairSample:
         raise ValueError("sample row must be a JSON object")
     if not isinstance(row.get("prompt_id"), str):
         raise ValueError("prompt_id must be a string")
-    if not _is_number(row.get("delta_u")):
+    if not is_number(row.get("delta_u")):
         raise ValueError("delta_u must be a number")
     tables = {}
     for key in ("delta_phi", "omega", "delta_ref"):
         table = row.get(key, {})
-        if not isinstance(table, dict) or not all(map(_is_number, table.values())):
+        if not isinstance(table, dict) or not all(map(is_number, table.values())):
             raise ValueError(f"{key} must map names to numbers")
         tables[key] = table
     return PairSample(row["prompt_id"], row["delta_u"], **tables)

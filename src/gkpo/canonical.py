@@ -20,7 +20,6 @@ The opal hash is the SHA-256 of the canonical bytes, lowercase hex.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import replace
 from decimal import Decimal
@@ -127,6 +126,8 @@ def canonicalize(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> 
 
 
 def opal_hash(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> str:
+    import hashlib  # loads OpenSSL; only hashing needs it
+
     return hashlib.sha256(canonicalize(obj, probe)).hexdigest()
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
@@ -63,10 +64,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(payload: Any, pretty: bool = False) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
-    else:
-        print(json.dumps(payload, separators=(",", ":"), ensure_ascii=False))
+    """Print payload as strict JSON; a NaN or infinity in it is a _Failure."""
+    layout: dict[str, Any] = {"indent": 2} if pretty else {"separators": (",", ":")}
+    try:
+        text = json.dumps(payload, ensure_ascii=False, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise _Failure(f"result is not strict JSON: {exc}") from None
+    print(text)
 
 
 def _read_text(path: str) -> str:
@@ -87,9 +91,12 @@ def _read_json(path: str) -> Any:
 
 def _number(token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise _UsageError(f"{token!r} is not a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise _UsageError(f"{token!r} is not a finite number")
+    return value
 
 
 def _load_object(path: str) -> GkpoObject:
@@ -193,7 +200,8 @@ def cmd_convert(args) -> int:
         params = {k: v for k, v in raw.items() if k != "method"}
         try:
             obj = to_gkpo(MethodConfig(raw["method"], params))
-        except (ValueError, TypeError) as exc:  # TypeError: a wrong-typed value
+        # TypeError: a wrong-typed value; OverflowError: an int beyond float range
+        except (ValueError, TypeError, OverflowError) as exc:
             raise _Failure(str(exc)) from exc
         sys.stdout.write(serialize(obj) + "\n")
         return EXIT_OK
@@ -387,6 +395,10 @@ def cmd_demo(args) -> int:
 
 
 _DATA_KEYS = ("size", "feature_dim", "data_seed")
+# Largest harness dataset, in feature cells (size * feature_dim): 10 times the
+# benchmark's h2 run of 50 000 pairs x 8 features. Training holds a few arrays
+# of this many floats, so a larger config is a usage error, not an allocation.
+MAX_HARNESS_CELLS = 4_000_000
 
 
 def _harness_setup(which: str, config: dict[str, Any]):
@@ -403,6 +415,11 @@ def _harness_setup(which: str, config: dict[str, Any]):
         for key in _DATA_KEYS:
             if key in config:
                 hn.require_int(key, config[key])
+        if size * dim > MAX_HARNESS_CELLS:
+            raise ValueError(
+                f"size * feature_dim is {size * dim}, over the limit of "
+                f"{MAX_HARNESS_CELLS} feature cells"
+            )
         data = hn.gen_dataset(size, dim, defaults[2], seed=config.get("data_seed", 0))
         hp = hn.HarnessParams(
             **{k: v for k, v in config.items() if k not in _DATA_KEYS}

@@ -1,36 +1,21 @@
 """Objective evaluation and decision statistics.
 
-Losses are evaluated as loss(link(beta * margin)) by `objective`, and their
-slope in the margin by `objective_slope`, the one place that applies the
-chain rule. Both run elementwise on a scalar or a numpy array of margins:
-`grad_objective` calls the slope for one sample, and `harness.train_run`
-for every pair of a batch. The logistic loss uses the overflow-safe form
-max(0, -z) + log1p(exp(-|z|)). Decisions are strict margin signs; a zero
-margin is a zero decision.
+`objective` evaluates loss(link(beta * margin)) and `objective_slope` its
+slope in the margin, the one place that applies the chain rule. Both run
+elementwise on a scalar or a numpy array of margins; `harness.train_run`, the
+library's one gradient path, calls them on every pair of a batch. The
+logistic loss uses the overflow-safe form max(0, -z) + log1p(exp(-|z|)).
+Decisions are strict margin signs; a zero margin is a zero decision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-# Object-level evaluation lives in algebra; the names stay importable here.
-from .algebra import (
-    DATASET_OFFSET_KEY,
-    PROMPT_OFFSET_KEY,
-    NormalForm,
-    PairSample,
-    factor_product,
-    margin as nf_margin,
-    object_margin,
-    object_normal_form,
-    object_reference,
-    object_weight,
-)
-from .schema import WeightSpec
+from .algebra import object_weight  # noqa: F401  bench/tracing.py patches it here
 
 LINKS = ("identity", "logistic", "tanh", "hinge")
 LOSSES = ("logistic", "bce", "hinge", "mse")
@@ -114,76 +99,6 @@ def decision(margin_value: float) -> int:
     if margin_value < 0:
         return -1
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Linear scorers and gradients
-
-
-@dataclass(frozen=True)
-class LinearScorer:
-    """Score model u(x, y) = theta . features[(prompt, side)], side in pos/neg."""
-
-    theta: np.ndarray
-    features: Mapping[tuple[str, str], np.ndarray]
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        feats = {k: np.asarray(v, dtype=float) for k, v in self.features.items()}
-        for key, vec in feats.items():
-            if vec.shape != theta.shape:
-                raise ValueError(
-                    f"feature vector for {key!r} has shape {vec.shape}, "
-                    f"expected {theta.shape}"
-                )
-        object.__setattr__(self, "features", feats)
-
-    def delta_features(self, prompt_id: str) -> np.ndarray:
-        return self.features[(prompt_id, "pos")] - self.features[(prompt_id, "neg")]
-
-    def delta_score(self, prompt_id: str) -> float:
-        return float(self.theta @ self.delta_features(prompt_id))
-
-
-def scored_sample(scorer: LinearScorer, sample: PairSample) -> PairSample:
-    """The sample with the scorer's score gap added to its frozen delta_u."""
-    return replace(
-        sample, delta_u=sample.delta_u + scorer.delta_score(sample.prompt_id)
-    )
-
-
-def scorer_margin(scorer: LinearScorer, nf: NormalForm, sample: PairSample) -> float:
-    return nf_margin(nf, scored_sample(scorer, sample))
-
-
-def grad_objective(
-    scorer: LinearScorer,
-    nf: NormalForm,
-    sample: PairSample,
-    loss: str,
-    link: str,
-    beta: float,
-    weight_spec: WeightSpec | None = None,
-) -> np.ndarray:
-    """Analytic d/dtheta of loss(link(beta * margin)).
-
-    The margin is linear in theta with slope W * delta_features, where W is
-    the realized weight (sample factors times an optional constant-form
-    weight_spec). Score-dependent weights are refused: the weight then moves
-    with theta and no fixed normal form captures the objective.
-    """
-    if weight_spec is not None and weight_spec.form == "score_dependent":
-        raise ValueError(
-            "score-dependent weight: gradient undefined for a fixed normal form"
-        )
-    w_extra = 1.0
-    if weight_spec is not None and weight_spec.form == "constant":
-        w_extra = float(weight_spec.constant)
-    m = scorer_margin(scorer, nf, sample) * w_extra
-    w_total = w_extra * factor_product(nf, sample)
-    slope = objective_slope(loss, link, beta, m) * w_total
-    return slope * scorer.delta_features(sample.prompt_id)
 
 
 # ---------------------------------------------------------------------------

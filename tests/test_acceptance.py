@@ -16,24 +16,35 @@ from dataclasses import replace
 import numpy as np
 
 from gkpo.adapters import MethodConfig, configs_equal, roundtrip, to_gkpo
-from gkpo.algebra import AdditivePenalty, Ladder, PairSample, collect, ladder_margin
+from gkpo.algebra import (
+    AdditivePenalty,
+    Ladder,
+    PairSample,
+    collect,
+    ladder_margin,
+    margin,
+    object_margin,
+)
 from gkpo.canonical import attach_hash, canonicalize, opal_hash, scale_fix_object
 from gkpo.engine import (
-    LinearScorer,
-    grad_objective,
     kendall_tau,
     link_grad,
     link_value,
     loss_grad,
     loss_value,
     mcnemar_exact,
-    object_margin,
-    scored_sample,
-    scorer_margin,
 )
-from gkpo.harness import HarnessParams, gen_dataset, run_h1, run_h2
+from gkpo.harness import (
+    HarnessParams,
+    PairBatch,
+    SyntheticDataset,
+    gen_dataset,
+    run_h1,
+    run_h2,
+    train_run,
+)
 from gkpo.reducibility import PiecewisePsi, probe_gate, probe_score, probe_shift
-from gkpo.schema import WeightSpec, parse
+from gkpo.schema import PenaltyEntry, WeightSpec, parse
 
 from conftest import load_fixture, load_probe_jsonl, random_object
 
@@ -247,18 +258,15 @@ def test_round_trips():
 def test_gradient_equivalence():
     rng = np.random.default_rng(42)
     combos = [("logistic", "identity"), ("mse", "tanh"), ("bce", "logistic")]
+    dpo = to_gkpo(MethodConfig("DPO", {"beta": 1.0, "ref": 0.0}))
     for trial in range(100):
         dim = int(rng.integers(2, 7))
-        feats = {
-            ("p", "pos"): rng.normal(size=dim),
-            ("p", "neg"): rng.normal(size=dim),
-        }
-        scorer = LinearScorer(theta=rng.normal(size=dim), features=feats)
-        beta = float(rng.uniform(0.2, 2.0))
-        w = float(rng.uniform(0.2, 2.0))
-        weight_spec = WeightSpec(form="constant", constant=w)
+        fp, fn = rng.normal(size=dim), rng.normal(size=dim)
+        # train_run trains on the canonical spec: draw its numbers on the grid
+        beta = round(float(rng.uniform(0.2, 2.0)), 6)
+        w = round(float(rng.uniform(0.2, 2.0)), 6)
         names = [f"pen_{k}" for k in range(int(rng.integers(0, 4)))]
-        ops = [AdditivePenalty(float(rng.uniform(-1, 1)), n) for n in names]
+        ops = [AdditivePenalty(round(float(rng.uniform(-1, 1)), 6), n) for n in names]
         rng.shuffle(ops)
         ladder = Ladder(tuple(ops))
         sample = PairSample(
@@ -268,15 +276,29 @@ def test_gradient_equivalence():
         )
         loss, link = combos[trial % len(combos)]
 
-        nf = collect(ladder)
-        grad = grad_objective(
-            scorer, nf, sample, loss, link, beta, weight_spec=weight_spec
+        # one step of train_run on a one-pair dataset: theta moves by
+        # -learning_rate times the gradient
+        spec = replace(
+            dpo,
+            loss=loss,
+            link=link,
+            beta=beta,
+            weight=WeightSpec(form="constant", constant=w),
+            penalties=tuple(PenaltyEntry(op.name, op.coeff) for op in ops),
         )
+        data = SyntheticDataset(
+            PairBatch.from_samples([sample]), fp[None], fn[None], np.ones(1), {}, trial
+        )
+        hp = HarnessParams(steps=1, seeds=(trial,), init_scale=1.0)
+        theta0 = np.random.default_rng(trial).standard_normal(dim)
+        grad = (theta0 - train_run(spec, data, hp, seed=trial).theta) / hp.learning_rate
+
+        def scored(theta):
+            return replace(sample, delta_u=sample.delta_u + float(theta @ (fp - fn)))
 
         # ladder-route oracle: chain rule with the margin evaluated through
         # the raw operator ladder, never through the normal form
-        scored = scored_sample(scorer, sample)
-        m = ladder_margin(ladder, scored) * w
+        m = ladder_margin(ladder, scored(theta0)) * w
         z = beta * m
         coeff = (
             float(loss_grad(loss, link_value(link, z)))
@@ -284,17 +306,15 @@ def test_gradient_equivalence():
             * beta
             * w
         )
-        oracle = coeff * (feats[("p", "pos")] - feats[("p", "neg")])
+        oracle = coeff * (fp - fn)
         assert np.max(np.abs(grad - oracle)) <= 1e-12
 
         # central finite differences, 1e-6 relative
+        nf = collect(ladder)
+
         def f(theta):
-            s = LinearScorer(theta, feats)
             return float(
-                loss_value(
-                    loss,
-                    link_value(link, beta * scorer_margin(s, nf, sample) * w),
-                )
+                loss_value(loss, link_value(link, beta * margin(nf, scored(theta)) * w))
             )
 
         h = 1e-5
@@ -302,7 +322,7 @@ def test_gradient_equivalence():
         for i in range(dim):
             bump = np.zeros(dim)
             bump[i] = h
-            fd[i] = (f(scorer.theta + bump) - f(scorer.theta - bump)) / (2 * h)
+            fd[i] = (f(theta0 + bump) - f(theta0 - bump)) / (2 * h)
         denom = max(1.0, float(np.max(np.abs(grad))))
         assert np.max(np.abs(grad - fd)) / denom <= 1e-6
     print("PASS: gradient equivalence (ladder route <=1e-12; FD within 1e-6)")

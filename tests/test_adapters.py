@@ -19,9 +19,8 @@ from gkpo.adapters import (
     roundtrip,
     to_gkpo,
 )
-from gkpo.algebra import PairSample
+from gkpo.algebra import PairSample, object_margin
 from gkpo.canonical import diff, opal_hash
-from gkpo.engine import object_margin
 from gkpo.schema import ReferenceSpec, WeightSpec, parse, serialize, validate
 
 from conftest import load_fixture
@@ -207,6 +206,26 @@ def test_orpo_mode_specific_requirements():
         )
     with pytest.raises(ValueError):
         normalize_config(MethodConfig("ORPO", {"beta": 1.0, "offset_mode": "sliding"}))
+
+
+@pytest.mark.parametrize(
+    "evidence",
+    [
+        {"raw_gap": 1},
+        [1, 2],
+        5,
+        {"raw_gap": 0.2, "offsets": [0.5, -0.5], "extra": 1},
+        {"raw_gap": "0.2", "offsets": [0.5, -0.5]},
+        {"raw_gap": True, "offsets": [0.5, -0.5]},
+        {"raw_gap": 0.2, "offsets": [0.5, 10**400]},
+        {"raw_gap": 0.2, "offsets": [0.5, float("nan")]},
+        {"raw_gap": 0.2, "offsets": 0.5},
+    ],
+)
+def test_orpo_shift_evidence_must_be_gap_and_two_offsets(evidence):
+    cfg = {"beta": 1.0, "offset_mode": "per_prompt", "shift_evidence": evidence}
+    with pytest.raises(ValueError, match="shift_evidence"):
+        normalize_config(MethodConfig("ORPO", cfg))
 
 
 def test_kto_mode_specific_requirements():

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, JSON output, and machine-parsable errors."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpo.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from gkpo.schema import METHODS
 
-from conftest import DATA, fixture_path
+from conftest import DATA, FIXTURES, fixture_path
 
 DPO = str(fixture_path("dpo_fixed_reference.json"))
 DPO_ALT = str(fixture_path("dpo_alternate_reference.json"))
@@ -528,6 +532,61 @@ def test_harness_config_of_wrong_type_is_usage_error(capsys, tmp_path, override)
     assert code == EXIT_USAGE
     assert_single_error_line(err, EXIT_USAGE)
 
+def test_malformed_orpo_shift_evidence_is_failure(capsys, tmp_path):
+    path = tmp_path / "orpo.json"
+    for evidence in ({"raw_gap": 1}, [1, 2]):
+        cfg = {"method": "ORPO", "beta": 1, "offset_mode": "per_prompt"}
+        path.write_text(json.dumps({**cfg, "shift_evidence": evidence}))
+        code, out, err = run_cli(capsys, "convert", str(path))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert_single_error_line(err, EXIT_FAILURE)
+        assert "shift_evidence" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, file_text, expected",
+    [
+        (["shift", "1e400", "0.5", "-0.5"], None, EXIT_USAGE),
+        (["shift", "nan", "0.5", "-0.5"], None, EXIT_USAGE),
+        (["shift"], "[[NaN, 1], [0.2, 0.5]]", EXIT_FAILURE),
+        # finite inputs whose result overflows to -inf
+        (["score", "--", "-1e308", "0", "10", "0.5"], None, EXIT_FAILURE),
+    ],
+)
+def test_probe_never_prints_non_finite_json(capsys, tmp_path, argv, file_text, expected):
+    if file_text is not None:
+        path = tmp_path / "probe.json"
+        path.write_text(file_text)
+        argv = [*argv, "--file", str(path)]
+    code, out, err = run_cli(capsys, "probe", *argv)
+    assert code == expected
+    assert out == ""
+    assert_single_error_line(err, expected)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"size": 10**13}, {"size": 4, "feature_dim": 10**13, "steps": 1}],
+    ids=["size", "feature_dim"],
+)
+def test_oversized_harness_dataset_is_usage_error(capsys, tmp_path, monkeypatch, config):
+    from gkpo.cli import MAX_HARNESS_CELLS
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the limit must refuse the config before allocating")
+
+    monkeypatch.setattr("gkpo.harness.gen_dataset", no_dataset)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    for which in ("h1", "h2"):
+        code, out, err = run_cli(capsys, "harness", which, "--config", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_single_error_line(err, EXIT_USAGE)
+        assert str(MAX_HARNESS_CELLS) in json.loads(err)["error"]
+
+
 # --- import graph ----------------------------------------------------------------
 
 
@@ -568,28 +627,35 @@ def test_document_commands_leave_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+# command -> (argv, gkpo modules it loads, whether it loads hashlib)
 DOCUMENT_COMMANDS = {
-    "validate": (["validate", DPO], {"schema"}),
-    "hash": (["hash", DPO], {"schema", "canonical"}),
+    "validate": (["validate", DPO], {"schema"}, False),
+    "hash": (["hash", DPO], {"schema", "canonical"}, True),
     "hash --scale-fix": (
         ["hash", SCALE_HALF, "--scale-fix", "--probe", SCALE_PROBE],
         {"schema", "canonical", "algebra"},
+        True,
     ),
-    "canonicalize": (["canonicalize", RRHF], {"schema", "canonical"}),
-    "diff": (["diff", DPO, DPO_ALT], {"schema", "canonical"}),
+    "canonicalize": (["canonicalize", RRHF], {"schema", "canonical"}, False),
+    "diff": (["diff", DPO, DPO_ALT], {"schema", "canonical"}, False),
     "convert": (
         ["convert", RRHF, "--to", "RRHF"],
         {"schema", "algebra", "reducibility", "adapters"},
+        False,
     ),
-    "probe": (["probe", "shift", "0.2", "0.5", "-0.5"], {"schema", "reducibility"}),
+    "probe": (
+        ["probe", "shift", "0.2", "0.5", "-0.5"],
+        {"schema", "reducibility"},
+        False,
+    ),
 }
 
 
 @pytest.mark.parametrize("command", sorted(DOCUMENT_COMMANDS))
 def test_each_command_loads_only_the_modules_it_runs(command):
     """A cold `python -m gkpo.cli` run imports gkpo, the modules its command
-    uses and no numpy; the interpreter's import log (-X importtime) lists
-    every module the run loaded."""
+    uses and no numpy, and hashlib only when it hashes; the interpreter's
+    import log (-X importtime) lists every module the run loaded."""
     import os
     import subprocess
     import sys
@@ -597,7 +663,7 @@ def test_each_command_loads_only_the_modules_it_runs(command):
 
     import gkpo
 
-    argv, modules = DOCUMENT_COMMANDS[command]
+    argv, modules, hashes = DOCUMENT_COMMANDS[command]
     src = str(Path(gkpo.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "gkpo.cli", *argv],
@@ -616,3 +682,143 @@ def test_each_command_loads_only_the_modules_it_runs(command):
         *(f"gkpo.{m}" for m in modules),
     }
     assert not {m for m in loaded if m.split(".")[0] == "numpy"}
+    assert ("hashlib" in loaded) == hashes
+
+
+# --- whole-CLI fuzz ----------------------------------------------------------------
+
+FUZZ_CONFIGS = [
+    {"method": "DPO", "beta": 1.0, "ref": 0.1, "score_penalties": {"len": 0.2}},
+    {"method": "PPO_RM", "beta": 1.0, "ref": 0.05, "kl_coeff": 0.5,
+     "anchor_offset": 0.1, "fold_kl": True},
+    {"method": "RRHF", "beta": 1.0, "penalties": {"rank_margin_1": 0.5}},
+    {"method": "ORPO", "beta": 1.0, "offset_mode": "per_prompt",
+     "shift_evidence": {"raw_gap": 0.2, "offsets": [0.5, -0.5]}},
+    {"method": "KTO_GRPO", "beta": 1.0, "ref": 0.0, "weight_mode": "product",
+     "factors": ["om_a", "om_b"]},
+]
+# JSON text that replaces one node (None deletes it); 1e400, NaN and the
+# 400-digit integer decode to values that no float field can hold
+FUZZ_NODES = [None, "null", "true", '"x"', "1" + "0" * 399, "1e400", "NaN",
+              '[1, {"a": []}]', '{"raw": [true]}']
+# command-line numbers for probe; gate joins three of them with commas
+FUZZ_NUMBERS = ["0", "0.2", "-0.5", "10", "1e400", "-1e308", "1e308", "nan",
+                "-inf", "1e-320", "x", ""]
+_HOLE = "\x00hole\x00"
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _node_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _node_paths(value, (*path, i))
+
+
+@st.composite
+def _mutated(draw, doc, jsonl=False):
+    """doc as JSON bytes, or a list doc as JSON lines, with one node below the
+    root deleted or replaced by a FUZZ_NODES entry."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_node_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = draw(st.sampled_from(FUZZ_NODES))
+    if node is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _HOLE
+    text = "\n".join(map(json.dumps, doc)) if jsonl else json.dumps(doc)
+    return text.replace(json.dumps(_HOLE), node or "").encode()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+_probe_files = st.one_of(
+    _json_values,
+    st.lists(st.lists(st.floats(), min_size=2, max_size=3), max_size=4),
+    st.fixed_dictionaries(
+        dict.fromkeys(["delta_u", "penalty_shift", "psi_below", "psi_at_or_above"],
+                      st.floats())
+    ),
+).map(lambda value: json.dumps(value).encode())
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv, data): the argv token "FILE" names a file holding the bytes data."""
+    kind = draw(st.sampled_from(["bytes", "document", "config", "probe rows", "probe"]))
+    if kind == "config":
+        return ["convert", "FILE"], draw(_mutated(draw(st.sampled_from(FUZZ_CONFIGS))))
+    if kind == "probe rows":
+        rows = [json.loads(line) for line in Path(SCALE_PROBE).read_text().splitlines()]
+        argv = draw(st.sampled_from([
+            ["hash", SCALE_HALF, "--scale-fix", "--probe", "FILE"],
+            ["canonicalize", SCALE_HALF, "--scale-fix", "--probe", "FILE"],
+            ["convert", str(FIXTURES / "kto_product_weight.json"),
+             "--to", "KTO_GRPO", "--probe", "FILE"],
+        ]))
+        return argv, draw(_mutated(rows, jsonl=True))
+    if kind == "probe":
+        kind = draw(st.sampled_from(["shift", "gate", "score"]))
+        argv = ["probe", kind, *draw(st.sampled_from([[], ["--"], ["--pretty"]]))]
+        if draw(st.booleans()):
+            return [*argv, "--file", "FILE"], draw(_probe_files)
+        token = st.sampled_from(FUZZ_NUMBERS) | st.floats(
+            allow_nan=False, allow_infinity=False
+        ).map(repr)
+        if kind == "gate":
+            token = st.lists(token, min_size=3, max_size=3).map(",".join)
+        return argv + draw(st.lists(token, max_size=5)), b""
+    if kind == "bytes":
+        data = draw(st.binary(max_size=64))
+    else:
+        docs = sorted(FIXTURES.glob("*.json"))
+        data = draw(_mutated(json.loads(draw(st.sampled_from(docs)).read_text())))
+    argv = draw(st.sampled_from(
+        [["validate"], ["hash"], ["canonicalize"], ["convert"]]
+        + [["convert", "--to", method] for method in sorted(METHODS)]
+    ) | st.just(["diff", DPO]))
+    return [argv[0], "FILE", *argv[1:]], data
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(cli_runs())
+def test_every_cli_run_exits_cleanly(run):
+    """Whatever the bytes, argv or file, a run returns 0, 1 or 2; a nonzero
+    run writes exactly one {"error", "code"} line on stderr, and stdout is
+    strict JSON (no NaN or Infinity)."""
+    import contextlib
+    import io
+    import tempfile
+
+    argv, data = run
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        path.write_bytes(data)
+        argv = [str(path) if token == "FILE" else token for token in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    if code == EXIT_OK:
+        assert out.getvalue()
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, err.getvalue()
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "code"} and payload["code"] == code
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -9,18 +9,22 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gkpo.algebra import AdditivePenalty, MultiplicativeWeight, PairSample, collect
-from gkpo.engine import (
+from gkpo.algebra import (
     DATASET_OFFSET_KEY,
+    PROMPT_OFFSET_KEY,
+    PairSample,
+    object_margin,
+    object_normal_form,
+    object_reference,
+    object_weight,
+)
+from gkpo.engine import (
     LINKS,
     LOSSES,
-    PROMPT_OFFSET_KEY,
     STRICT_LINKS,
-    LinearScorer,
     bootstrap_ci,
     bootstrap_diff_ci,
     decision,
-    grad_objective,
     kendall_tau,
     link_grad,
     link_value,
@@ -28,14 +32,7 @@ from gkpo.engine import (
     loss_value,
     mcnemar_exact,
     objective,
-    object_margin,
-    object_normal_form,
-    object_reference,
-    object_weight,
-    scored_sample,
-    scorer_margin,
 )
-from gkpo.schema import WeightSpec
 
 from conftest import load_fixture
 
@@ -150,84 +147,6 @@ def test_link_and_loss_names_cover_schema_enums():
         link_value(kind, 0.5)
     for kind in LOSSES:
         loss_value(kind, 0.5)
-
-
-# --- scorers and gradients ------------------------------------------------------
-
-
-def scorer_for(dim: int, seed: int, prompts=("p0", "p1")) -> LinearScorer:
-    rng = np.random.default_rng(seed)
-    feats = {}
-    for p in prompts:
-        feats[(p, "pos")] = rng.normal(size=dim)
-        feats[(p, "neg")] = rng.normal(size=dim)
-    return LinearScorer(theta=rng.normal(size=dim), features=feats)
-
-
-def test_linear_scorer_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        LinearScorer(
-            theta=np.zeros(3), features={("p", "pos"): np.zeros(2)}
-        )
-
-
-def test_scored_sample_adds_score_gap():
-    scorer = scorer_for(4, seed=0)
-    sample = PairSample("p0", 0.25)
-    shifted = scored_sample(scorer, sample)
-    assert shifted.delta_u == pytest.approx(0.25 + scorer.delta_score("p0"))
-    assert sample.delta_u == 0.25  # original untouched
-
-
-def test_grad_objective_matches_finite_differences():
-    nf = collect([AdditivePenalty(0.3, "phi_a"), MultiplicativeWeight("om_a")])
-    sample = PairSample(
-        "p0", 0.2, delta_phi={"phi_a": 0.4}, omega={"om_a": 1.5}
-    )
-    h = 1e-5
-    for loss, link in (("logistic", "identity"), ("mse", "tanh"), ("bce", "logistic")):
-        scorer = scorer_for(5, seed=3)
-        grad = grad_objective(scorer, nf, sample, loss, link, beta=0.7)
-        for i in range(5):
-            bump = np.zeros(5)
-            bump[i] = h
-            up = LinearScorer(scorer.theta + bump, scorer.features)
-            dn = LinearScorer(scorer.theta - bump, scorer.features)
-            f_up = loss_value(
-                loss, link_value(link, 0.7 * scorer_margin(up, nf, sample))
-            )
-            f_dn = loss_value(
-                loss, link_value(link, 0.7 * scorer_margin(dn, nf, sample))
-            )
-            fd = float(f_up - f_dn) / (2 * h)
-            assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-def test_grad_objective_refuses_score_dependent_weight():
-    nf = collect([])
-    sample = PairSample("p0", 0.2)
-    scorer = scorer_for(2, seed=1)
-    spec = WeightSpec(form="score_dependent", constant=None, score_fn="psi")
-    with pytest.raises(ValueError):
-        grad_objective(scorer, nf, sample, "logistic", "identity", 1.0, spec)
-
-
-def test_grad_objective_applies_constant_weight_spec():
-    nf = collect([])
-    sample = PairSample("p0", 0.2)
-    scorer = scorer_for(3, seed=2)
-    g1 = grad_objective(scorer, nf, sample, "mse", "identity", 1.0)
-    g2 = grad_objective(
-        scorer, nf, sample, "mse", "identity", 1.0,
-        WeightSpec(form="constant", constant=2.0),
-    )
-    # doubling the weight doubles the margin and the slope; mse grad is
-    # 2(z-1)*dz so the ratio is not a constant 2, check the explicit form
-    m = scorer_margin(scorer, nf, sample)
-    z1, z2 = m, 2.0 * m
-    c1 = 2.0 * (z1 - 1.0) * 1.0
-    c2 = 2.0 * (z2 - 1.0) * 2.0
-    np.testing.assert_allclose(g2, g1 * (c2 / c1), rtol=1e-12)
 
 
 # --- object evaluation -----------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gkpo.adapters import MethodConfig, to_gkpo
-from gkpo.algebra import object_margin
+from gkpo.algebra import PROMPT_OFFSET_KEY, object_margin
 from gkpo.canonical import opal_hash
 from gkpo.engine import objective
 from gkpo.harness import (
@@ -26,7 +26,6 @@ from gkpo.harness import (
     save_jsonl,
     train_run,
 )
-from gkpo.engine import PROMPT_OFFSET_KEY
 from gkpo.schema import PenaltyEntry, WeightSpec
 
 
@@ -263,6 +262,22 @@ def test_train_run_step_is_minus_rate_times_mean_loss_gradient(weighting, loss, 
     np.testing.assert_allclose(step, fd, rtol=1e-6, atol=1e-10)
     assert run.trace_steps == (0, 1)
     assert run.loss_trace[0] == pytest.approx(mean_loss(theta0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        WeightSpec(form="score_dependent", constant=None, score_fn="psi"),
+        WeightSpec(form="custom", constant=None),
+    ],
+    ids=lambda w: w.form,
+)
+def test_train_run_refuses_weight_without_sample_value(weight):
+    # the weight would move with theta, so no fixed margin gives the gradient
+    spec = replace(dpo_spec(), weight=weight)
+    hp = HarnessParams(steps=1, seeds=(0,))
+    with pytest.raises(ValueError, match=repr(weight.form)):
+        train_run(spec, weighted_dataset(), hp, seed=0)
 
 
 def test_harness_params_guards():
