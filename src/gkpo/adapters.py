@@ -42,6 +42,7 @@ from .schema import (
     ReferenceSpec,
     ScoreSpec,
     WeightSpec,
+    is_name,
     require_valid,
 )
 
@@ -186,9 +187,14 @@ def normalize_config(cfg: MethodConfig) -> MethodConfig:
         if mode not in ("constant", "product", "score_dependent"):
             raise ValueError(f"KTO_GRPO weight_mode {mode!r} not recognized")
         if mode == "product":
-            if not params["factors"]:
+            factors = params["factors"]
+            if not factors:
                 raise ValueError("KTO_GRPO product mode requires factors")
-            params["factors"] = sorted(str(f) for f in params["factors"])
+            if not isinstance(factors, (list, tuple)) or not all(map(is_name, factors)):
+                raise ValueError(
+                    f"KTO_GRPO factors must be a list of factor names, got {factors!r}"
+                )
+            params["factors"] = sorted(factors)
         elif params["factors"]:
             raise ValueError(f"KTO_GRPO {mode} mode takes no factors")
         if mode == "score_dependent":

@@ -20,9 +20,9 @@ The opal hash is the SHA-256 of the canonical bytes, lowercase hex.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from decimal import Decimal
+from json.encoder import encode_basestring  # json.dumps' str escaper
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .schema import GkpoObject, quantize, require_valid, to_json_dict
@@ -42,22 +42,32 @@ def canonical_number(value) -> str:
     return text
 
 
-def _emit(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, dict):
-        parts = (
-            f"{json.dumps(key, ensure_ascii=False)}:{_emit(value[key])}"
-            for key in sorted(value)
-        )
-        return "{" + ",".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit(item) for item in value) + "]"
+def _emit(value: Any, out: list[str]) -> None:
+    """Append the canonical text of value to out, piece by piece."""
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, (int, float, Decimal)):
-        return canonical_number(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        out.append(encode_basestring(value))
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, float, Decimal)):
+        out.append(canonical_number(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if i:
+                out.append(",")
+            out.append(encode_basestring(key))
+            out.append(":")
+            _emit(value[key], out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def scale_fix_object(
@@ -122,7 +132,9 @@ def canonical_form(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -
 
 
 def canonicalize(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> bytes:
-    return _emit(_normalized(obj, probe)).encode("utf-8")
+    out: list[str] = []
+    _emit(_normalized(obj, probe), out)
+    return "".join(out).encode("utf-8")
 
 
 def opal_hash(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> str:

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -538,6 +539,9 @@ def _build_parser() -> _Parser:
     p.add_argument("kind", choices=["shift", "gate", "score"])
     p.add_argument("values", nargs="*")
     p.add_argument("--file", help="JSON file with probe inputs")
+    # argparse reads "-1e-05" or "-1,2,3" as an unknown option; here any token
+    # that starts like a negative number is a value
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
 
     add("demo", cmd_demo, help="print the worked examples with margins and hashes")
 
@@ -556,7 +560,13 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            if args.command != "probe":
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            # argparse fills a positional list from one run of tokens; the
+            # values after an interleaved option such as --pretty are extras
+            args.values += extras
         return args.fn(args)
     except _UsageError as exc:
         print(json.dumps({"error": str(exc), "code": EXIT_USAGE}), file=sys.stderr)

@@ -16,7 +16,14 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import (
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from typing import Any, Callable, Mapping
 
 SCHEMA_VERSION = "gkpo-1.0"
@@ -37,6 +44,11 @@ REASON_CODES = frozenset(
 _HASH_RE = re.compile(r"^[0-9a-f]{64}$")
 # Identifier strings name penalties, factors, score functions, witness keys.
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
+
+
+def is_name(value: Any) -> bool:
+    """True for a string that may name a penalty, factor or score function."""
+    return isinstance(value, str) and _NAME_RE.match(value) is not None
 
 
 class ParseError(ValueError):
@@ -276,12 +288,40 @@ def _parse_witness(node: _Node | None) -> dict[str, Any]:
     return out
 
 
+# UTF-8 cannot encode a surrogate code point, so a string holding one could not
+# be hashed. JSON text carries one as itself or as a \uD800-\uDFFF escape.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _require_utf8(value: Any, path: str) -> None:
+    """Reject any key or string that UTF-8 cannot encode."""
+    if isinstance(value, str):
+        if _SURROGATE.search(value):
+            raise ParseError("string is not UTF-8 encodable (lone surrogate)", path)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if _SURROGATE.search(key):
+                raise ParseError(
+                    f"key {key!r} is not UTF-8 encodable (lone surrogate)",
+                    path or "<root>",
+                )
+            _require_utf8(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_utf8(item, f"{path}[{i}]")
+
+
 def parse(text: str) -> GkpoObject:
     """Parse GKPO JSON text strictly; raises ParseError with a path on failure."""
     try:
         raw = json.loads(
             text, parse_constant=_reject_constant, object_pairs_hook=_strict_pairs
         )
+        if _SURROGATE_ESCAPE.search(text) or (
+            not text.isascii() and _SURROGATE.search(text)
+        ):
+            _require_utf8(raw, "")  # finds the path; an escaped pair passes
     except ParseError:
         raise
     except json.JSONDecodeError as exc:
@@ -459,11 +499,24 @@ _QUANTUM = Decimal("0.000001")
 _STEP = float(_QUANTUM)  # a value of at least one step never quantizes to 0
 
 
+# Every field is stated, so canonical numbers never depend on the caller's
+# thread-local decimal context. 500 digits hold any finite double on the grid.
+# Quantizing sets this context's flags; no result reads them.
+_CONTEXT = Context(
+    prec=500,
+    rounding=ROUND_HALF_EVEN,
+    Emin=-999999,
+    Emax=999999,
+    capitals=1,
+    clamp=0,
+    flags=[],
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+
+
 def quantize(value) -> Decimal:
     """Round half-even to the canonical 1e-6 grid."""
-    with localcontext() as ctx:
-        ctx.prec = 500  # exact for any finite double at this quantum
-        return Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN)
+    return Decimal(value).quantize(_QUANTUM, context=_CONTEXT)
 
 
 def validate(obj: GkpoObject) -> list[Violation]:
@@ -504,7 +557,7 @@ def validate(obj: GkpoObject) -> list[Violation]:
     if (len(w.factors) > 0) != (w.form == "product"):
         bad("weight.factors", "nonempty iff weight form is 'product'")
     for i, name in enumerate(w.factors):
-        if not isinstance(name, str) or not _NAME_RE.match(name):
+        if not is_name(name):
             bad(f"weight.factors[{i}]", f"invalid factor name {name!r}")
     if (w.score_fn is not None) != (w.form == "score_dependent"):
         bad("weight.score_fn", "present iff weight form is 'score_dependent'")
@@ -531,7 +584,7 @@ def validate(obj: GkpoObject) -> list[Violation]:
 
     seen = set()
     for i, p in enumerate(obj.penalties):
-        if not isinstance(p.name, str) or not _NAME_RE.match(p.name):
+        if not is_name(p.name):
             bad(f"penalties[{i}].name", f"invalid penalty name {p.name!r}")
         if p.name in seen:
             bad(f"penalties[{i}].name", f"duplicate penalty name {p.name!r}")

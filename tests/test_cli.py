@@ -285,6 +285,23 @@ def test_probe_usage_errors(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["--pretty", "0.2", "0.5", "-0.5"], ["0.2", "0.5", "-0.5"]),
+        (["0.2", "-1e-05", "0.5"], ["0.2", "-0.00001", "0.5"]),
+    ],
+    ids=["values-after-option", "negative-exponent"],
+)
+def test_probe_values_after_an_option_or_in_exponent_form(capsys, argv, plain):
+    code, out, _ = run_cli(capsys, "probe", "shift", *plain)
+    assert code == EXIT_OK
+    expected = json.loads(out)
+    code, out, err = run_cli(capsys, "probe", "shift", *argv)
+    assert code == EXIT_OK, err
+    assert json.loads(out) == expected
+
+
 def test_probe_degenerate_input_is_failure(capsys):
     # repeated (d == ref) pair: a domain error, not a usage error
     code, _, err = run_cli(capsys, "probe", "shift", "0.20", "0.20", "0.50")
@@ -494,6 +511,29 @@ def test_config_value_of_wrong_type_is_failure(capsys, tmp_path):
     assert_single_error_line(err, EXIT_FAILURE)
 
 
+@pytest.mark.parametrize("factors", [[None], ["om_a", 3], ["1om"], "om_a", {"om_a": 1}])
+def test_kto_grpo_factors_that_are_not_names_are_failures(capsys, tmp_path, factors):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": "KTO_GRPO", "beta": 1, "ref": 0,
+                                "weight_mode": "product", "factors": factors}))
+    code, out, err = run_cli(capsys, "convert", str(path))
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert_single_error_line(err, EXIT_FAILURE)
+    assert "factor names" in json.loads(err)["error"]
+
+
+def test_validate_and_hash_agree_on_a_lone_surrogate(capsys, tmp_path):
+    doc = json.loads(fixture_path("rrhf_rank_penalties.json").read_text())
+    doc["provenance"]["notes"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "hash"):
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_FAILURE, command
+        assert_single_error_line(err, EXIT_FAILURE)
+        assert "provenance.notes" in json.loads(err)["error"]
+
+
 def test_harness_too_few_resamples_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "few.json"
     cfg.write_text(json.dumps({"size": 20, "seeds": [0], "bootstrap_resamples": 5}))
@@ -698,12 +738,13 @@ FUZZ_CONFIGS = [
      "factors": ["om_a", "om_b"]},
 ]
 # JSON text that replaces one node (None deletes it); 1e400, NaN and the
-# 400-digit integer decode to values that no float field can hold
+# 400-digit integer decode to values that no float field can hold, and the
+# escaped lone surrogates to strings that UTF-8 cannot encode
 FUZZ_NODES = [None, "null", "true", '"x"', "1" + "0" * 399, "1e400", "NaN",
-              '[1, {"a": []}]', '{"raw": [true]}']
+              '[1, {"a": []}]', '{"raw": [true]}', '"\\ud800"', '{"\\udfff": 1}']
 # command-line numbers for probe; gate joins three of them with commas
-FUZZ_NUMBERS = ["0", "0.2", "-0.5", "10", "1e400", "-1e308", "1e308", "nan",
-                "-inf", "1e-320", "x", ""]
+FUZZ_NUMBERS = ["0", "0.2", "-0.5", "-1e-05", "10", "1e400", "-1e308", "1e308",
+                "nan", "-inf", "1e-320", "x", ""]
 _HOLE = "\x00hole\x00"
 
 
@@ -735,11 +776,16 @@ def _mutated(draw, doc, jsonl=False):
     return text.replace(json.dumps(_HOLE), node or "").encode()
 
 
+def _fuzz_text(max_size):
+    """Text that may hold a lone surrogate, which UTF-8 cannot encode."""
+    return st.text(st.characters() | st.sampled_from("\ud800\udfff"), max_size=max_size)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400)
-    | st.floats() | st.text(max_size=4),
+    | st.floats() | _fuzz_text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    | st.dictionaries(_fuzz_text(max_size=12), inner, max_size=4),
     max_leaves=12,
 )
 _probe_files = st.one_of(

@@ -347,3 +347,32 @@ def test_parse_out_of_range_integer_is_parse_error():
 def test_parse_deep_nesting_is_parse_error():
     with pytest.raises(ParseError):
         parse("[" * 100_000)
+
+
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        ({"provenance": {"method": "DPO", "notes": "\ud800"}}, "provenance.notes"),
+        ({"provenance": {"method": "DPO", "citations": ["a", "b\udfff"]}},
+         "provenance.citations[1]"),
+        ({"reducibility": {"inside_R": False, "reasons": ["reference_shift"],
+                           "witness": {"x\udc00": 1.0}}}, "reducibility.witness"),
+    ],
+)
+@pytest.mark.parametrize("escaped", [True, False])
+def test_parse_rejects_strings_utf8_cannot_encode(where, path, escaped):
+    """A lone surrogate, escaped or raw, is a ParseError at its JSON path:
+    UTF-8 cannot encode it, so the object could never be hashed."""
+    text = json.dumps(dict(json.loads(doc()), **where), ensure_ascii=escaped)
+    assert ("\\u" in text) == escaped
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.path == path
+    assert "UTF-8" in str(info.value)
+
+
+def test_parse_accepts_escaped_surrogate_pairs_and_backslash_u_text():
+    notes = "\U0001f600 and the six characters \\ud800"
+    obj = parse(doc(provenance={"method": "DPO", "notes": notes}))
+    assert obj.provenance.notes == notes
+
