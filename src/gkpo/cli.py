@@ -295,7 +295,8 @@ def cmd_probe(args) -> int:
         payload = _probe_payload(args)
     except _UsageError:
         raise
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    # OverflowError: an int in the file beyond float range
+    except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
         raise _Failure(f"probe failed: {exc}") from exc
     _print_json(payload, args.pretty)
     return EXIT_OK

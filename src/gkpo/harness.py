@@ -16,8 +16,7 @@ full-batch gradient descent:
 
 Datasets are columnar: a SyntheticDataset holds one PairBatch (prompt ids,
 delta_u and name -> column maps) plus (n, d) feature blocks and labels, and
-the spec's margins are evaluated once per column, not once per pair. Its
-`pairs` view of per-pair objects is built only when asked for.
+the spec's margins are evaluated once per column, not once per pair.
 
 Datasets serialize to line-delimited JSON: a header line
 {"format": "gkpo-pairs-1", "seed": ...} followed by one pair per line with
@@ -139,45 +138,11 @@ class PairBatch:
             **tables,
         )
 
-    def samples(self) -> list[PairSample]:
-        n = len(self)
-        return [
-            PairSample(*fields)
-            for fields in zip(
-                self.prompt_ids,
-                self.delta_u.tolist(),
-                *(getattr(self, attr).rows(n) for attr in _TABLES),
-            )
-        ]
-
-
-@dataclass(frozen=True)
-class DatasetPair:
-    """One pair of a SyntheticDataset, as its `pairs` view hands it out."""
-
-    sample: PairSample
-    features_pos: np.ndarray
-    features_neg: np.ndarray
-    label: int  # +1: pos side preferred, -1: neg side preferred
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "features_pos", np.asarray(self.features_pos, dtype=float)
-        )
-        object.__setattr__(
-            self, "features_neg", np.asarray(self.features_neg, dtype=float)
-        )
-        if self.label not in (-1, 1):
-            raise ValueError("label must be +1 or -1")
-
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """Pairs held as columns: a PairBatch, (n, d) feature blocks for the pos
-    and neg sides, and labels[n] as floats (+1/-1).
-
-    `pairs` is a per-pair view built on first access; training and the H1/H2
-    runners read the columns only.
+    and neg sides, and labels[n] as floats (+1: pos side preferred, -1: neg).
     """
 
     batch: PairBatch
@@ -198,18 +163,6 @@ class SyntheticDataset:
     @cached_property
     def delta_feature_matrix(self) -> np.ndarray:
         return self.features_pos - self.features_neg
-
-    @cached_property
-    def pairs(self) -> tuple[DatasetPair, ...]:
-        return tuple(
-            DatasetPair(sample, fp, fn, label)
-            for sample, fp, fn, label in zip(
-                self.batch.samples(),
-                self.features_pos,
-                self.features_neg,
-                self.labels.astype(int).tolist(),
-            )
-        )
 
 
 def require_int(name: str, value: Any) -> None:
@@ -344,32 +297,39 @@ def gen_dataset(
     )
 
 
+_ROW_KEYS = (
+    "prompt_id", "delta_u", "features_pos", "features_neg", "label", "slice", *_TABLES
+)
+
+
 def save_jsonl(data: SyntheticDataset, path: str) -> None:
+    n = len(data)
+    slice_of = [BACKGROUND_KEY] * n
+    for name, idx in data.slices.items():
+        for i in idx:
+            slice_of[i] = name
+    batch = data.batch
+    rows = zip(
+        batch.prompt_ids,
+        batch.delta_u.tolist(),
+        data.features_pos.tolist(),
+        data.features_neg.tolist(),
+        data.labels.astype(int).tolist(),
+        slice_of,
+        *(getattr(batch, attr).rows(n) for attr in _TABLES),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": "gkpo-pairs-1", "seed": data.seed}) + "\n")
-        slice_of = {}
-        for name, idx in data.slices.items():
-            for i in idx:
-                slice_of[i] = name
-        for i, pair in enumerate(data.pairs):
-            s = pair.sample
-            row = {
-                "prompt_id": s.prompt_id,
-                "delta_u": s.delta_u,
-                "features_pos": list(pair.features_pos),
-                "features_neg": list(pair.features_neg),
-                "label": pair.label,
-                "slice": slice_of.get(i, BACKGROUND_KEY),
-                "delta_phi": s.delta_phi,
-                "omega": s.omega,
-                "delta_ref": s.delta_ref,
-            }
-            fh.write(json.dumps(row) + "\n")
+        for values in rows:
+            fh.write(json.dumps(dict(zip(_ROW_KEYS, values))) + "\n")
 
 
 def load_jsonl(path: str) -> SyntheticDataset:
     """Read a gkpo-pairs-1 file; a malformed line raises ValueError at path:line."""
-    pairs: list[DatasetPair] = []
+    samples: list[PairSample] = []
+    features_pos: list[np.ndarray] = []
+    features_neg: list[np.ndarray] = []
+    labels: list[int] = []
     slices: dict[str, list[int]] = {}
     with open(path, encoding="utf-8") as fh:
         try:
@@ -377,32 +337,37 @@ def load_jsonl(path: str) -> SyntheticDataset:
             if not isinstance(header, dict) or header.get("format") != "gkpo-pairs-1":
                 raise ValueError("not a gkpo-pairs-1 file")
             seed = header["seed"]
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             raise ValueError(f"{path}:1: bad header: {exc}") from exc
         for lineno, line in enumerate(fh, start=2):
             try:
                 row = json.loads(line)
-                pair = DatasetPair(
-                    sample=sample_from_row(row),
-                    features_pos=row["features_pos"],
-                    features_neg=row["features_neg"],
-                    label=row["label"],
-                )
-                shape = (pairs[0] if pairs else pair).features_pos.shape
-                if not pair.features_pos.shape == pair.features_neg.shape == shape:
+                sample = sample_from_row(row)
+                fp = np.asarray(row["features_pos"], dtype=float)
+                fn = np.asarray(row["features_neg"], dtype=float)
+                if row["label"] not in (-1, 1):
+                    raise ValueError("label must be +1 or -1")
+                shape = (features_pos[0] if features_pos else fp).shape
+                if not fp.shape == fn.shape == shape:
                     raise ValueError(f"features must have shape {shape}")
                 if len(shape) != 1:
                     raise ValueError("features must be lists of numbers")
-                slices.setdefault(row["slice"], []).append(len(pairs))
-            except (ValueError, KeyError, TypeError) as exc:
+                slices.setdefault(row["slice"], []).append(len(samples))
+            # OverflowError: an integer feature beyond float range;
+            # RecursionError: JSON nested too deeply
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad pair row: {exc}") from exc
-            pairs.append(pair)
-    dim = len(pairs[0].features_pos) if pairs else 0
+            samples.append(sample)
+            features_pos.append(fp)
+            features_neg.append(fn)
+            labels.append(row["label"])
+    n = len(samples)
+    dim = len(features_pos[0]) if n else 0
     return SyntheticDataset(
-        batch=PairBatch.from_samples([p.sample for p in pairs]),
-        features_pos=np.array([p.features_pos for p in pairs]).reshape(len(pairs), dim),
-        features_neg=np.array([p.features_neg for p in pairs]).reshape(len(pairs), dim),
-        labels=np.array([p.label for p in pairs], dtype=float),
+        batch=PairBatch.from_samples(samples),
+        features_pos=np.array(features_pos).reshape(n, dim),
+        features_neg=np.array(features_neg).reshape(n, dim),
+        labels=np.array(labels, dtype=float),
         slices=slices,
         seed=seed,
     )

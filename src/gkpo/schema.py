@@ -626,6 +626,30 @@ def validate(obj: GkpoObject) -> list[Violation]:
         else:
             bad(path, "must be a number or a flat number array")
 
+    # free text that no name rule covers must still encode, or hashing fails
+    prov, ops = obj.provenance, obj.dataset_ops
+    try:  # encoding all of it at once spares the usual object the walk by field
+        "".join([
+            obj.score.custom_name or "", w.score_fn or "", prov.method, prov.notes,
+            *prov.citations, *ops.group_weights, *ops.group_penalties, *red.witness,
+        ]).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):  # a non-string, or a lone surrogate
+        def encodable(path: str, text: Any):
+            if isinstance(text, str) and _SURROGATE.search(text):
+                bad(path, "not UTF-8 encodable (lone surrogate)")
+
+        encodable("score.custom_name", obj.score.custom_name)
+        encodable("weight.score_fn", w.score_fn)
+        for group in ("group_weights", "group_penalties"):
+            for i, text in enumerate(getattr(ops, group)):
+                encodable(f"dataset_ops.{group}[{i}]", text)
+        encodable("provenance.method", prov.method)
+        for i, text in enumerate(prov.citations):
+            encodable(f"provenance.citations[{i}]", text)
+        encodable("provenance.notes", prov.notes)
+        for key in red.witness:
+            encodable(f"reducibility.witness.{key}", key)
+
     return v
 
 

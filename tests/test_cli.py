@@ -788,12 +788,14 @@ _json_values = st.recursive(
     | st.dictionaries(_fuzz_text(max_size=12), inner, max_size=4),
     max_leaves=12,
 )
+# 10**400 is valid JSON that no float can hold
+_probe_numbers = st.floats() | st.just(10**400)
 _probe_files = st.one_of(
     _json_values,
-    st.lists(st.lists(st.floats(), min_size=2, max_size=3), max_size=4),
+    st.lists(st.lists(_probe_numbers, min_size=2, max_size=3), max_size=4),
     st.fixed_dictionaries(
         dict.fromkeys(["delta_u", "penalty_shift", "psi_below", "psi_at_or_above"],
-                      st.floats())
+                      _probe_numbers)
     ),
 ).map(lambda value: json.dumps(value).encode())
 

@@ -21,6 +21,7 @@ from gkpo.algebra import (
     object_margin,
     object_margins_and_weights,
     object_weight,
+    sample_from_row,
 )
 from gkpo.harness import (
     BACKGROUND_KEY,
@@ -28,7 +29,6 @@ from gkpo.harness import (
     FLIP_OFFSET,
     SHIFT_PROFILES,
     SLICE_KEY,
-    DatasetPair,
     HarnessParams,
     PairBatch,
     gen_dataset,
@@ -40,7 +40,13 @@ from gkpo.harness import (
 from gkpo.schema import ReferenceSpec
 
 from conftest import random_object
-from test_harness import dpo_spec, folded_ppo_spec, orpo_shift_spec
+from test_harness import (
+    _bits,
+    assert_batch_holds,
+    dpo_spec,
+    folded_ppo_spec,
+    orpo_shift_spec,
+)
 
 _REFERENCES = (
     ReferenceSpec(form="fixed_zero", value=0.0),
@@ -48,10 +54,6 @@ _REFERENCES = (
     ReferenceSpec(form="per_prompt", value=None),
     ReferenceSpec(form="per_dataset", value=None),
 )
-
-
-def _bits(values) -> bytes:
-    return np.asarray(values, dtype=float).tobytes()
 
 
 def _fuzzed_case(seed: int):
@@ -122,7 +124,8 @@ def test_batch_evaluator_names_the_same_missing_name_and_sample(seed):
 
 
 def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
-    """The per-pair generator the columnar gen_dataset replaced: pairs, slices."""
+    """The per-pair generator the columnar gen_dataset replaced: pairs as
+    (sample, features_pos, features_neg, label) tuples, and slices."""
     if shift_profile == "none":
         instances = 0
     elif shift_profile == "two_prompt_flip":
@@ -141,31 +144,15 @@ def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
         du = 0.5 * rng.standard_normal()
         if du + float(theta_star @ (fp - fn)) < 0:
             fp, fn, du = fn, fp, -du
-        pairs.append(
-            DatasetPair(
-                sample=PairSample(
-                    prompt_id=f"p{i}", delta_u=du, delta_ref={PROMPT_OFFSET_KEY: 0.0}
-                ),
-                features_pos=fp,
-                features_neg=fn,
-                label=1,
-            )
-        )
+        sample = PairSample(f"p{i}", du, delta_ref={PROMPT_OFFSET_KEY: 0.0})
+        pairs.append((sample, fp, fn, 1))
     zeros = np.zeros(feature_dim)
     for k in range(instances):
         for tag, offset in (("a", FLIP_OFFSET), ("b", -FLIP_OFFSET)):
-            pairs.append(
-                DatasetPair(
-                    sample=PairSample(
-                        prompt_id=f"w{k}{tag}",
-                        delta_u=FLIP_GAP,
-                        delta_ref={PROMPT_OFFSET_KEY: offset},
-                    ),
-                    features_pos=zeros,
-                    features_neg=zeros,
-                    label=1,
-                )
+            sample = PairSample(
+                f"w{k}{tag}", FLIP_GAP, delta_ref={PROMPT_OFFSET_KEY: offset}
             )
+            pairs.append((sample, zeros, zeros, 1))
     slices = {
         SLICE_KEY: tuple(range(n_global, size)),
         BACKGROUND_KEY: tuple(range(n_global)),
@@ -174,18 +161,15 @@ def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
 
 
 def assert_matches_oracle(data, pairs, slices):
+    samples, fps, fns, labels = zip(*pairs)
     assert data.slices == slices
-    assert len(data) == len(pairs) == len(data.pairs)
-    for got, want in zip(data.pairs, pairs):
-        assert got.sample == want.sample
-        assert got.label == want.label
-    for attr in ("features_pos", "features_neg"):
-        want = np.stack([getattr(p, attr) for p in pairs])
-        assert _bits(getattr(data, attr)) == _bits(want)
-    want_delta = np.stack([p.features_pos - p.features_neg for p in pairs])
+    assert len(data) == len(pairs)
+    assert_batch_holds(data.batch, samples)
+    assert _bits(data.features_pos) == _bits(np.stack(fps))
+    assert _bits(data.features_neg) == _bits(np.stack(fns))
+    want_delta = np.stack([fp - fn for fp, fn in zip(fps, fns)])
     assert _bits(data.delta_feature_matrix) == _bits(want_delta)
-    assert _bits(data.batch.delta_u) == _bits([p.sample.delta_u for p in pairs])
-    assert _bits(data.labels) == _bits([p.label for p in pairs])
+    assert _bits(data.labels) == _bits(labels)
 
 
 @pytest.mark.parametrize("profile", SHIFT_PROFILES)
@@ -233,7 +217,7 @@ def test_gen_dataset_orients_near_zero_rows_like_the_per_pair_dot(monkeypatch):
     data = gen_dataset(60, dim, "none", seed=0)
     pairs, slices = per_pair_gen_dataset(60, dim, "none", seed=0)
     assert_matches_oracle(data, pairs, slices)
-    flipped = sum(p.sample.delta_u != du for p, du in zip(pairs, drawn_du))
+    flipped = sum(sample.delta_u != du for (sample, *_), du in zip(pairs, drawn_du))
     assert 0 < flipped < 60
 
 
@@ -245,7 +229,6 @@ def test_harness_path_constructs_no_per_pair_objects(monkeypatch):
         raise AssertionError(f"{type(self).__name__} constructed")
 
     monkeypatch.setattr(PairSample, "__init__", refuse)
-    monkeypatch.setattr(DatasetPair, "__init__", refuse)
     hp = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100)
     run_h1(dpo_spec(0.10), folded_ppo_spec(), gen_dataset(60, 4, "none", 1), hp)
     run_h2(dpo_spec(0.0), orpo_shift_spec(), gen_dataset(60, 4, "witness_slice", 1), hp)
@@ -254,8 +237,10 @@ def test_harness_path_constructs_no_per_pair_objects(monkeypatch):
 # --- files whose rows carry different names ------------------------------------------
 
 
-def _write_rows(path, rows):
+def _write_rows(path, rows) -> list[PairSample]:
+    """Write a file of pairs with the given tables; the rows' samples."""
     lines = [json.dumps({"format": "gkpo-pairs-1", "seed": 0})]
+    samples = []
     for i, extra in enumerate(rows):
         row = {
             "prompt_id": f"r{i}",
@@ -271,12 +256,14 @@ def _write_rows(path, rows):
         for key, table in extra.items():
             row[key] = table
         lines.append(json.dumps(row))
+        samples.append(sample_from_row(row))
     path.write_text("\n".join(lines) + "\n")
+    return samples
 
 
 def test_loaded_ragged_names_evaluate_like_the_rows(tmp_path, orpo_shift_obj):
     path = tmp_path / "ragged.jsonl"
-    _write_rows(
+    samples = _write_rows(
         path,
         [
             {"delta_ref": {PROMPT_OFFSET_KEY: 0.5, DATASET_OFFSET_KEY: 0.125}},
@@ -285,8 +272,7 @@ def test_loaded_ragged_names_evaluate_like_the_rows(tmp_path, orpo_shift_obj):
         ],
     )
     data = load_jsonl(path)
-    samples = [p.sample for p in data.pairs]
-    assert samples[2].delta_ref == {DATASET_OFFSET_KEY: -0.25}
+    assert_batch_holds(data.batch, samples)
 
     per_dataset = replace(orpo_shift_obj, reference=_REFERENCES[3])
     margins, _ = object_margins_and_weights(per_dataset, data.batch)
@@ -298,7 +284,8 @@ def test_loaded_ragged_names_evaluate_like_the_rows(tmp_path, orpo_shift_obj):
 
     resaved = tmp_path / "again.jsonl"
     save_jsonl(data, resaved)
-    assert [p.sample for p in load_jsonl(resaved).pairs] == samples
+    assert_batch_holds(load_jsonl(resaved).batch, samples)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_rows_of_another_feature_length(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gkpo.adapters import MethodConfig, to_gkpo
-from gkpo.algebra import PROMPT_OFFSET_KEY, object_margin
+from gkpo.algebra import PROMPT_OFFSET_KEY, PairSample, object_margin, sample_from_row
 from gkpo.canonical import opal_hash
 from gkpo.engine import objective
 from gkpo.harness import (
@@ -15,7 +15,6 @@ from gkpo.harness import (
     FLIP_GAP,
     FLIP_OFFSET,
     SLICE_KEY,
-    Columns,
     HarnessParams,
     PairBatch,
     SyntheticDataset,
@@ -59,6 +58,21 @@ def orpo_shift_spec():
     )
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def assert_batch_holds(batch: PairBatch, samples) -> None:
+    """batch holds exactly the samples' fields, floats bit for bit."""
+    assert batch.prompt_ids == tuple(s.prompt_id for s in samples)
+    assert _bits(batch.delta_u) == _bits([s.delta_u for s in samples])
+    for attr in ("delta_phi", "omega", "delta_ref"):
+        table = getattr(batch, attr)
+        assert table.rows(len(samples)) == [getattr(s, attr) for s in samples]
+        for name, col in table.items():
+            assert _bits(col) == _bits([getattr(s, attr)[name] for s in samples])
+
+
 SMALL = HarnessParams(steps=30, seeds=(0, 1), eval_every=10, bootstrap_resamples=200)
 
 
@@ -90,13 +104,13 @@ def test_gen_dataset_shapes_and_partition():
 def test_gen_dataset_two_prompt_flip_tail():
     data = gen_dataset(10, 3, "two_prompt_flip", seed=1)
     assert data.slices[SLICE_KEY] == (8, 9)
-    tail = [data.pairs[i] for i in (8, 9)]
-    assert [p.sample.prompt_id for p in tail] == ["w0a", "w0b"]
-    for pair, offset in zip(tail, (FLIP_OFFSET, -FLIP_OFFSET)):
-        assert pair.sample.delta_u == FLIP_GAP
-        assert pair.sample.delta_ref[PROMPT_OFFSET_KEY] == offset
-        assert not pair.features_pos.any() and not pair.features_neg.any()
-        assert pair.label == 1
+    tail = slice(8, 10)
+    assert data.batch.prompt_ids[tail] == ("w0a", "w0b")
+    assert data.batch.delta_u[tail].tolist() == [FLIP_GAP, FLIP_GAP]
+    offsets = data.batch.delta_ref[PROMPT_OFFSET_KEY][tail].tolist()
+    assert offsets == [FLIP_OFFSET, -FLIP_OFFSET]
+    assert not data.features_pos[tail].any() and not data.features_neg[tail].any()
+    assert data.labels[tail].tolist() == [1, 1]
 
 
 def test_gen_dataset_witness_slice_is_half_the_data():
@@ -123,17 +137,22 @@ def test_gen_dataset_input_guards():
         gen_dataset(3, 4, "witness_slice")
 
 
-def test_dataset_pair_label_domain():
-    data = gen_dataset(4, 2, "none", seed=0)
-    from gkpo.harness import DatasetPair
+def _rewrite_row(path, lineno: int, **fields) -> None:
+    """Set fields of the pair row on line lineno (the header is line 1)."""
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[lineno - 1])
+    row.update(fields)
+    lines[lineno - 1] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n")
 
-    with pytest.raises(ValueError):
-        DatasetPair(
-            sample=data.pairs[0].sample,
-            features_pos=data.pairs[0].features_pos,
-            features_neg=data.pairs[0].features_neg,
-            label=0,
-        )
+
+def test_jsonl_rejects_labels_other_than_plus_or_minus_one(tmp_path):
+    path = tmp_path / "d.jsonl"
+    for label in (0, 2):
+        save_jsonl(gen_dataset(4, 2, "none", seed=0), path)
+        _rewrite_row(path, 3, label=label)
+        with pytest.raises(ValueError, match=rf"{path.name}:3: .*label"):
+            load_jsonl(path)
 
 
 # --- JSONL round-trip -----------------------------------------------------------
@@ -156,8 +175,10 @@ def test_jsonl_round_trip_preserves_everything(tmp_path):
     assert back.slices == data.slices
     assert np.array_equal(back.labels, data.labels)
     assert np.array_equal(back.delta_feature_matrix, data.delta_feature_matrix)
-    for p, q in zip(back.pairs, data.pairs):
-        assert p.sample == q.sample
+    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    samples = [sample_from_row(row) for row in rows]
+    assert_batch_holds(data.batch, samples)
+    assert_batch_holds(back.batch, samples)
     # resaving reproduces the file byte for byte
     path2 = tmp_path / "e.jsonl"
     save_jsonl(back, path2)
@@ -209,18 +230,26 @@ def test_train_run_loss_decreases():
     assert run.loss_trace[-1] < run.loss_trace[0]
 
 
-def weighted_dataset(n: int = 16, dim: int = 3, seed: int = 11) -> SyntheticDataset:
-    """Pairs carrying penalty gaps and weight factors, which gen_dataset omits."""
+def weighted_dataset(
+    n: int = 16, dim: int = 3, seed: int = 11
+) -> tuple[SyntheticDataset, list[PairSample]]:
+    """Pairs carrying penalty gaps and weight factors, which gen_dataset omits,
+    and the samples the dataset's batch is built from."""
     rng = np.random.default_rng(seed)
-    batch = PairBatch(
-        prompt_ids=tuple(f"q{i}" for i in range(n)),
-        delta_u=rng.normal(size=n),
-        delta_phi=Columns({"phi_a": rng.normal(size=n), "phi_b": rng.normal(size=n)}),
-        omega=Columns({"om_a": rng.uniform(0.5, 2.0, n), "om_b": rng.uniform(0.5, 2.0, n)}),
-        delta_ref=Columns(),
-    )
+    du, phi_a, phi_b = rng.normal(size=(3, n)).tolist()
+    om_a, om_b = rng.uniform(0.5, 2.0, (2, n)).tolist()
+    samples = [
+        PairSample(
+            f"q{i}",
+            du[i],
+            delta_phi={"phi_a": phi_a[i], "phi_b": phi_b[i]},
+            omega={"om_a": om_a[i], "om_b": om_b[i]},
+        )
+        for i in range(n)
+    ]
     fp, fn = rng.normal(size=(2, n, dim))
-    return SyntheticDataset(batch, fp, fn, np.ones(n), {}, seed)
+    data = SyntheticDataset(PairBatch.from_samples(samples), fp, fn, np.ones(n), {}, seed)
+    return data, samples
 
 
 WEIGHTINGS = {
@@ -237,7 +266,7 @@ WEIGHTINGS = {
     "loss, link", [("logistic", "identity"), ("mse", "tanh"), ("bce", "logistic")]
 )
 def test_train_run_step_is_minus_rate_times_mean_loss_gradient(weighting, loss, link):
-    data = weighted_dataset()
+    data, samples = weighted_dataset()
     spec = replace(dpo_spec(0.10), loss=loss, link=link, beta=0.7, **WEIGHTINGS[weighting])
     hp = HarnessParams(steps=1, learning_rate=0.3, seeds=(5,))
     run = train_run(spec, data, hp, seed=5)
@@ -247,9 +276,9 @@ def test_train_run_step_is_minus_rate_times_mean_loss_gradient(weighting, loss, 
     # per pair, through the PairSample evaluator: the scorer's gap joins delta_u
     def mean_loss(theta):
         losses = []
-        for p in data.pairs:
-            gap = float(theta @ (p.features_pos - p.features_neg))
-            scored = replace(p.sample, delta_u=p.sample.delta_u + gap)
+        for sample, fp, fn in zip(samples, data.features_pos, data.features_neg):
+            gap = float(theta @ (fp - fn))
+            scored = replace(sample, delta_u=sample.delta_u + gap)
             losses.append(objective(obj.loss, obj.link, obj.beta, object_margin(obj, scored)))
         return np.mean(losses)
 
@@ -277,7 +306,7 @@ def test_train_run_refuses_weight_without_sample_value(weight):
     spec = replace(dpo_spec(), weight=weight)
     hp = HarnessParams(steps=1, seeds=(0,))
     with pytest.raises(ValueError, match=repr(weight.form)):
-        train_run(spec, weighted_dataset(), hp, seed=0)
+        train_run(spec, weighted_dataset()[0], hp, seed=0)
 
 
 def test_harness_params_guards():
@@ -382,13 +411,33 @@ def test_jsonl_malformed_row_names_path_and_line(tmp_path):
     data = gen_dataset(4, 2, "none", seed=3)
     path = tmp_path / "d.jsonl"
     save_jsonl(data, path)
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[2])
-    row["delta_u"] = "high"
-    lines[2] = json.dumps(row)
-    path.write_text("\n".join(lines) + "\n")
+    _rewrite_row(path, 3, delta_u="high")
     with pytest.raises(ValueError, match=rf"{path.name}:3: .*delta_u"):
         load_jsonl(path)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "lineno, line, cause",
+    [
+        (4, '{"prompt_id": "p", "delta_u": 0.5, "features_pos": [1%s, 0.5]}' % ("0" * 400),
+         OverflowError),
+        (4, _DEEP, RecursionError),
+        (1, _DEEP, RecursionError),
+    ],
+    ids=["int_beyond_float", "row_nested_too_deep", "header_nested_too_deep"],
+)
+def test_jsonl_line_python_cannot_hold_names_path_and_line(tmp_path, lineno, line, cause):
+    path = tmp_path / "d.jsonl"
+    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{path.name}:{lineno}: bad ") as err:
+        load_jsonl(path)
+    assert isinstance(err.value.__cause__, cause)
 
 
 # --- scale ---------------------------------------------------------------------------

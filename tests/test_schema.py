@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from gkpo.canonical import opal_hash
 from gkpo.schema import (
+    DatasetOps,
     GkpoObject,
     ParseError,
     PenaltyEntry,
@@ -369,6 +371,44 @@ def test_parse_rejects_strings_utf8_cannot_encode(where, path, escaped):
         parse(text)
     assert info.value.path == path
     assert "UTF-8" in str(info.value)
+
+
+_LONE = "a\udc00b"
+# path of a free-text field no name rule covers -> an object with a lone
+# surrogate there
+_UNENCODABLE = {
+    "score.custom_name": GkpoObject(score=ScoreSpec(type="custom", custom_name=_LONE)),
+    "weight.score_fn": GkpoObject(
+        weight=WeightSpec(form="score_dependent", constant=None, score_fn=_LONE)
+    ),
+    "dataset_ops.group_weights[1]": GkpoObject(
+        dataset_ops=DatasetOps(group_weights=("g", _LONE))
+    ),
+    "dataset_ops.group_penalties[0]": GkpoObject(
+        dataset_ops=DatasetOps(group_penalties=(_LONE,))
+    ),
+    "provenance.method": GkpoObject(provenance=Provenance(method=_LONE)),
+    "provenance.citations[1]": GkpoObject(
+        provenance=Provenance(method="DPO", citations=("c", _LONE))
+    ),
+    "provenance.notes": GkpoObject(provenance=Provenance(method="DPO", notes="\ud800")),
+    f"reducibility.witness.{_LONE}": GkpoObject(
+        reducibility=ReducibilityBlock(
+            inside_R=False, reasons=("reference_shift",), witness={_LONE: 1.0}
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(_UNENCODABLE))
+def test_validate_rejects_free_text_utf8_cannot_encode(path):
+    """An object built in Python skips parse; validate must still refuse a lone
+    surrogate, so hashing fails with a violation rather than UnicodeEncodeError."""
+    obj = _UNENCODABLE[path]
+    assert [v.path for v in validate(obj)] == [path]
+    with pytest.raises(ValueError, match="invalid GKPO object") as info:
+        opal_hash(obj)
+    assert not isinstance(info.value, UnicodeError)
 
 
 def test_parse_accepts_escaped_surrogate_pairs_and_backslash_u_text():
