@@ -26,19 +26,18 @@ products not constant to a relative ABSORB_TOL), "penalty_not_representable", an
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from . import algebra
 from .algebra import PairSample
-from .reducibility import ShiftProbeResult, classify, probe_shift
+from .reducibility import Evidence, classify
 from .schema import (
     METHODS,
     DatasetOps,
     GkpoObject,
     PenaltyEntry,
     Provenance,
-    ReducibilityBlock,
     ReferenceSpec,
     ScoreSpec,
     WeightSpec,
@@ -221,7 +220,6 @@ def _base(
     reference: ReferenceSpec,
     penalties: tuple[PenaltyEntry, ...] = (),
     weight: WeightSpec | None = None,
-    reducibility: ReducibilityBlock | None = None,
 ) -> GkpoObject:
     return GkpoObject(
         score=ScoreSpec(type="logpi"),
@@ -233,7 +231,6 @@ def _base(
         penalties=penalties,
         dataset_ops=DatasetOps(),
         provenance=Provenance(method=method, citations=CITATIONS[method]),
-        reducibility=reducibility if reducibility is not None else ReducibilityBlock(),
     )
 
 
@@ -242,9 +239,12 @@ def _penalty_entries(table: Mapping[str, float]) -> tuple[PenaltyEntry, ...]:
 
 
 def to_gkpo(cfg: MethodConfig) -> GkpoObject:
+    """The GKPO object of a method config; its reducibility block is classify's,
+    with ORPO's shift_evidence (when given) as the witness's evidence."""
     cfg = normalize_config(cfg)
     p = cfg.params
     beta = p["beta"]
+    evidence = None
 
     if cfg.method == "DPO":
         obj = _base(
@@ -267,38 +267,21 @@ def to_gkpo(cfg: MethodConfig) -> GkpoObject:
         if p["offset_mode"] == "fixed":
             obj = _base("ORPO", beta, _reference(p["offset"]))
         else:
-            witness: dict[str, Any] = {}
             ev = p["shift_evidence"]
             if ev is not None:
-                o1, o2 = ev["offsets"]
-                outcome: ShiftProbeResult = probe_shift(
-                    [(ev["raw_gap"], o1), (ev["raw_gap"], o2)]
-                )
-                if outcome.witness is not None:
-                    witness = outcome.witness.as_witness_map()
-            obj = _base(
-                "ORPO",
-                beta,
-                ReferenceSpec(form="per_prompt", value=None),
-                reducibility=ReducibilityBlock(
-                    inside_R=False, reasons=("reference_shift",), witness=witness
-                ),
-            )
+                gap, (o1, o2) = ev["raw_gap"], ev["offsets"]
+                evidence = Evidence(shift_pairs=((gap, o1), (gap, o2)))
+            obj = _base("ORPO", beta, ReferenceSpec(form="per_prompt", value=None))
     else:  # KTO_GRPO
         mode = p["weight_mode"]
         if mode == "product":
             weight = WeightSpec(form="product", constant=None, factors=tuple(p["factors"]))
-            block = ReducibilityBlock()
         elif mode == "score_dependent":
             weight = WeightSpec(form="score_dependent", constant=None, score_fn=p["score_fn"])
-            block = ReducibilityBlock(inside_R=False, reasons=("score_dependent_weight",))
         else:
             weight = WeightSpec(form="constant", constant=1.0)
-            block = ReducibilityBlock()
-        obj = _base(
-            "KTO_GRPO", beta, _reference(p["ref"]), weight=weight, reducibility=block
-        )
-    return require_valid(obj)
+        obj = _base("KTO_GRPO", beta, _reference(p["ref"]), weight=weight)
+    return require_valid(replace(obj, reducibility=classify(obj, evidence)))
 
 
 # ---------------------------------------------------------------------------

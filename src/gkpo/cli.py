@@ -3,8 +3,9 @@ harness, diff.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 usage error
 (including unreadable files and bad harness configs). Every nonzero exit
-writes one machine-parsable JSON line to stderr. Primary output is JSON on
-stdout; --pretty indents it for reading.
+writes one machine-parsable JSON line to stderr; `main` is the one place that
+turns a library error into that line. Primary output is JSON on stdout;
+--pretty indents it for reading.
 
 Each command imports the modules it runs inside its own body, so a cold
 `gkpo validate` loads only gkpo.schema and `gkpo hash` adds gkpo.canonical.
@@ -25,7 +26,9 @@ from .schema import (
     METHODS,
     GkpoObject,
     ParseError,
+    Violation,
     WeightSpec,
+    is_finite_number,
     parse,
     serialize,
     validate,
@@ -65,13 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(payload: Any, pretty: bool = False) -> None:
-    """Print payload as strict JSON; a NaN or infinity in it is a _Failure."""
+    """Print payload as strict JSON; a NaN or infinity in it is a ValueError."""
     layout: dict[str, Any] = {"indent": 2} if pretty else {"separators": (",", ":")}
-    try:
-        text = json.dumps(payload, ensure_ascii=False, allow_nan=False, **layout)
-    except ValueError as exc:
-        raise _Failure(f"result is not strict JSON: {exc}") from None
-    print(text)
+    print(json.dumps(payload, ensure_ascii=False, allow_nan=False, **layout))
 
 
 def _read_text(path: str) -> str:
@@ -83,21 +82,14 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str) -> Any:
-    """Decoded JSON from a file; malformed or too deeply nested text is a ValueError."""
+    """Decoded JSON from a file; malformed or too deeply nested text is a
+    ValueError that names the file."""
     try:
         return json.loads(_read_text(path))
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-def _number(token: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise _UsageError(f"{token!r} is not a finite number")
-    return value
+        raise ValueError(f"{path}: not JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
 
 
 def _load_object(path: str) -> GkpoObject:
@@ -129,18 +121,10 @@ def _load_probe(path: str) -> list[PairSample]:
 
 def cmd_validate(args) -> int:
     try:
-        obj = parse(_read_text(args.path))
-        violations = validate(obj)
-    except ParseError as exc:
-        _print_json(
-            {
-                "path": args.path,
-                "valid": False,
-                "violations": [{"path": exc.path, "message": str(exc)}],
-            },
-            args.pretty,
-        )
-        raise _Failure(f"{args.path}: {exc}") from exc
+        violations = validate(parse(_read_text(args.path)))
+        summary = f"{len(violations)} violation(s)"
+    except ParseError as exc:  # the parse error is the one violation
+        violations, summary = [Violation(exc.path, str(exc))], str(exc)
     _print_json(
         {
             "path": args.path,
@@ -150,7 +134,7 @@ def cmd_validate(args) -> int:
         args.pretty,
     )
     if violations:
-        raise _Failure(f"{args.path}: {len(violations)} violation(s)")
+        raise _Failure(f"{args.path}: {summary}")
     return EXIT_OK
 
 
@@ -165,10 +149,7 @@ def _canonical_bytes(args) -> bytes:
         probe = _load_probe(args.probe)
     elif args.probe:
         raise _UsageError("--probe only applies with --scale-fix")
-    try:
-        return canonicalize(obj, probe=probe)
-    except ValueError as exc:
-        raise _Failure(str(exc)) from exc
+    return canonicalize(obj, probe=probe)
 
 
 def cmd_canonicalize(args) -> int:
@@ -190,20 +171,12 @@ def cmd_hash(args) -> int:
 def cmd_convert(args) -> int:
     from .adapters import MethodConfig, from_gkpo, to_gkpo
 
-    try:
-        raw = _read_json(args.path)
-    except ValueError as exc:
-        raise _Failure(f"{args.path}: not JSON: {exc}") from exc
-
+    raw = _read_json(args.path)
     if isinstance(raw, dict) and "method" in raw:  # adapter config -> GKPO
         if args.to not in (None, "gkpo"):
             raise _UsageError("config input converts to GKPO; drop --to or use --to gkpo")
         params = {k: v for k, v in raw.items() if k != "method"}
-        try:
-            obj = to_gkpo(MethodConfig(raw["method"], params))
-        # TypeError: a wrong-typed value; OverflowError: an int beyond float range
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise _Failure(str(exc)) from exc
+        obj = to_gkpo(MethodConfig(raw["method"], params))
         sys.stdout.write(serialize(obj) + "\n")
         return EXIT_OK
 
@@ -211,10 +184,7 @@ def cmd_convert(args) -> int:
         raise _UsageError("GKPO input needs --to with a method name")
     obj = _load_object(args.path)
     probe = _load_probe(args.probe) if args.probe else None
-    try:
-        result = from_gkpo(obj, args.to, probe=probe)
-    except ValueError as exc:
-        raise _Failure(str(exc)) from exc
+    result = from_gkpo(obj, args.to, probe=probe)
     payload: dict[str, Any] = {
         "outcome": result.outcome,
         "reasons": list(result.reasons),
@@ -229,75 +199,97 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _probe_payload(args) -> dict[str, Any]:
+# Each probe's row width and its input as argv shows it; --file holds the
+# same rows as JSON.
+_PROBES = {
+    "shift": (2, "RAW_GAP OFFSET OFFSET [OFFSET ...]"),
+    "gate": (3, "PHI1,PHI2,TOTAL [PHI1,PHI2,TOTAL ...]"),
+    "score": (4, "DELTA_U SHIFT PSI_BELOW PSI_AT_OR_ABOVE"),
+}
+_SCORE_KEYS = ("delta_u", "penalty_shift", "psi_below", "psi_at_or_above")
+
+
+def _argv_number(token: str) -> float | str:
+    """float(token), or the token itself for the number rule to refuse."""
+    try:
+        value = float(token)
+    except ValueError:
+        return token
+    return value if math.isfinite(value) else token
+
+
+def _probe_rows(args) -> list[tuple[Any, ...]]:
+    """The probe's input rows, read the same way from argv and from --file.
+
+    shift rows are (gap, offset) pairs, gate rows (phi1, phi2, total) triples,
+    and score is one (delta_u, penalty_shift, psi_below, psi_at_or_above) row.
+    Every value must be a number (not a bool or a string) that is finite as a
+    float; argv tokens are read with float() first. A bad shape or value is a
+    usage error on the command line and a failure in a file.
+    """
+    width, usage = _PROBES[args.kind]
+    if args.file:
+        if args.values:
+            raise _UsageError("give probe values or --file, not both")
+        error, where = _Failure, f"{args.file}: "
+        spec = _read_json(args.file)
+        if args.kind == "score":
+            if not (isinstance(spec, dict) and set(spec) == set(_SCORE_KEYS)):
+                raise _Failure(f"{where}score needs an object with exactly the "
+                               f"keys {', '.join(_SCORE_KEYS)}")
+            rows = [[spec[key] for key in _SCORE_KEYS]]
+        elif isinstance(spec, list):
+            rows = spec
+        else:
+            raise _Failure(f"{where}{args.kind} needs a JSON array of rows")
+    else:
+        error, where, values = _UsageError, "", args.values
+        if args.kind == "shift":
+            rows = [[values[0], v] for v in values[1:]] if len(values) >= 3 else []
+        elif args.kind == "gate":
+            rows = [token.split(",") for token in values]
+        else:
+            rows = [values]
+        if not rows:
+            raise _UsageError(f"{args.kind} needs {usage}")
+        rows = [[_argv_number(token) for token in row] for row in rows]
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise error(f"{where}{args.kind} row {json.dumps(row)} is not {width} numbers")
+        for value in row:
+            if not is_finite_number(value):
+                raise error(f"{where}{json.dumps(value)} is not a finite number")
+    return [tuple(row) for row in rows]
+
+
+def cmd_probe(args) -> int:
     from .reducibility import PiecewisePsi, probe_gate, probe_score, probe_shift
 
-    spec = _read_json(args.file) if args.file else None
-
+    rows = _probe_rows(args)
+    payload: dict[str, Any] = {"kind": args.kind}
     if args.kind == "shift":
-        if spec is not None:
-            pairs = [(row[0], row[1]) for row in spec]
-        else:
-            if len(args.values) < 3:
-                raise _UsageError("shift needs RAW_GAP and at least two offsets")
-            gap = _number(args.values[0])
-            pairs = [(gap, _number(v)) for v in args.values[1:]]
-        outcome = probe_shift(pairs)
-        payload: dict[str, Any] = {"kind": "shift", "feasible": outcome.feasible}
+        outcome = probe_shift(rows)
+        payload["feasible"] = outcome.feasible
         if outcome.feasible:
             payload["fixed_reference"] = outcome.fixed_reference
         else:
             payload["witness"] = outcome.witness.as_witness_map()
             payload["margins"] = list(outcome.witness.margins)
-        return payload
-
-    if args.kind == "gate":
-        if spec is not None:
-            items = [tuple(row) for row in spec]
-        else:
-            items = []
-            for token in args.values:
-                parts = token.split(",")
-                if len(parts) != 3:
-                    raise _UsageError(f"gate item {token!r} is not PHI1,PHI2,TOTAL")
-                items.append(tuple(_number(p) for p in parts))
-            if not items:
-                raise _UsageError("gate needs at least one PHI1,PHI2,TOTAL item")
-        outcome = probe_gate(items)
-        payload = {"kind": "gate", "feasible": outcome.feasible}
+    elif args.kind == "gate":
+        outcome = probe_gate(rows)
+        payload["feasible"] = outcome.feasible
         if outcome.feasible:
             payload["coefficients"] = list(outcome.coefficients)
         else:
             payload["witness"] = outcome.witness.as_witness_map()
             forced = outcome.witness.forced_coefficients
             payload["forced_coefficients"] = list(forced) if forced else None
-        return payload
-
-    # score
-    if spec is not None:
-        du, shift = spec["delta_u"], spec["penalty_shift"]
-        below, above = spec["psi_below"], spec["psi_at_or_above"]
     else:
-        if len(args.values) != 4:
-            raise _UsageError("score needs DELTA_U SHIFT PSI_BELOW PSI_AT_OR_ABOVE")
-        du, shift, below, above = (_number(v) for v in args.values)
-    outcome = probe_score(du, shift, PiecewisePsi(below, above))
-    return {
-        "kind": "score",
-        "order_weight_first": outcome.order_weight_first,
-        "order_penalty_first": outcome.order_penalty_first,
-        "flipped": outcome.flipped,
-    }
-
-
-def cmd_probe(args) -> int:
-    try:
-        payload = _probe_payload(args)
-    except _UsageError:
-        raise
-    # OverflowError: an int in the file beyond float range
-    except (ValueError, KeyError, IndexError, TypeError, OverflowError) as exc:
-        raise _Failure(f"probe failed: {exc}") from exc
+        du, shift, below, above = rows[0]
+        outcome = probe_score(du, shift, PiecewisePsi(below, above))
+        payload["order_weight_first"] = outcome.order_weight_first
+        payload["order_penalty_first"] = outcome.order_penalty_first
+        payload["flipped"] = outcome.flipped
     _print_json(payload, args.pretty)
     return EXIT_OK
 
@@ -495,11 +487,7 @@ def cmd_diff(args) -> int:
 
     a = _load_object(args.path_a)
     b = _load_object(args.path_b)
-    try:
-        delta = diff(a, b)
-    except ValueError as exc:
-        raise _Failure(str(exc)) from exc
-    payload = [{"path": p, "a": va, "b": vb} for p, va, vb in delta]
+    payload = [{"path": p, "a": va, "b": vb} for p, va, vb in diff(a, b)]
     _print_json(payload, args.pretty)
     return EXIT_OK  # a nonempty delta is an answer, not an error
 
@@ -570,11 +558,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.values += extras
         return args.fn(args)
     except _UsageError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_USAGE}), file=sys.stderr)
-        return EXIT_USAGE
-    except _Failure as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_FAILURE}), file=sys.stderr)
-        return EXIT_FAILURE
+        code, message = EXIT_USAGE, str(exc)
+    # ValueError covers ParseError and a non-finite result; TypeError is a
+    # wrong-typed config value, OverflowError an int beyond float range
+    except (_Failure, ValueError, TypeError, OverflowError) as exc:
+        code, message = EXIT_FAILURE, str(exc)
+    print(json.dumps({"error": message, "code": code}), file=sys.stderr)
+    return code
 
 
 def run() -> None:

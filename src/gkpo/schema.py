@@ -491,8 +491,14 @@ def serialize(obj: GkpoObject) -> str:
 # Validation
 
 
-def _finite(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def is_finite_number(x: Any) -> bool:
+    """True for an int or float (not a bool) that is finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 _QUANTUM = Decimal("0.000001")
@@ -529,7 +535,7 @@ def validate(obj: GkpoObject) -> list[Violation]:
     def positive(path: str, x: Any):
         # a positive value that quantizes to 0 would canonicalize to an
         # invalid object and hash equal to every other such value
-        if not _finite(x) or x <= 0:
+        if not is_finite_number(x) or x <= 0:
             bad(path, "must be a finite positive real")
         elif x < _STEP and quantize(x) == 0:
             bad(path, "must not round to 0 on the canonical 1e-6 grid")
@@ -538,14 +544,14 @@ def validate(obj: GkpoObject) -> list[Violation]:
         bad("version", f"must be {SCHEMA_VERSION!r}, got {obj.version!r}")
 
     # score
-    if obj.score.type not in SCORE_TYPES:
+    if not isinstance(obj.score.type, str) or obj.score.type not in SCORE_TYPES:
         bad("score.type", f"unknown score type {obj.score.type!r}")
     if (obj.score.custom_name is not None) != (obj.score.type == "custom"):
         bad("score.custom_name", "present iff score.type is 'custom'")
 
     # weight
     w = obj.weight
-    if w.form not in WEIGHT_FORMS:
+    if not isinstance(w.form, str) or w.form not in WEIGHT_FORMS:
         bad("weight.form", f"unknown weight form {w.form!r}")
     if w.form == "constant":
         if w.constant is None:
@@ -564,21 +570,21 @@ def validate(obj: GkpoObject) -> list[Violation]:
 
     # reference
     r = obj.reference
-    if r.form not in REFERENCE_FORMS:
+    if not isinstance(r.form, str) or r.form not in REFERENCE_FORMS:
         bad("reference.form", f"unknown reference form {r.form!r}")
     if r.form in ("fixed_zero", "fixed_scalar"):
         if r.value is None:
             bad("reference.value", "required for fixed reference forms")
-        elif not _finite(r.value):
+        elif not is_finite_number(r.value):
             bad("reference.value", "must be a finite real")
         elif r.form == "fixed_zero" and r.value != 0:
             bad("reference.value", "must be 0 for fixed_zero")
     elif r.value is not None:
         bad("reference.value", "only allowed for fixed reference forms")
 
-    if obj.link not in LINK_NAMES:
+    if not isinstance(obj.link, str) or obj.link not in LINK_NAMES:
         bad("link", f"unknown link {obj.link!r}")
-    if obj.loss not in LOSS_NAMES:
+    if not isinstance(obj.loss, str) or obj.loss not in LOSS_NAMES:
         bad("loss", f"unknown loss {obj.loss!r}")
     positive("beta", obj.beta)
 
@@ -586,30 +592,34 @@ def validate(obj: GkpoObject) -> list[Violation]:
     for i, p in enumerate(obj.penalties):
         if not is_name(p.name):
             bad(f"penalties[{i}].name", f"invalid penalty name {p.name!r}")
-        if p.name in seen:
+        elif p.name in seen:
             bad(f"penalties[{i}].name", f"duplicate penalty name {p.name!r}")
-        seen.add(p.name)
-        if not _finite(p.coeff):
+        else:
+            seen.add(p.name)
+        if not is_finite_number(p.coeff):
             bad(f"penalties[{i}].lambda", "must be a finite real")
         if p.meta_gate is not None and not isinstance(p.meta_gate, bool):
             bad(f"penalties[{i}].meta.gate", "must be a boolean")
 
-    if obj.dataset_ops.composition not in COMPOSITIONS:
-        bad("dataset_ops.composition",
-            f"unknown composition {obj.dataset_ops.composition!r}")
+    composition = obj.dataset_ops.composition
+    if not isinstance(composition, str) or composition not in COMPOSITIONS:
+        bad("dataset_ops.composition", f"unknown composition {composition!r}")
 
-    if obj.provenance.opal_hash is not None and not _HASH_RE.match(
-        obj.provenance.opal_hash
+    opal_hash = obj.provenance.opal_hash
+    if opal_hash is not None and not (
+        isinstance(opal_hash, str) and _HASH_RE.match(opal_hash)
     ):
         bad("provenance.opal_hash", "must be 64 lowercase hex characters")
 
     red = obj.reducibility
-    if red.inside_R and red.reasons:
+    if not isinstance(red.inside_R, bool):
+        bad("reducibility.inside_R", "must be a boolean")
+    elif red.inside_R and red.reasons:
         bad("reducibility", "inside_R is true but reasons are present")
-    if not red.inside_R and not red.reasons:
+    elif not red.inside_R and not red.reasons:
         bad("reducibility.reasons", "inside_R is false but no reason is given")
     for i, reason in enumerate(red.reasons):
-        if reason not in REASON_CODES:
+        if not isinstance(reason, str) or reason not in REASON_CODES:
             bad(f"reducibility.reasons[{i}]", f"unknown reason {reason!r}")
     for key in red.witness:
         value = red.witness[key]
@@ -617,29 +627,37 @@ def validate(obj: GkpoObject) -> list[Violation]:
         if isinstance(value, bool):
             bad(path, "must be a number or a flat number array")
         elif isinstance(value, (int, float)):
-            if not math.isfinite(value):
+            if not is_finite_number(value):
                 bad(path, "must be finite")
         elif isinstance(value, (list, tuple)):
             for j, item in enumerate(value):
-                if not _finite(item):
+                if not is_finite_number(item):
                     bad(f"{path}[{j}]", "must be a finite number")
         else:
             bad(path, "must be a number or a flat number array")
 
-    # free text that no name rule covers must still encode, or hashing fails
+    # free text that no name rule covers must be strings that encode, or
+    # hashing fails; None stands for an absent custom_name or score_fn
     prov, ops = obj.provenance, obj.dataset_ops
+    custom_name, score_fn = obj.score.custom_name, w.score_fn
     try:  # encoding all of it at once spares the usual object the walk by field
         "".join([
-            obj.score.custom_name or "", w.score_fn or "", prov.method, prov.notes,
+            "" if custom_name is None else custom_name,
+            "" if score_fn is None else score_fn,
+            prov.method, prov.notes,
             *prov.citations, *ops.group_weights, *ops.group_penalties, *red.witness,
         ]).encode("utf-8")
     except (TypeError, UnicodeEncodeError):  # a non-string, or a lone surrogate
         def encodable(path: str, text: Any):
-            if isinstance(text, str) and _SURROGATE.search(text):
+            if not isinstance(text, str):
+                bad(path, "must be a string")
+            elif _SURROGATE.search(text):
                 bad(path, "not UTF-8 encodable (lone surrogate)")
 
-        encodable("score.custom_name", obj.score.custom_name)
-        encodable("weight.score_fn", w.score_fn)
+        if custom_name is not None:
+            encodable("score.custom_name", custom_name)
+        if score_fn is not None:
+            encodable("weight.score_fn", score_fn)
         for group in ("group_weights", "group_penalties"):
             for i, text in enumerate(getattr(ops, group)):
                 encodable(f"dataset_ops.{group}[{i}]", text)

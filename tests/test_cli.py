@@ -605,6 +605,84 @@ def test_probe_never_prints_non_finite_json(capsys, tmp_path, argv, file_text, e
     assert_single_error_line(err, expected)
 
 
+SCORE_SPEC = {"delta_u": 0.4, "penalty_shift": -0.8, "psi_below": 2.0, "psi_at_or_above": 0.5}
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("shift", [[0.2, 0.5], [0.2, True]]),
+        ("shift", [["0.2", "0.5"], [0.2, -0.5]]),
+        ("shift", [[0.2], [0.2, -0.5]]),
+        ("shift", [[0.2, 0.5, 9.0], [0.2, -0.5]]),
+        ("shift", {"rows": [[0.2, 0.5], [0.2, -0.5]]}),
+        ("gate", [[1, 10], [0, 1, 1]]),
+        ("gate", [[1, 10, "1"], [0, 1, 1]]),
+        ("score", {**SCORE_SPEC, "psi_below": True}),
+        ("score", {**SCORE_SPEC, "psi_below": "2.0"}),
+        ("score", {k: v for k, v in SCORE_SPEC.items() if k != "psi_below"}),
+        ("score", {**SCORE_SPEC, "threshold": 0.0}),
+        ("score", {"delta_u": 10**400, "penalty_shift": 0, "psi_below": 1,
+                   "psi_at_or_above": 2}),
+        ("score", [list(SCORE_SPEC.values())]),
+    ],
+    ids=["shift-bool", "shift-string", "shift-row-of-1", "shift-row-of-3",
+         "shift-object", "gate-row-of-2", "gate-string", "score-bool",
+         "score-string", "score-missing-key", "score-extra-key", "score-401-digits",
+         "score-array"],
+)
+def test_malformed_probe_file_is_failure(capsys, tmp_path, kind, spec):
+    """A probe file holds exactly the rows the command line gives, and its
+    numbers follow the command line's rule; a file that breaks either exits 1."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "probe", kind, "--file", str(path))
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert_single_error_line(err, EXIT_FAILURE)
+    assert set(json.loads(err)) == {"error", "code"}
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["shift", "0.20", "0.50", "-0.50"], [[0.2, 0.5], [0.2, -0.5]]),
+        (["shift", "0.2", "0.1", "0.05"], [[0.2, 0.1], [0.2, 0.05]]),
+        (["gate", "1,10,1", "0,1,1"], [[1.0, 10.0, 1.0], [0.0, 1.0, 1.0]]),
+        (["gate", "1,0,0.5", "0,1,2"], [[1.0, 0.0, 0.5], [0.0, 1.0, 2.0]]),
+        (["score", "0.40", "-0.80", "2.0", "0.5"], SCORE_SPEC),
+    ],
+)
+def test_probe_file_and_command_line_read_the_same_rows(capsys, tmp_path, argv, spec):
+    code, from_argv, _ = run_cli(capsys, "probe", *argv)
+    assert code == EXIT_OK
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(spec))
+    code, from_file, _ = run_cli(capsys, "probe", argv[0], "--file", str(path))
+    assert code == EXIT_OK
+    assert from_file == from_argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shift", "0.2", "true", "0.5"],
+        ["gate", "1,10,1,0"],
+        ["score", "0.4", "-0.8", "2.0", "0.5", "1"],
+        ["shift", "0.2", "0.5", "-0.5", "--file", "FILE"],
+        ["shift", "--file", "FILE", "0.2", "0.5", "-0.5"],
+    ],
+)
+def test_bad_probe_command_line_is_usage_error(capsys, tmp_path, argv):
+    """Bad command-line values stay usage errors, and so do values given
+    together with --file."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps([[0.2, 0.5], [0.2, -0.5]]))
+    argv = [str(path) if token == "FILE" else token for token in argv]
+    code, out, err = run_cli(capsys, "probe", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert_single_error_line(err, EXIT_USAGE)
+
+
 @pytest.mark.parametrize(
     "config",
     [{"size": 10**13}, {"size": 4, "feature_dim": 10**13, "steps": 1}],
@@ -788,15 +866,15 @@ _json_values = st.recursive(
     | st.dictionaries(_fuzz_text(max_size=12), inner, max_size=4),
     max_leaves=12,
 )
-# 10**400 is valid JSON that no float can hold
-_probe_numbers = st.floats() | st.just(10**400)
+# 10**400 is valid JSON that no float can hold; a bool or a numeric string is
+# not a number in a probe file
+_probe_numbers = st.floats() | st.just(10**400) | st.booleans() | st.floats().map(str)
 _probe_files = st.one_of(
     _json_values,
-    st.lists(st.lists(_probe_numbers, min_size=2, max_size=3), max_size=4),
-    st.fixed_dictionaries(
-        dict.fromkeys(["delta_u", "penalty_shift", "psi_below", "psi_at_or_above"],
-                      _probe_numbers)
-    ),
+    st.lists(st.lists(_probe_numbers, min_size=1, max_size=4), max_size=4),
+    st.fixed_dictionaries(dict.fromkeys(SCORE_SPEC, _probe_numbers)),
+    # a missing or an extra key
+    st.dictionaries(st.sampled_from([*SCORE_SPEC, "threshold"]), _probe_numbers),
 ).map(lambda value: json.dumps(value).encode())
 
 
@@ -819,7 +897,9 @@ def cli_runs(draw):
         kind = draw(st.sampled_from(["shift", "gate", "score"]))
         argv = ["probe", kind, *draw(st.sampled_from([[], ["--"], ["--pretty"]]))]
         if draw(st.booleans()):
-            return [*argv, "--file", "FILE"], draw(_probe_files)
+            # values together with --file are a usage error
+            values = draw(st.sampled_from([[], [], ["0.2"]]))
+            return [*argv, *values, "--file", "FILE"], draw(_probe_files)
         token = st.sampled_from(FUZZ_NUMBERS) | st.floats(
             allow_nan=False, allow_infinity=False
         ).map(repr)

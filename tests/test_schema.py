@@ -1,5 +1,6 @@
 """Strict parsing and validation behavior."""
 
+import dataclasses
 import json
 import math
 
@@ -23,7 +24,7 @@ from gkpo.schema import (
     validate,
 )
 
-from conftest import fixture_text, load_fixture
+from conftest import FIXTURES, fixture_text, load_fixture
 
 MINIMAL = {
     "version": "gkpo-1.0",
@@ -416,3 +417,103 @@ def test_parse_accepts_escaped_surrogate_pairs_and_backslash_u_text():
     obj = parse(doc(provenance={"method": "DPO", "notes": notes}))
     assert obj.provenance.notes == notes
 
+
+
+# --- validate never raises on wrong-typed fields ----------------------------------
+
+_FULL = GkpoObject(
+    score=ScoreSpec(type="custom", custom_name="my_score"),
+    weight=WeightSpec(form="score_dependent", constant=None, score_fn="psi"),
+    reference=ReferenceSpec(form="fixed_scalar", value=0.5),
+    penalties=(PenaltyEntry(name="len", coeff=0.2, meta_gate=False),),
+    dataset_ops=DatasetOps(group_weights=("g",), group_penalties=("h",)),
+    provenance=Provenance(method="X", citations=("c",), notes="n", opal_hash="0" * 64),
+    reducibility=ReducibilityBlock(
+        inside_R=False,
+        reasons=("score_dependent_weight",),
+        witness={"delta_u": 1.0, "phi_pairs": [1.0, 2.0]},
+    ),
+)
+# one value of each JSON type; a field gets every type but its own
+_JSON_VALUES = {"null": None, "boolean": True, "number": 1, "string": "x",
+                "array": ["x"], "object": {"x": 1}}
+_WIRE_NAMES = {"coeff": "lambda", "meta_gate": "meta.gate"}
+
+
+def _json_type(value):
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", tuple: "array", dict: "object"}[type(value)]
+
+
+def _leaves(node, path=()):
+    """(path, value) for every scalar under node; path holds field names,
+    witness keys and sequence indices."""
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _leaves(getattr(node, f.name), (*path, f.name))
+    elif isinstance(node, dict):
+        for key, item in node.items():
+            yield from _leaves(item, (*path, key))
+    elif isinstance(node, (list, tuple)):
+        for i, item in enumerate(node):
+            yield from _leaves(item, (*path, i))
+    elif node is not None:
+        yield path, node
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if dataclasses.is_dataclass(node):
+        return dataclasses.replace(node, **{head: _replaced(getattr(node, head), rest, value)})
+    if isinstance(node, dict):
+        return {**node, head: _replaced(node[head], rest, value)}
+    items = list(node)
+    items[head] = _replaced(items[head], rest, value)
+    return type(node)(items)
+
+
+def _violation_path(path):
+    text = ""
+    for part in path:
+        if isinstance(part, int):
+            text += f"[{part}]"
+        else:
+            text += ("." if text else "") + _WIRE_NAMES.get(part, part)
+    return text
+
+
+def _wrong_typed_cases():
+    objects = [_FULL] + [
+        load_fixture(name) for name in sorted(p.name for p in FIXTURES.glob("*.json"))
+    ]
+    for obj in objects:
+        for path, value in _leaves(obj):
+            for kind, replacement in [*_JSON_VALUES.items(), ("big int", 10**400)]:
+                if kind == _json_type(value):
+                    continue
+                if replacement is None and path[-1] in ("opal_hash", "meta_gate"):
+                    continue  # None is how these optional fields are absent
+                yield obj, path, replacement
+
+
+def test_validate_reports_wrong_typed_fields_without_raising():
+    """Each scalar of a valid object built in Python, replaced by a value of
+    another JSON type or by an int beyond float range, gives a violation at
+    its own path."""
+    assert validate(_FULL) == []
+    cases = 0
+    for obj, path, replacement in _wrong_typed_cases():
+        assert validate(obj) == []
+        found = validate(_replaced(obj, path, replacement))
+        where = _violation_path(path)
+        # a witness value that became an array is reported at its item
+        assert any(v.path in (where, f"{where}[0]") for v in found), (
+            where, replacement, found,
+        )
+        cases += 1
+    assert cases > 500
