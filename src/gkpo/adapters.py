@@ -31,7 +31,7 @@ from typing import Any, Iterable, Mapping
 
 from . import algebra
 from .algebra import PairSample
-from .reducibility import Evidence, classify
+from .reducibility import Evidence, classify, structural_reasons
 from .schema import (
     METHODS,
     DatasetOps,
@@ -315,7 +315,7 @@ def from_gkpo(
         raise ValueError(f"unknown target method {target!r}")
     require_valid(obj)
 
-    flagged = set(obj.reducibility.reasons) | set(classify(obj).reasons)
+    flagged = structural_reasons(obj).union(obj.reducibility.reasons)
     if flagged or not obj.reducibility.inside_R:
         return ConversionResult(BLOCKED, reasons=tuple(sorted(flagged)))
 

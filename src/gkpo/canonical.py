@@ -4,12 +4,15 @@ Canonical form is produced in three steps:
 
 * normalisation: the plain `schema.to_json_dict` mapping with penalties sorted
   by name and factor / citation / group / reason lists sorted (reasons
-  deduplicated); validation runs first, so penalty names are unique;
+  deduplicated); the object must be valid, so penalty names are unique. An
+  object that `schema.validate` has already passed is not checked again (it
+  is immutable); any other object is validated first (ValueError);
 * optional scale fixing: with a probe set, the constant c that brings the
   probe median of |delta f*| to 1 is absorbed as weight.constant/c and beta*c
   (constant-form weights only; an all-zero probe leaves c at 1 and flags
-  scale_undefined); the rescaled object is validated again, so a beta pushed
-  below the 1e-6 grid raises ValueError instead of emitting "beta":0;
+  scale_undefined); the rescaled object is a new object and is validated, so
+  a beta pushed below the 1e-6 grid raises ValueError instead of emitting
+  "beta":0;
 * serialization: keys sorted lexicographically at every level, numbers rounded
   half-even to 1e-6 and emitted as the shortest plain decimal of the rounded
   value (no exponent, no trailing zeros, "-0" becomes "0"), compact

@@ -290,8 +290,22 @@ def cmd_probe(args) -> int:
         payload["order_weight_first"] = outcome.order_weight_first
         payload["order_penalty_first"] = outcome.order_penalty_first
         payload["flipped"] = outcome.flipped
+    if not _finite_numbers(payload):
+        # an all-int score file computes in exact ints, which can pass any float
+        raise _Failure(f"{args.kind} probe result is not a finite float")
     _print_json(payload, args.pretty)
     return EXIT_OK
+
+
+def _finite_numbers(value: Any) -> bool:
+    """True when every number in value, at any depth, is finite as a float."""
+    if isinstance(value, dict):
+        return all(map(_finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_numbers, value))
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        is_finite_number(value)
+    )
 
 
 def _demo_lines() -> list[str]:

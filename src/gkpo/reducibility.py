@@ -285,8 +285,8 @@ class Evidence:
     score_case: tuple[float, float, PiecewisePsi] | None = None
 
 
-def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityBlock:
-    """Structural membership decision plus evidence-backed witnesses.
+def structural_reasons(obj: GkpoObject) -> set[str]:
+    """The reason codes that put obj outside the reducible class; empty inside.
 
     Inside the class iff the reference form is fixed (fixed_zero, fixed_scalar,
     or per_dataset, which is constant within its dataset scope), no penalty is
@@ -294,14 +294,20 @@ def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityB
     conservatively flagged score_dependent_weight.
     """
     reasons: set[str] = set()
-    witness: dict[str, Any] = {}
-
     if obj.reference.form in ("per_prompt", "custom"):
         reasons.add("reference_shift")
     if any(p.meta_gate for p in obj.penalties):
         reasons.add("non_additive_gate")
     if obj.weight.form in ("score_dependent", "custom"):
         reasons.add("score_dependent_weight")
+    return reasons
+
+
+def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityBlock:
+    """structural_reasons as a reducibility block, plus the witnesses that
+    evidence backs for the flagged mechanisms."""
+    reasons = structural_reasons(obj)
+    witness: dict[str, Any] = {}
 
     if evidence is not None:
         if evidence.shift_pairs and "reference_shift" in reasons:

@@ -7,6 +7,12 @@ block. Parsing is strict (unknown keys, nulls, NaN/Infinity, and type
 mismatches are rejected with a path); validation is non-throwing and returns
 every violation so callers can report them all at once.
 
+A GkpoObject is immutable all the way down: every field is a frozen
+dataclass, a tuple or a scalar, and the reducibility witness is a read-only
+mapping whose arrays are tuples. So a valid object stays valid: `validate`
+records a clean result on the instance and `require_valid` trusts that record.
+`dataclasses.replace` builds a new, unrecorded instance, which is checked again.
+
 Optional keys are absent when unused; an explicit null is a parse error.
 """
 
@@ -24,6 +30,7 @@ from decimal import (
     InvalidOperation,
     Overflow,
 )
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 SCHEMA_VERSION = "gkpo-1.0"
@@ -128,7 +135,11 @@ class ReducibilityBlock:
 
     def __post_init__(self):
         object.__setattr__(self, "reasons", tuple(self.reasons))
-        object.__setattr__(self, "witness", dict(self.witness))
+        witness = dict(self.witness)  # a private copy that only the proxy reads
+        for key, value in witness.items():
+            if isinstance(value, list):
+                witness[key] = tuple(value)
+        object.__setattr__(self, "witness", MappingProxyType(witness))
 
 
 @dataclass(frozen=True)
@@ -525,8 +536,15 @@ def quantize(value) -> Decimal:
     return Decimal(value).quantize(_QUANTUM, context=_CONTEXT)
 
 
+# Instance attribute (not a dataclass field) that marks a validated object.
+_VALID = "_validated"
+
+
 def validate(obj: GkpoObject) -> list[Violation]:
-    """Check every schema invariant; returns an empty list iff the object is valid."""
+    """Check every schema invariant; returns an empty list iff the object is valid.
+
+    A valid object is marked as such, so require_valid need not check it again.
+    """
     v: list[Violation] = []
 
     def bad(path: str, message: str):
@@ -668,10 +686,18 @@ def validate(obj: GkpoObject) -> list[Violation]:
         for key in red.witness:
             encodable(f"reducibility.witness.{key}", key)
 
+    if not v:
+        object.__setattr__(obj, _VALID, True)
     return v
 
 
 def require_valid(obj: GkpoObject) -> GkpoObject:
+    """obj if it is valid, else ValueError naming its first violations.
+
+    An object that validate has passed is returned without a second check.
+    """
+    if obj.__dict__.get(_VALID):
+        return obj
     problems = validate(obj)
     if problems:
         head = "; ".join(str(p) for p in problems[:3])

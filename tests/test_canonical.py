@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkpo import schema
+from gkpo.adapters import from_gkpo
 from gkpo.algebra import PairSample
 from gkpo.canonical import (
     attach_hash,
@@ -21,6 +23,7 @@ from gkpo.canonical import (
     scale_fix_object,
 )
 from gkpo.schema import (
+    METHODS,
     GkpoObject,
     PenaltyEntry,
     Provenance,
@@ -32,7 +35,13 @@ from gkpo.schema import (
     validate,
 )
 
-from conftest import fixture_text, load_fixture, load_probe_jsonl, random_object
+from conftest import (
+    FIXTURES,
+    fixture_text,
+    load_fixture,
+    load_probe_jsonl,
+    random_object,
+)
 
 # Assembled by hand from the schema's canonical-form rules: sorted keys,
 # compact separators, 1e-6 half-even quantization, shortest plain decimals,
@@ -509,3 +518,80 @@ def test_canonical_form_of_an_off_grid_object_reparses_valid(seed, beta, constan
     if validate(obj):
         return
     assert validate(parse(canonicalize(obj).decode("utf-8"))) == []
+
+
+# --- each object is validated once ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_one_validation_serves_hash_conversions_and_canonical_form(monkeypatch, name):
+    calls = []
+    real = schema.validate
+
+    def counting(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(schema, "validate", counting)
+    obj = parse(fixture_text(name))
+    assert schema.validate(obj) == []
+    opal_hash(obj)
+    for method in METHODS:
+        from_gkpo(obj, method)
+    canonical_form(obj)
+    assert calls == [obj]
+
+
+def _refuses(obj: GkpoObject) -> None:
+    with pytest.raises(ValueError):
+        opal_hash(obj)
+    for method in METHODS:
+        with pytest.raises(ValueError):
+            from_gkpo(obj, method)
+    with pytest.raises(ValueError):
+        scale_fix_object(obj, [PairSample("p", 1.0)])
+    with pytest.raises(ValueError):
+        canonical_form(obj)
+
+
+def test_a_replaced_object_is_checked_again(dpo_obj):
+    assert validate(dpo_obj) == []
+    _refuses(replace(dpo_obj, beta=-1.0))
+    opal_hash(dpo_obj)  # the validated original still serves
+
+
+# one field of a valid object made invalid, each in its own way
+_MUTATIONS = {
+    "beta": lambda obj: replace(obj, beta=-1.0),
+    "version": lambda obj: replace(obj, version="gkpo-0.9"),
+    "link": lambda obj: replace(obj, link="softmax"),
+    "weight": lambda obj: replace(obj, weight=WeightSpec(form="constant", constant=0.0)),
+    "reference": lambda obj: replace(
+        obj, reference=ReferenceSpec(form="fixed_zero", value=0.5)
+    ),
+    "penalties": lambda obj: replace(
+        obj, penalties=(PenaltyEntry("kl_anchor", 0.1), PenaltyEntry("kl_anchor", 0.2))
+    ),
+    "provenance": lambda obj: replace(
+        obj, provenance=replace(obj.provenance, opal_hash="NOT-A-HASH")
+    ),
+    "reducibility": lambda obj: replace(
+        obj, reducibility=ReducibilityBlock(inside_R=True, reasons=("reference_shift",))
+    ),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_validation_record_changes_no_bytes_and_survives_no_mutation(seed):
+    """The record validate leaves on a valid object changes none of its bytes,
+    and no object built from it by replacing one field inherits the record."""
+    obj = random_object(random.Random(seed))
+    fresh = replace(obj)  # an equal object that has never been validated
+    assert validate(obj) == []
+    assert obj == fresh
+    assert canonicalize(obj) == canonicalize(fresh)
+    for mutate in _MUTATIONS.values():
+        mutant = mutate(obj)
+        _refuses(mutant)
+        assert validate(mutant) != []

@@ -592,6 +592,12 @@ def test_malformed_orpo_shift_evidence_is_failure(capsys, tmp_path):
         (["shift"], "[[NaN, 1], [0.2, 0.5]]", EXIT_FAILURE),
         # finite inputs whose result overflows to -inf
         (["score", "--", "-1e308", "0", "10", "0.5"], None, EXIT_FAILURE),
+        # a result beyond float range, as floats and as exact ints
+        pytest.param(["score", "1e300", "0", "1", "1e10"], None, EXIT_FAILURE,
+                     id="score-float-beyond-range"),
+        pytest.param(["score"], json.dumps({"delta_u": 10**300, "penalty_shift": 0,
+                                            "psi_below": 1, "psi_at_or_above": 10**10}),
+                     EXIT_FAILURE, id="score-int-beyond-range"),
     ],
 )
 def test_probe_never_prints_non_finite_json(capsys, tmp_path, argv, file_text, expected):
@@ -660,6 +666,18 @@ def test_probe_file_and_command_line_read_the_same_rows(capsys, tmp_path, argv, 
     code, from_file, _ = run_cli(capsys, "probe", argv[0], "--file", str(path))
     assert code == EXIT_OK
     assert from_file == from_argv
+
+
+def test_probe_score_file_of_ints_prints_int_margins(capsys, tmp_path):
+    path = tmp_path / "score.json"
+    path.write_text(json.dumps(
+        {"delta_u": 3, "penalty_shift": -5, "psi_below": 2, "psi_at_or_above": 1}
+    ))
+    code, out, _ = run_cli(capsys, "probe", "score", "--file", str(path))
+    assert code == EXIT_OK
+    assert out == (
+        '{"kind":"score","order_weight_first":3,"order_penalty_first":-4,"flipped":true}\n'
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """Probes for the three irreducibility mechanisms, checked against grid oracles."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpo.reducibility import (
     Evidence,
@@ -16,15 +19,18 @@ from gkpo.reducibility import (
     probe_gate,
     probe_score,
     probe_shift,
+    structural_reasons,
 )
 from gkpo.schema import (
+    REFERENCE_FORMS,
+    WEIGHT_FORMS,
     GkpoObject,
     PenaltyEntry,
     ReferenceSpec,
     WeightSpec,
 )
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture, random_object
 
 
 # --- reference shift ------------------------------------------------------------
@@ -356,7 +362,7 @@ def test_classify_feasible_evidence_yields_no_witness(orpo_shift_obj):
 def test_classify_attaches_gate_witness(gated_obj):
     evidence = Evidence(gate_items=((1.0, 10.0, 1.0), (0.0, 1.0, 1.0)))
     block = classify(gated_obj, evidence)
-    assert block.witness["phi_pairs"] == [1.0, 10.0, 0.0, 1.0]
+    assert block.witness["phi_pairs"] == (1.0, 10.0, 0.0, 1.0)
     assert block.witness["phi_value_equal"] == 1.0
 
 
@@ -389,3 +395,25 @@ def test_classify_output_is_schema_valid(orpo_shift_obj, gated_obj):
     ):
         block = classify(obj, evidence)
         assert validate(replace(obj, reducibility=block)) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_classify_reasons_are_the_structural_reasons_of_each_fixture(name):
+    obj = load_fixture(name)
+    assert classify(obj).reasons == tuple(sorted(structural_reasons(obj)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reference_form=st.sampled_from(sorted(REFERENCE_FORMS)),
+    weight_form=st.sampled_from(sorted(WEIGHT_FORMS)),
+)
+def test_classify_reasons_are_the_structural_reasons(seed, reference_form, weight_form):
+    obj = random_object(random.Random(seed))
+    obj = replace(
+        obj,
+        reference=replace(obj.reference, form=reference_form),
+        weight=replace(obj.weight, form=weight_form),
+    )
+    assert classify(obj).reasons == tuple(sorted(structural_reasons(obj)))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from types import MappingProxyType
 
 import pytest
 
@@ -298,6 +299,45 @@ def test_validate_witness_contents():
     assert "reducibility.witness.flag" in paths(validate(obj))
 
 
+def test_witness_is_read_only(gated_obj):
+    with pytest.raises(TypeError):
+        gated_obj.reducibility.witness["phi_value_equal"] = 2.0
+    with pytest.raises(TypeError):
+        gated_obj.reducibility.witness["added"] = 1.0
+
+
+def test_witness_arrays_are_stored_as_tuples():
+    source = {"phi_pairs": [1.0, 10.0, 0.0, 1.0], "phi_value_equal": 1.0}
+    block = ReducibilityBlock(
+        inside_R=False, reasons=("non_additive_gate",), witness=source
+    )
+    assert block.witness["phi_pairs"] == (1.0, 10.0, 0.0, 1.0)
+    source["phi_value_equal"] = 2.0  # the block holds its own copy
+    assert block.witness["phi_value_equal"] == 1.0
+    assert load_fixture("gated_penalty.json").reducibility.witness["phi_pairs"] == (
+        1.0, 10.0, 0.0, 1.0,
+    )
+
+
+def test_validity_record_is_not_a_field(rrhf_obj):
+    fresh = parse(fixture_text("rrhf_rank_penalties.json"))
+    names = [f.name for f in dataclasses.fields(rrhf_obj)]
+    assert validate(rrhf_obj) == []
+    assert [f.name for f in dataclasses.fields(rrhf_obj)] == names
+    assert rrhf_obj == fresh
+    assert repr(rrhf_obj) == repr(fresh)
+    assert to_json_dict(rrhf_obj) == to_json_dict(fresh)
+    assert serialize(rrhf_obj) == serialize(fresh)
+
+
+def test_require_valid_never_trusts_an_invalid_object():
+    bad = GkpoObject(beta=-1.0)
+    for _ in range(2):
+        assert paths(validate(bad)) == {"beta"}
+        with pytest.raises(ValueError, match="beta"):
+            require_valid(bad)
+
+
 def test_validate_custom_score_name_pairing():
     assert "score.custom_name" in paths(
         validate(GkpoObject(score=ScoreSpec(type="custom")))
@@ -445,7 +485,8 @@ def _json_type(value):
         return "null" if value is None else "boolean"
     if isinstance(value, (int, float)):
         return "number"
-    return {str: "string", list: "array", tuple: "array", dict: "object"}[type(value)]
+    return {str: "string", list: "array", tuple: "array", dict: "object",
+            MappingProxyType: "object"}[type(value)]
 
 
 def _leaves(node, path=()):
@@ -454,7 +495,7 @@ def _leaves(node, path=()):
     if dataclasses.is_dataclass(node):
         for f in dataclasses.fields(node):
             yield from _leaves(getattr(node, f.name), (*path, f.name))
-    elif isinstance(node, dict):
+    elif isinstance(node, (dict, MappingProxyType)):  # a witness is read-only
         for key, item in node.items():
             yield from _leaves(item, (*path, key))
     elif isinstance(node, (list, tuple)):
@@ -470,7 +511,7 @@ def _replaced(node, path, value):
     head, rest = path[0], path[1:]
     if dataclasses.is_dataclass(node):
         return dataclasses.replace(node, **{head: _replaced(getattr(node, head), rest, value)})
-    if isinstance(node, dict):
+    if isinstance(node, (dict, MappingProxyType)):
         return {**node, head: _replaced(node[head], rest, value)}
     items = list(node)
     items[head] = _replaced(items[head], rest, value)
