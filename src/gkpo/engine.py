@@ -1,11 +1,12 @@
 """Objective evaluation and decision statistics.
 
-`objective` evaluates loss(link(beta * margin)) and `objective_slope` its
-slope in the margin, the one place that applies the chain rule. Both run
-elementwise on a scalar or a numpy array of margins; `harness.train_run`, the
-library's one gradient path, calls them on every pair of a batch. The
-logistic loss uses the overflow-safe form max(0, -z) + log1p(exp(-|z|)).
-Decisions are strict margin signs; a zero margin is a zero decision.
+`objective` evaluates loss(link(beta * margin)) and `z_slope` its slope in
+z = beta * margin, the one place that applies the chain rule. Both run
+elementwise. `harness.train_run`, the library's one gradient path, trains in
+z and calls `z_slope` only on pairs whose z can move, not on stationary ones.
+The logistic loss uses the overflow-safe form max(0, -z) + log1p(exp(-|z|)),
+and the logistic slopes keep full precision at large |z|. Decisions are
+strict margin signs; a zero margin is a zero decision.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ def link_value(kind: str, x):
 def link_grad(kind: str, x):
     if kind == "identity":
         return np.ones_like(np.asarray(x, dtype=float))
-    if kind == "logistic":
-        s = link_value("logistic", x)
-        return s * (1.0 - s)
+    if kind == "logistic":  # s * (1 - s), without its cancellation once s rounds to 1
+        e = np.exp(-np.abs(np.asarray(x, dtype=float)))
+        return e / ((1.0 + e) * (1.0 + e))
     if kind == "tanh":
         t = np.tanh(x)
         return 1.0 - t * t
@@ -68,7 +69,7 @@ def loss_value(kind: str, z):
 def loss_grad(kind: str, z):
     z = np.asarray(z, dtype=float)
     if kind == "logistic":
-        return link_value("logistic", z) - 1.0
+        return -1.0 / (1.0 + np.exp(z))  # sigmoid(z) - 1 cancels to 0 from z = 37
     if kind == "bce":
         if np.any(z <= 0.0) or np.any(z >= 1.0):
             raise ValueError("bce loss requires link output strictly inside (0, 1)")
@@ -87,10 +88,10 @@ def objective(loss: str, link: str, beta: float, m):
     return loss_value(loss, link_value(link, beta * m))
 
 
-def objective_slope(loss: str, link: str, beta: float, m):
-    """d objective / d m = loss'(link(beta * m)) * link'(beta * m) * beta."""
-    z = beta * m
-    return loss_grad(loss, link_value(link, z)) * link_grad(link, z) * beta
+def z_slope(loss: str, link: str, z):
+    """d loss(link(z)) / dz = loss'(link(z)) * link'(z), elementwise."""
+    slope = loss_grad(loss, link_value(link, z))
+    return slope if link == "identity" else slope * link_grad(link, z)
 
 
 def decision(margin_value: float) -> int:

@@ -49,7 +49,7 @@ from .engine import (
     kendall_tau,
     mcnemar_exact,
     objective,
-    objective_slope,
+    z_slope,
 )
 from .schema import GkpoObject, parse
 
@@ -377,38 +377,37 @@ def load_jsonl(path: str) -> SyntheticDataset:
 # Training
 
 
-def _canonical_spec(obj: GkpoObject) -> GkpoObject:
-    # hash-equal specs must execute identical arithmetic: train on the parse
-    # of the canonical bytes, not on the object as handed in
-    return parse(canonicalize(obj).decode("utf-8"))
-
-
 def train_run(
     spec: GkpoObject, data: SyntheticDataset, hp: HarnessParams, seed: int
 ) -> TrainRun:
-    obj = _canonical_spec(spec)
+    # hash-equal specs must execute identical arithmetic: train on the parse
+    # of the canonical bytes, not on the object as handed in
+    obj = parse(canonicalize(spec).decode("utf-8"))
     n = len(data)
     if n == 0:
         raise ValueError("dataset is empty")
     base_margins, weights = object_margins_and_weights(obj, data.batch)
-    dmat = data.delta_feature_matrix
-    dim = dmat.shape[1]
+    # z = beta * margin = z0 + zmat @ theta. A pair whose zmat row is all zero
+    # (no feature difference, or a zero weight) is stationary: it keeps its
+    # base margin and is left out of both products (faster column-major). The
+    # loss covers all pairs, so a stationary pair outside its domain raises.
+    zmat = data.delta_feature_matrix * np.asarray(obj.beta * weights)[..., None]
+    moving = np.flatnonzero(zmat.any(axis=1))
+    zmat, z0 = np.asfortranarray(zmat[moving]), obj.beta * base_margins[moving]
+    theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
 
-    rng = np.random.default_rng(seed)
-    theta = hp.init_scale * rng.standard_normal(dim)
-
-    trace_steps: list[int] = []
-    margin_rows: list[np.ndarray] = []
+    trace_steps = (*range(0, hp.steps, hp.eval_every), hp.steps)
+    margin_trace = np.tile(base_margins, (len(trace_steps), 1))
     loss_rows: list[float] = []
     for step in range(hp.steps + 1):
-        m = base_margins + (dmat @ theta) * weights
-        if step % hp.eval_every == 0 or step == hp.steps:
-            trace_steps.append(step)
-            margin_rows.append(m)
-            loss_rows.append(float(np.mean(objective(obj.loss, obj.link, obj.beta, m))))
+        zm = z0 + zmat @ theta
+        if step in trace_steps:
+            m = margin_trace[len(loss_rows)]
+            m[moving] = zm / obj.beta
+            loss_rows.append(np.mean(objective(obj.loss, obj.link, obj.beta, m)))
         if step < hp.steps:
-            slope = objective_slope(obj.loss, obj.link, obj.beta, m) * weights
-            theta = theta - hp.learning_rate * (dmat.T @ slope) / n
+            slope = z_slope(obj.loss, obj.link, zm)
+            theta = theta - hp.learning_rate * (zmat.T @ slope) / n
 
     return TrainRun(
         spec=obj,
@@ -416,8 +415,8 @@ def train_run(
         steps=hp.steps,
         learning_rate=hp.learning_rate,
         theta=theta,
-        trace_steps=tuple(trace_steps),
-        margin_trace=np.stack(margin_rows),
+        trace_steps=trace_steps,
+        margin_trace=margin_trace,
         loss_trace=np.array(loss_rows),
     )
 

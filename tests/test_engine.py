@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -119,6 +120,29 @@ def test_loss_grads_match_central_differences():
                 2 * h
             )
             assert float(loss_grad(kind, z)) == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def _sigmoid(x: float) -> float:
+    # the branch keeps math.exp's argument non-positive, so nothing overflows
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def test_logistic_slopes_keep_relative_precision_at_large_z():
+    # sigmoid(z) - 1 and s * (1 - s) round to 0 from |z| ~ 37 on
+    zs = np.concatenate([np.linspace(-700.0, 700.0, 2801), [20.0, 37.0, 40.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss_slopes = loss_grad("logistic", zs)
+        link_slopes = link_grad("logistic", zs)
+        scalar = (float(loss_grad("logistic", 40.0)), float(link_grad("logistic", 40.0)))
+    loss_ref = np.array([-_sigmoid(-z) for z in zs.tolist()])
+    link_ref = np.array([_sigmoid(z) * _sigmoid(-z) for z in zs.tolist()])
+    np.testing.assert_allclose(loss_slopes, loss_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(link_slopes, link_ref, rtol=1e-12, atol=0)
+    assert scalar == pytest.approx((-4.248354255291589e-18, 4.248354255291589e-18), rel=1e-12)
 
 
 def test_bce_rejects_values_outside_unit_interval():
