@@ -36,13 +36,12 @@ if TYPE_CHECKING:
 
 def canonical_number(value) -> str:
     """Round half-even to 1e-6; emit the shortest plain decimal form."""
-    d = quantize(value)
-    if d == 0:
-        return "0"
-    text = format(d, "f")
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+    # float formatting rounds correctly, with ties to even, so for a finite
+    # float it equals the Decimal quantize. An int may exceed 2**53, so ints
+    # and Decimals take the exact path.
+    text = format(value if type(value) is float else quantize(value), ".6f")
+    text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 def _emit(value: Any, out: list[str]) -> None:

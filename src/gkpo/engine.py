@@ -4,9 +4,11 @@
 z = beta * margin, the one place that applies the chain rule. Both run
 elementwise. `harness.train_run`, the library's one gradient path, trains in
 z and calls `z_slope` only on pairs whose z can move, not on stationary ones.
-The logistic loss uses the overflow-safe form max(0, -z) + log1p(exp(-|z|)),
-and the logistic slopes keep full precision at large |z|. Decisions are
-strict margin signs; a zero margin is a zero decision.
+The logistic loss uses the overflow-safe form max(0, -z) + log1p(exp(-|z|)).
+The logistic and tanh slopes keep full precision at large |z|. Where exp
+overflows to inf, the result is its limit, within 1e-300 of the true value,
+and no warning is raised. Decisions are strict margin signs; a zero margin is
+a zero decision.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ def link_value(kind: str, x):
     if kind == "identity":
         return x
     if kind == "logistic":
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives the limit, 0
+            return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
     if kind == "tanh":
         return np.tanh(x)
     if kind == "hinge":
@@ -43,9 +46,9 @@ def link_grad(kind: str, x):
     if kind == "logistic":  # s * (1 - s), without its cancellation once s rounds to 1
         e = np.exp(-np.abs(np.asarray(x, dtype=float)))
         return e / ((1.0 + e) * (1.0 + e))
-    if kind == "tanh":
-        t = np.tanh(x)
-        return 1.0 - t * t
+    if kind == "tanh":  # 1 - tanh(x)**2, without its cancellation at large |x|
+        e = np.exp(-2.0 * np.abs(np.asarray(x, dtype=float)))
+        return 4.0 * e / ((1.0 + e) * (1.0 + e))
     if kind == "hinge":
         return np.where(np.asarray(x, dtype=float) > 0.0, 1.0, 0.0)
     raise ValueError(f"link {kind!r} is not evaluatable")
@@ -68,8 +71,9 @@ def loss_value(kind: str, z):
 
 def loss_grad(kind: str, z):
     z = np.asarray(z, dtype=float)
-    if kind == "logistic":
-        return -1.0 / (1.0 + np.exp(z))  # sigmoid(z) - 1 cancels to 0 from z = 37
+    if kind == "logistic":  # sigmoid(z) - 1 cancels to 0 from z = 37
+        with np.errstate(over="ignore"):  # exp(z) = inf gives the limit, -0
+            return -1.0 / (1.0 + np.exp(z))
     if kind == "bce":
         if np.any(z <= 0.0) or np.any(z >= 1.0):
             raise ValueError("bce loss requires link output strictly inside (0, 1)")

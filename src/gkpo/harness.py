@@ -389,10 +389,13 @@ def train_run(
     base_margins, weights = object_margins_and_weights(obj, data.batch)
     # z = beta * margin = z0 + zmat @ theta. A pair whose zmat row is all zero
     # (no feature difference, or a zero weight) is stationary: it keeps its
-    # base margin and is left out of both products (faster column-major). The
-    # loss covers all pairs, so a stationary pair outside its domain raises.
+    # base margin and is left out of both products (faster column-major). Its
+    # loss is taken once, here, so a stationary pair outside its domain raises
+    # before the first step.
     zmat = data.delta_feature_matrix * np.asarray(obj.beta * weights)[..., None]
-    moving = np.flatnonzero(zmat.any(axis=1))
+    is_moving = zmat.any(axis=1)
+    moving = np.flatnonzero(is_moving)
+    still_loss = np.sum(objective(obj.loss, obj.link, obj.beta, base_margins[~is_moving]))
     zmat, z0 = np.asfortranarray(zmat[moving]), obj.beta * base_margins[moving]
     theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
 
@@ -402,9 +405,10 @@ def train_run(
     for step in range(hp.steps + 1):
         zm = z0 + zmat @ theta
         if step in trace_steps:
-            m = margin_trace[len(loss_rows)]
-            m[moving] = zm / obj.beta
-            loss_rows.append(np.mean(objective(obj.loss, obj.link, obj.beta, m)))
+            m = zm / obj.beta
+            margin_trace[len(loss_rows), moving] = m
+            loss = np.sum(objective(obj.loss, obj.link, obj.beta, m))
+            loss_rows.append((still_loss + loss) / n)
         if step < hp.steps:
             slope = z_slope(obj.loss, obj.link, zm)
             theta = theta - hp.learning_rate * (zmat.T @ slope) / n

@@ -4,8 +4,9 @@ A GKPO document is a JSON object with a fixed key set describing one pairwise
 margin objective: score source, weight, reference, link/loss pair, temperature,
 additive penalties, dataset-level operations, provenance, and a reducibility
 block. Parsing is strict (unknown keys, nulls, NaN/Infinity, and type
-mismatches are rejected with a path); validation is non-throwing and returns
-every violation so callers can report them all at once.
+mismatches are rejected with a path) and follows one table of node shapes,
+SHAPES; validation is non-throwing and returns every violation so callers can
+report them all at once.
 
 A GkpoObject is immutable all the way down: every field is a frozen
 dataclass, a tuple or a scalar, and the reducibility witness is a read-only
@@ -169,134 +170,186 @@ def _reject_constant(token: str):
 
 
 def _strict_pairs(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}")
-        seen[key] = value
-    return seen
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # a key repeats; name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
-def _float(value: int | float, path: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ParseError("number out of range", path) from None
+def _frozen(cls: type) -> Callable[[dict], Any]:
+    """Fill a frozen dataclass from field values that are already frozen.
+
+    This is how unpickling restores an instance. The reader hands over tuples
+    and a read-only witness, so __init__'s per-field setattr and the
+    __post_init__ conversions would only repeat work.
+    """
+
+    def make(fields: dict) -> Any:
+        obj = object.__new__(cls)
+        obj.__dict__.update(fields)
+        return obj
+
+    return make
 
 
-class _Node:
-    """One JSON object during parsing: typed extraction plus unknown-key rejection."""
+# The structural parse rules. For each node of a document: its wire keys in
+# the order they are read, each with its kind, what an absent key reads as
+# (REQUIRED: it may not be absent), its allowed values (ENUM, STRS) or child
+# node (NODE, ARRAY of nodes), and the field it fills. A child node is read
+# whole when its key is reached, and a node's unknown keys are reported after
+# its last key. An explicit null is an error for every key.
+STR, ENUM, NUMBER, BOOL, STRS, ARRAY, NODE, NUMBER_MAP = (
+    "string", "enum", "number", "bool", "string list", "array", "node",
+    "number map",  # name -> number or flat number array (the witness)
+)
+REQUIRED = object()
 
-    def __init__(self, data: Any, path: str):
-        if not isinstance(data, dict):
-            raise ParseError("expected an object", path or "<root>")
-        self.data = dict(data)
-        self.path = path
+SHAPES: dict[str, tuple[Callable[[dict], Any], tuple[tuple, ...]]] = {
+    "document": (_frozen(GkpoObject), (
+        ("version", STR, REQUIRED, None, "version"),
+        ("score", NODE, REQUIRED, "score", "score"),
+        ("weight", NODE, REQUIRED, "weight", "weight"),
+        ("reference", NODE, REQUIRED, "reference", "reference"),
+        ("link", ENUM, REQUIRED, LINK_NAMES, "link"),
+        ("loss", ENUM, REQUIRED, LOSS_NAMES, "loss"),
+        ("beta", NUMBER, REQUIRED, None, "beta"),
+        ("penalties", ARRAY, REQUIRED, "penalty", "penalties"),
+        ("dataset_ops", NODE, REQUIRED, "dataset_ops", "dataset_ops"),
+        ("provenance", NODE, REQUIRED, "provenance", "provenance"),
+        ("reducibility", NODE, REQUIRED, "reducibility", "reducibility"),
+    )),
+    "score": (_frozen(ScoreSpec), (
+        ("type", ENUM, REQUIRED, SCORE_TYPES, "type"),
+        ("custom_name", STR, None, None, "custom_name"),
+    )),
+    "weight": (_frozen(WeightSpec), (
+        ("form", ENUM, REQUIRED, WEIGHT_FORMS, "form"),
+        ("constant", NUMBER, None, None, "constant"),
+        ("factors", STRS, (), None, "factors"),
+        ("score_fn", STR, None, None, "score_fn"),
+    )),
+    "reference": (_frozen(ReferenceSpec), (
+        ("form", ENUM, REQUIRED, REFERENCE_FORMS, "form"),
+        ("value", NUMBER, None, None, "value"),
+    )),
+    "penalty": (_frozen(PenaltyEntry), (
+        ("name", STR, REQUIRED, None, "name"),
+        ("lambda", NUMBER, REQUIRED, None, "coeff"),
+        ("meta", NODE, None, "meta", "meta_gate"),
+    )),
+    "meta": (lambda fields: fields["gate"], (  # a penalty's meta is its gate
+        ("gate", BOOL, None, None, "gate"),
+    )),
+    "dataset_ops": (_frozen(DatasetOps), (
+        ("group_weights", STRS, (), None, "group_weights"),
+        ("group_penalties", STRS, (), None, "group_penalties"),
+        ("composition", ENUM, REQUIRED, COMPOSITIONS, "composition"),
+    )),
+    "provenance": (_frozen(Provenance), (
+        ("method", STR, REQUIRED, None, "method"),
+        ("citations", STRS, (), None, "citations"),
+        ("notes", STR, "", None, "notes"),
+        ("opal_hash", STR, None, None, "opal_hash"),
+    )),
+    "reducibility": (_frozen(ReducibilityBlock), (
+        ("inside_R", BOOL, REQUIRED, None, "inside_R"),
+        ("reasons", STRS, REQUIRED, REASON_CODES, "reasons"),
+        ("witness", NUMBER_MAP, MappingProxyType({}), None, "witness"),
+    )),
+}
+_ABSENT = object()
 
-    def _sub(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
 
-    def _pop(self, key: str, required: bool):
-        if key not in self.data:
-            if required:
-                raise ParseError("missing required key", self._sub(key))
-            return None, False
-        value = self.data.pop(key)
+def _read(data: Any, path: str, shape: str) -> Any:
+    """Build the value of one node from its JSON object, per SHAPES[shape]."""
+    if type(data) is not dict:
+        raise ParseError("expected an object", path or "<root>")
+    make, entries = SHAPES[shape]
+    fields = {}
+    present = len(entries)  # how many of the table's keys data holds
+    for key, kind, absent, arg, field_name in entries:
+        value = data.get(key, _ABSENT)
+        if value is _ABSENT:
+            if absent is REQUIRED:
+                raise ParseError("missing required key", _at(path, key))
+            fields[field_name] = absent
+            present -= 1
+            continue
         if value is None:
-            raise ParseError("null not allowed; omit the key instead", self._sub(key))
-        return value, True
-
-    def take_str(self, key: str, *, required: bool = True, default: Any = None):
-        value, present = self._pop(key, required)
-        if not present:
-            return default
-        if not isinstance(value, str):
-            raise ParseError("expected a string", self._sub(key))
-        return value
-
-    def take_enum(self, key: str, allowed: frozenset, *, required: bool = True,
-                  default: Any = None):
-        value = self.take_str(key, required=required, default=None)
-        if value is None:
-            return default
-        if value not in allowed:
-            raise ParseError(
-                f"{value!r} is not one of {sorted(allowed)}", self._sub(key)
+            raise ParseError("null not allowed; omit the key instead", _at(path, key))
+        if kind is STR:
+            if type(value) is not str:
+                raise ParseError("expected a string", _at(path, key))
+        elif kind is ENUM:
+            if type(value) is not str:
+                raise ParseError("expected a string", _at(path, key))
+            if value not in arg:
+                raise ParseError(f"{value!r} is not one of {sorted(arg)}", _at(path, key))
+        elif kind is NODE:
+            value = _read(value, f"{path}.{key}" if path else key, arg)
+        elif kind is NUMBER:
+            if type(value) is not float:
+                value = _number(value, _at(path, key))
+        elif kind is BOOL:
+            if type(value) is not bool:
+                raise ParseError("expected a boolean", _at(path, key))
+        elif kind is NUMBER_MAP:
+            sub = _at(path, key)
+            if type(value) is not dict:
+                raise ParseError("expected an object", sub)
+            value = MappingProxyType(
+                {name: _numbers(value[name], f"{sub}.{name}") for name in sorted(value)}
             )
-        return value
-
-    def take_number(self, key: str, *, required: bool = True, default: Any = None):
-        value, present = self._pop(key, required)
-        if not present:
-            return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError("expected a number", self._sub(key))
-        return _float(value, self._sub(key))
-
-    def take_bool(self, key: str, *, required: bool = True, default: Any = None):
-        value, present = self._pop(key, required)
-        if not present:
-            return default
-        if not isinstance(value, bool):
-            raise ParseError("expected a boolean", self._sub(key))
-        return value
-
-    def take_str_list(self, key: str, *, required: bool = True) -> tuple[str, ...]:
-        value, present = self._pop(key, required)
-        if not present:
-            return ()
-        if not isinstance(value, list):
-            raise ParseError("expected an array", self._sub(key))
-        out = []
-        for i, item in enumerate(value):
-            if not isinstance(item, str):
-                raise ParseError("expected a string", f"{self._sub(key)}[{i}]")
-            out.append(item)
-        return tuple(out)
-
-    def take_list(self, key: str, *, required: bool = True):
-        value, present = self._pop(key, required)
-        if not present:
-            return []
-        if not isinstance(value, list):
-            raise ParseError("expected an array", self._sub(key))
-        return value
-
-    def take_node(self, key: str, *, required: bool = True):
-        value, present = self._pop(key, required)
-        if not present:
-            return None
-        return _Node(value, self._sub(key))
-
-    def finish(self):
-        if self.data:
-            key = sorted(self.data)[0]
-            raise ParseError(f"unknown key {key!r}", self.path or "<root>")
-
-
-def _parse_witness(node: _Node | None) -> dict[str, Any]:
-    if node is None:
-        return {}
-    out: dict[str, Any] = {}
-    for key in sorted(node.data):
-        value = node.data.pop(key)
-        path = node._sub(key)
-        if value is None:
-            raise ParseError("null not allowed; omit the key instead", path)
-        if isinstance(value, bool):
-            raise ParseError("expected a number or a flat number array", path)
-        if isinstance(value, (int, float)):
-            out[key] = _float(value, path)
-        elif isinstance(value, list):
-            items = []
+        elif type(value) is not list:
+            raise ParseError("expected an array", _at(path, key))
+        elif kind is STRS:
             for i, item in enumerate(value):
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise ParseError("expected a number", f"{path}[{i}]")
-                items.append(_float(item, f"{path}[{i}]"))
-            out[key] = items
-        else:
-            raise ParseError("expected a number or a flat number array", path)
-    return out
+                if type(item) is not str:
+                    raise ParseError("expected a string", f"{_at(path, key)}[{i}]")
+            if arg is not None:
+                for i, item in enumerate(value):
+                    if item not in arg:
+                        raise ParseError(
+                            f"{item!r} is not one of {sorted(arg)}", f"{_at(path, key)}[{i}]"
+                        )
+            value = tuple(value)
+        else:  # ARRAY of child nodes
+            sub = _at(path, key)
+            value = tuple([_read(item, f"{sub}[{i}]", arg) for i, item in enumerate(value)])
+        fields[field_name] = value
+    if len(data) > present:
+        key = min(data.keys() - {entry[0] for entry in entries})
+        raise ParseError(f"unknown key {key!r}", path or "<root>")
+    return make(fields)
+
+
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _number(value: Any, path: str, message: str = "expected a number") -> float:
+    # json.loads yields exact types, so a bool is never taken for an int
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ParseError("number out of range", path) from None
+    raise ParseError(message, path)
+
+
+def _numbers(value: Any, path: str) -> float | tuple[float, ...]:
+    """A NUMBER_MAP value: a number, or a flat array of numbers as a tuple."""
+    if value is None:
+        raise ParseError("null not allowed; omit the key instead", path)
+    if type(value) is list:
+        return tuple([_number(item, f"{path}[{i}]") for i, item in enumerate(value)])
+    return _number(value, path, "expected a number or a flat number array")
 
 
 # UTF-8 cannot encode a surrogate code point, so a string holding one could not
@@ -342,96 +395,12 @@ def parse(text: str) -> GkpoObject:
     except (ValueError, RecursionError) as exc:  # e.g. integer digit limit, depth
         raise ParseError(f"invalid JSON: {exc}") from None
 
-    root = _Node(raw, "")
-    version = root.take_str("version")
-    if version != SCHEMA_VERSION:
-        # other versions may redefine key semantics; refuse to guess
-        raise ParseError(f"unsupported version {version!r}", "version")
-
-    score_node = root.take_node("score")
-    score = ScoreSpec(
-        type=score_node.take_enum("type", SCORE_TYPES),
-        custom_name=score_node.take_str("custom_name", required=False),
-    )
-    score_node.finish()
-
-    weight_node = root.take_node("weight")
-    weight = WeightSpec(
-        form=weight_node.take_enum("form", WEIGHT_FORMS),
-        constant=weight_node.take_number("constant", required=False),
-        factors=weight_node.take_str_list("factors", required=False),
-        score_fn=weight_node.take_str("score_fn", required=False),
-    )
-    weight_node.finish()
-
-    ref_node = root.take_node("reference")
-    reference = ReferenceSpec(
-        form=ref_node.take_enum("form", REFERENCE_FORMS),
-        value=ref_node.take_number("value", required=False),
-    )
-    ref_node.finish()
-
-    link = root.take_enum("link", LINK_NAMES)
-    loss = root.take_enum("loss", LOSS_NAMES)
-    beta = root.take_number("beta")
-
-    penalties = []
-    for i, item in enumerate(root.take_list("penalties")):
-        entry = _Node(item, f"penalties[{i}]")
-        name = entry.take_str("name")
-        coeff = entry.take_number("lambda")
-        meta = entry.take_node("meta", required=False)
-        gate = None
-        if meta is not None:
-            gate = meta.take_bool("gate", required=False)
-            meta.finish()
-        entry.finish()
-        penalties.append(PenaltyEntry(name=name, coeff=coeff, meta_gate=gate))
-
-    ops_node = root.take_node("dataset_ops")
-    dataset_ops = DatasetOps(
-        group_weights=ops_node.take_str_list("group_weights", required=False),
-        group_penalties=ops_node.take_str_list("group_penalties", required=False),
-        composition=ops_node.take_enum("composition", COMPOSITIONS),
-    )
-    ops_node.finish()
-
-    prov_node = root.take_node("provenance")
-    provenance = Provenance(
-        method=prov_node.take_str("method"),
-        citations=prov_node.take_str_list("citations", required=False),
-        notes=prov_node.take_str("notes", required=False, default=""),
-        opal_hash=prov_node.take_str("opal_hash", required=False),
-    )
-    prov_node.finish()
-
-    red_node = root.take_node("reducibility")
-    inside = red_node.take_bool("inside_R")
-    reasons = red_node.take_str_list("reasons")
-    for i, reason in enumerate(reasons):
-        if reason not in REASON_CODES:
-            raise ParseError(
-                f"{reason!r} is not one of {sorted(REASON_CODES)}",
-                f"reducibility.reasons[{i}]",
-            )
-    witness = _parse_witness(red_node.take_node("witness", required=False))
-    red_node.finish()
-    reducibility = ReducibilityBlock(inside_R=inside, reasons=reasons, witness=witness)
-
-    root.finish()
-    return GkpoObject(
-        version=version,
-        score=score,
-        weight=weight,
-        reference=reference,
-        link=link,
-        loss=loss,
-        beta=beta,
-        penalties=tuple(penalties),
-        dataset_ops=dataset_ops,
-        provenance=provenance,
-        reducibility=reducibility,
-    )
+    if type(raw) is dict and type(raw.get("version")) is str:
+        # other versions may redefine key semantics; refuse to guess. Any
+        # other defect of the version key is the first one _read reports.
+        if raw["version"] != SCHEMA_VERSION:
+            raise ParseError(f"unsupported version {raw['version']!r}", "version")
+    return _read(raw, "", "document")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
 
@@ -99,6 +100,30 @@ def test_canonical_number_idempotent_on_grid():
 def test_canonical_number_integers_allowed():
     assert canonical_number(3) == "3"
     assert canonical_number(-7) == "-7"
+    # an int above 2**53 is rounded exactly, not through a float
+    assert canonical_number(2**53 + 1) == "9007199254740993"
+
+
+def quantized_text(x) -> str:
+    """The canonical number rule through the exact Decimal quantize."""
+    text = format(schema.quantize(x), "f")
+    text = text.rstrip("0").rstrip(".") if "." in text else text
+    return "0" if text in ("0", "-0") else text
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_canonical_number_equals_the_decimal_quantize(x):
+    assert canonical_number(x) == quantized_text(x)
+
+
+def test_canonical_number_equals_the_decimal_quantize_on_ties_and_extremes():
+    cases = [k * 2.0**-7 for k in range(2000)]  # 7 decimals: every odd k is a tie
+    cases += [k * 1e-6 + d for k in range(-500, 500) for d in (-5e-7, 5e-7)]
+    cases += [sys.float_info.max, sys.float_info.min, 5e-324, 2.5e-6, 0.5e-6, 1.5e-6]
+    for x in cases:
+        for value in (x, -x):
+            assert canonical_number(value) == quantized_text(value), value
 
 
 # --- golden hash with an independent oracle --------------------------------------

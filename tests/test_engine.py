@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 import warnings
 
 import mpmath
@@ -143,6 +144,35 @@ def test_logistic_slopes_keep_relative_precision_at_large_z():
     np.testing.assert_allclose(loss_slopes, loss_ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(link_slopes, link_ref, rtol=1e-12, atol=0)
     assert scalar == pytest.approx((-4.248354255291589e-18, 4.248354255291589e-18), rel=1e-12)
+
+
+def test_logistic_exp_overflow_gives_the_limit_without_a_warning():
+    # exp overflows beyond |z| ~ 709.78; below that the formulas are unchanged
+    zs = np.concatenate([np.linspace(-1e4, 1e4, 2001), [-710.0, 710.0, 709.78]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss_slopes = loss_grad("logistic", zs)
+        links = link_value("logistic", zs)
+        scalars = (float(loss_grad("logistic", 710.0)), float(link_value("logistic", -710.0)))
+        objective("logistic", "logistic", 1.0, zs)
+    assert abs(scalars[0]) < 1e-300 and abs(scalars[1]) < 1e-300
+    large = np.abs(zs) > 709.0
+    for z, slope, link in zip(zs[large].tolist(), loss_slopes[large], links[large]):
+        assert abs(slope - float(-1 / (1 + mpmath.exp(z)))) < 1e-300
+        assert abs(link - float(1 / (1 + mpmath.exp(-z)))) < 1e-300
+    small = ~large
+    assert np.array_equal(loss_slopes[small], -1.0 / (1.0 + np.exp(zs[small])))
+    assert np.array_equal(links[small], 1.0 / (1.0 + np.exp(-zs[small])))
+
+
+def test_tanh_slope_keeps_relative_precision_at_large_x():
+    # 1 - tanh(x)**2 cancels to 0 from |x| ~ 19; the true slope is sech(x)**2
+    xs = np.concatenate([np.linspace(-700.0, 700.0, 2801), [20.0, -20.0, 1e-9]])
+    slopes = link_grad("tanh", xs)
+    ref = np.array([float(mpmath.sech(x) ** 2) for x in xs.tolist()])
+    # subnormal results (|x| beyond ~354) carry fewer than 53 bits
+    np.testing.assert_allclose(slopes, ref, rtol=1e-12, atol=sys.float_info.min)
+    assert float(link_grad("tanh", 20.0)) == pytest.approx(1.6993417021166355e-17, rel=1e-12)
 
 
 def test_bce_rejects_values_outside_unit_interval():
