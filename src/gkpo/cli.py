@@ -428,10 +428,10 @@ def _harness_setup(which: str, config: dict[str, Any]):
                 f"size * feature_dim is {size * dim}, over the limit of "
                 f"{MAX_HARNESS_CELLS} feature cells"
             )
-        data = hn.gen_dataset(size, dim, defaults[2], seed=config.get("data_seed", 0))
         hp = hn.HarnessParams(
             **{k: v for k, v in config.items() if k not in _DATA_KEYS}
         )
+        data = hn.gen_dataset(size, dim, defaults[2], seed=config.get("data_seed", 0))
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad harness config: {exc}") from exc
     return data, hp

@@ -9,6 +9,12 @@ The logistic and tanh slopes keep full precision at large |z|. Where exp
 overflows to inf, the result is its limit, within 1e-300 of the true value,
 and no warning is raised. Decisions are strict margin signs; a zero margin is
 a zero decision.
+
+The decision statistics stay bounded at harness scale (n pairs):
+`kendall_tau` is Knight's O(n log n) merge-sort tau-b, `mcnemar_exact` sums
+the exact integer binomial tail, and `bootstrap_ci` draws each resample of a
+few-valued sample, such as paired win differences, as counts of its distinct
+values rather than as n indices.
 """
 
 from __future__ import annotations
@@ -203,7 +209,7 @@ def mcnemar_exact(n01: int, n10: int) -> float:
     return min(1.0, p)
 
 
-# index elements drawn per block of bootstrap resamples
+# index elements, or value counts, drawn per block of bootstrap resamples
 _BOOTSTRAP_BLOCK = 1 << 18
 
 
@@ -212,9 +218,15 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Seeded percentile bootstrap (2.5%, 97.5%) for the mean of values.
 
-    Resamples are drawn and averaged in row blocks of about 2**18 indices, so
-    memory stays bounded; the generator yields the same stream drawn whole or
-    in blocks, so the interval does not depend on the block size.
+    A resample's mean depends only on how many of its n draws land on each
+    distinct value, so when the sample takes k values with k * 32 <= n and
+    n * max|value| within float range, each resample is drawn as value counts
+    ~ Multinomial(n, counts / n):
+    O(n log n + resamples * k) in all, against O(resamples * n) for drawing
+    indices. Any other sample draws indices. Either way resamples are drawn
+    and averaged in row blocks of about 2**18 entries, so memory stays
+    bounded; the generator yields the same stream drawn whole or in blocks,
+    so the interval does not depend on the block size.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -222,12 +234,38 @@ def bootstrap_ci(
     if resamples < 100:
         raise ValueError("resamples must be at least 100")
     rng = np.random.default_rng(seed)
-    rows = max(1, _BOOTSTRAP_BLOCK // arr.size)
+    n = arr.size
+    levels, counts = np.unique(arr, return_counts=True)
+    # ms for 1000 resamples on a 2-core Xeon, numpy 2.4.6:
+    #         n   indices   counts, k = n/32   counts, k = n/16
+    #     1 024        19                6.4                 15
+    #     4 000        83                 21                 54
+    #     8 000        72                 42                111
+    #    50 000       395                253                681
+    #   200 000      2325               1044               2595
+    # k * 32 <= n kept counts at least 1.5x faster at every size measured.
+    # counts @ levels sums terms of total size at most n * max|level|, so
+    # counts are drawn only when that is within float range: a nan or
+    # infinite level (a zero count times inf is nan), or one so large that
+    # the sum would overflow where a mean of n values does not, stays on the
+    # index path.
+    if levels.size * 32 <= n and np.abs(levels).max() <= np.finfo(float).max / n:
+        width, p = levels.size, counts / n
+
+        def block_means(rows: int) -> np.ndarray:
+            return rng.multinomial(n, p, size=rows) @ levels / n
+
+    else:
+        width = n
+
+        def block_means(rows: int) -> np.ndarray:
+            return arr[rng.integers(0, n, size=(rows, n))].mean(axis=1)
+
+    rows = max(1, _BOOTSTRAP_BLOCK // width)
     means = np.empty(resamples)
     for start in range(0, resamples, rows):
         stop = min(resamples, start + rows)
-        idx = rng.integers(0, arr.size, size=(stop - start, arr.size))
-        means[start:stop] = arr[idx].mean(axis=1)
+        means[start:stop] = block_means(stop - start)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
 

@@ -171,6 +171,10 @@ def require_int(name: str, value: Any) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+# 1000 times the default; bootstrap_ci holds one float per resample
+MAX_BOOTSTRAP_RESAMPLES = 1_000_000
+
+
 @dataclass(frozen=True)
 class HarnessParams:
     steps: int = 150
@@ -198,9 +202,13 @@ class HarnessParams:
             raise ValueError("steps, learning_rate, eval_every must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        # bootstrap_ci's floor, checked here so a bad config fails before training
-        if self.bootstrap_resamples < 100:
-            raise ValueError("bootstrap_resamples must be at least 100")
+        # bootstrap_ci's floor and this module's ceiling, checked here so a bad
+        # config fails before training
+        if not 100 <= self.bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES:
+            raise ValueError(
+                "bootstrap_resamples must be between 100 and "
+                f"{MAX_BOOTSTRAP_RESAMPLES}, got {self.bootstrap_resamples}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -542,6 +542,22 @@ def test_harness_too_few_resamples_is_usage_error(capsys, tmp_path):
     assert_single_error_line(err, EXIT_USAGE)
 
 
+def test_harness_too_many_resamples_is_usage_error(capsys, tmp_path, monkeypatch):
+    # one float per resample: 10**12 of them would be 8 TB
+    def no_data(*args, **kwargs):
+        raise AssertionError("a refused config must not generate its dataset")
+
+    monkeypatch.setattr("gkpo.harness.gen_dataset", no_data)
+    cfg = tmp_path / "many.json"
+    cfg.write_text(
+        json.dumps({"size": 40, "seeds": [0], "steps": 1, "bootstrap_resamples": 10**12})
+    )
+    code, out, err = run_cli(capsys, "harness", "h1", "--config", str(cfg))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert_single_error_line(err, EXIT_USAGE)
+    assert "1000000" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize(
     "override",
     [
