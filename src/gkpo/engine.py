@@ -2,7 +2,7 @@
 
 `objective` evaluates loss(link(beta * margin)) and `z_slope` its slope in
 z = beta * margin, the one place that applies the chain rule. Both run
-elementwise. `harness.train_run`, the library's one gradient path, trains in
+elementwise. `harness._descend`, the library's one gradient path, trains in
 z and calls `z_slope` only on pairs whose z can move, not on stationary ones.
 The logistic loss uses the overflow-safe form max(0, -z) + log1p(exp(-|z|)).
 The logistic and tanh slopes keep full precision at large |z|. Where exp
@@ -223,10 +223,13 @@ def bootstrap_ci(
     n * max|value| within float range, each resample is drawn as value counts
     ~ Multinomial(n, counts / n):
     O(n log n + resamples * k) in all, against O(resamples * n) for drawing
-    indices. Any other sample draws indices. Either way resamples are drawn
-    and averaged in row blocks of about 2**18 entries, so memory stays
-    bounded; the generator yields the same stream drawn whole or in blocks,
-    so the interval does not depend on the block size.
+    indices. Any other sample draws indices; if n * max|value| leaves float
+    range while max|value| does not, the values are averaged scaled by a
+    power of two no larger than 1/n, so no mean overflows where the sample's
+    values do not. Either way resamples are drawn and averaged in row blocks
+    of about 2**18 entries, so memory stays bounded; the generator yields the
+    same stream drawn whole or in blocks, so the interval does not depend on
+    the block size.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -257,9 +260,15 @@ def bootstrap_ci(
 
     else:
         width = n
+        # n finite values can sum beyond float range although their mean is
+        # within it. Only then are the values scaled by 2**-k <= 1/n, averaged
+        # and the means scaled back: exact where nothing underflows, so a
+        # resample whose sum stays in range keeps its bits.
+        k = n.bit_length() if np.finfo(float).max / n < np.abs(arr).max() < np.inf else 0
+        scaled = np.ldexp(arr, -k) if k else arr
 
         def block_means(rows: int) -> np.ndarray:
-            return arr[rng.integers(0, n, size=(rows, n))].mean(axis=1)
+            return np.ldexp(scaled[rng.integers(0, n, size=(rows, n))].mean(axis=1), k)
 
     rows = max(1, _BOOTSTRAP_BLOCK // width)
     means = np.empty(resamples)

@@ -14,6 +14,15 @@ full-batch gradient descent:
   never depend on the trained scorer and the predicted flips are a property
   of the spec, not of the optimizer.
 
+Training runs in z = beta * margin and leaves stationary pairs (an all-zero
+row of weight * feature difference) out of the descent. `train_runs` trains
+several specs on one dataset and seed, and specs whose moving problems are
+byte-equal (loss, link, beta, moving pairs, beta * weights and z0) share one
+descent; each run is bit for bit what `train_run` gives for its spec alone.
+H2's shifted spec differs from its base only on the stationary witness pairs,
+so run_h2 descends once per seed. run_h1 trains its two specs separately, so
+that its trace equality is checked on two runs, not assumed.
+
 Datasets are columnar: a SyntheticDataset holds one PairBatch (prompt ids,
 delta_u and name -> column maps) plus (n, d) feature blocks and labels, and
 the spec's margins are evaluated once per column, not once per pair.
@@ -388,6 +397,31 @@ def load_jsonl(path: str) -> SyntheticDataset:
 def train_run(
     spec: GkpoObject, data: SyntheticDataset, hp: HarnessParams, seed: int
 ) -> TrainRun:
+    return train_runs([spec], data, hp, seed)[0]
+
+
+def train_runs(
+    specs: Sequence[GkpoObject], data: SyntheticDataset, hp: HarnessParams, seed: int
+) -> tuple[TrainRun, ...]:
+    """One TrainRun per spec, each bit for bit what training it alone gives.
+
+    Specs whose moving problems are byte-equal (same loss, link and beta, and
+    byte-equal moving indices, beta * weights and z0) share one descent: the
+    first such spec runs it, and the others copy its theta, moving-pair
+    margins and moving-pair losses.
+    """
+    # problem key -> (the run that descended, its moving pairs' loss sums)
+    descents: dict[tuple, tuple[TrainRun, np.ndarray]] = {}
+    return tuple(_train(spec, data, hp, seed, descents) for spec in specs)
+
+
+def _train(
+    spec: GkpoObject,
+    data: SyntheticDataset,
+    hp: HarnessParams,
+    seed: int,
+    descents: dict[tuple, tuple[TrainRun, np.ndarray]],
+) -> TrainRun:
     # hash-equal specs must execute identical arithmetic: train on the parse
     # of the canonical bytes, not on the object as handed in
     obj = parse(canonicalize(spec).decode("utf-8"))
@@ -400,28 +434,28 @@ def train_run(
     # base margin and is left out of both products (faster column-major). Its
     # loss is taken once, here, so a stationary pair outside its domain raises
     # before the first step.
-    zmat = data.delta_feature_matrix * np.asarray(obj.beta * weights)[..., None]
+    beta_weights = np.asarray(obj.beta * weights, dtype=float)
+    zmat = data.delta_feature_matrix * beta_weights[..., None]
     is_moving = zmat.any(axis=1)
     moving = np.flatnonzero(is_moving)
     still_loss = np.sum(objective(obj.loss, obj.link, obj.beta, base_margins[~is_moving]))
-    zmat, z0 = np.asfortranarray(zmat[moving]), obj.beta * base_margins[moving]
-    theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
-
+    z0 = obj.beta * base_margins[moving]
+    # bytes, not values: -0.0 and 0.0, or two NaNs, never share
+    key = (obj.loss, obj.link, obj.beta)
+    key += (moving.tobytes(), beta_weights.tobytes(), z0.tobytes())
     trace_steps = (*range(0, hp.steps, hp.eval_every), hp.steps)
-    margin_trace = np.tile(base_margins, (len(trace_steps), 1))
-    loss_rows: list[float] = []
-    for step in range(hp.steps + 1):
-        zm = z0 + zmat @ theta
-        if step in trace_steps:
-            m = zm / obj.beta
-            margin_trace[len(loss_rows), moving] = m
-            loss = np.sum(objective(obj.loss, obj.link, obj.beta, m))
-            loss_rows.append((still_loss + loss) / n)
-        if step < hp.steps:
-            slope = z_slope(obj.loss, obj.link, zm)
-            theta = theta - hp.learning_rate * (zmat.T @ slope) / n
-
-    return TrainRun(
+    if key in descents:
+        del zmat  # solved already; freed before the trace copy
+        first, moving_loss = descents[key]
+        theta = first.theta.copy()
+        margin_trace = first.margin_trace.copy()
+        np.copyto(margin_trace, base_margins, where=~is_moving)
+    else:
+        zmat = np.asfortranarray(zmat[moving])
+        theta, margin_trace, moving_loss = _descend(
+            obj, zmat, z0, moving, base_margins, trace_steps, hp, seed
+        )
+    run = TrainRun(
         spec=obj,
         seed=seed,
         steps=hp.steps,
@@ -429,8 +463,35 @@ def train_run(
         theta=theta,
         trace_steps=trace_steps,
         margin_trace=margin_trace,
-        loss_trace=np.array(loss_rows),
+        loss_trace=(still_loss + moving_loss) / n,
     )
+    descents.setdefault(key, (run, moving_loss))
+    return run
+
+
+def _descend(obj, zmat, z0, moving, base_margins, trace_steps, hp, seed):
+    """Full-batch gradient descent on the moving pairs, in z.
+
+    Returns the final theta, the margin trace (base margins, with the moving
+    pairs' margins at each traced step) and the moving pairs' loss sum at
+    each traced step.
+    """
+    n = base_margins.size
+    theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
+    margin_trace = np.tile(base_margins, (len(trace_steps), 1))
+    moving_loss = np.empty(len(trace_steps))
+    row = 0
+    for step in range(hp.steps + 1):
+        zm = z0 + zmat @ theta
+        if step in trace_steps:
+            m = zm / obj.beta
+            margin_trace[row, moving] = m
+            moving_loss[row] = np.sum(objective(obj.loss, obj.link, obj.beta, m))
+            row += 1
+        if step < hp.steps:
+            slope = z_slope(obj.loss, obj.link, zm)
+            theta = theta - hp.learning_rate * (zmat.T @ slope) / n
+    return theta, margin_trace, moving_loss
 
 
 def _wins(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -646,9 +707,11 @@ def run_h2(
     )
     results = []
     for seed in hp.seeds:
-        run_base = train_run(base, data, hp, seed)
-        run_shift = train_run(shifted, data, hp, seed)
-        mb, ms = run_base.final_margins, run_shift.final_margins
+        # copies of the final margins, not the runs: this seed's traces are
+        # freed before the next seed trains
+        runs = train_runs([base, shifted], data, hp, seed)
+        mb, ms = (run.final_margins.copy() for run in runs)
+        del runs
         wins_base = _wins(mb, labels)
         wins_shift = _wins(ms, labels)
 

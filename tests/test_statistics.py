@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,13 @@ def unblocked_index_ci(values, resamples, seed):
     return float(lo), float(hi)
 
 
+def rescaled_index_ci(values, resamples, seed, exponent=30):
+    """The index-path oracle on values * 2**-exponent, scaled back: each mean
+    as if its sum had not overflowed."""
+    lo, hi = unblocked_index_ci(np.ldexp(values, -exponent), resamples, seed)
+    return float(np.ldexp(lo, exponent)), float(np.ldexp(hi, exponent))
+
+
 def unblocked_count_ci(values, resamples, seed):
     """The whole (resamples, k) count matrix in one rng.multinomial draw."""
     n = values.size
@@ -125,6 +133,8 @@ BOOTSTRAP_CASES = [
     pytest.param(holding(np.inf, -np.inf), 1000, unblocked_index_ci, id="mixed-inf"),
     # n * 2e306 overflows, though the sum of a balanced resample does not
     pytest.param(np.arange(320) % 2 * 4e306 - 2e306, 1000, unblocked_index_ci, id="huge"),
+    # 60% positive: some resample sums overflow, and are averaged rescaled
+    pytest.param(binary(320) * 4e306 - 2e306, 1000, rescaled_index_ci, id="huge-skewed"),
     pytest.param(binary(31), 1000, unblocked_index_ci, id="n<32"),
     # k = 11 levels at n = 320: just over k * 32 <= n
     pytest.param(np.arange(320) % 11 / 7, 1000, unblocked_index_ci, id="k*32>n"),
@@ -143,6 +153,21 @@ def test_bootstrap_ci_equals_unblocked_resampling(values, resamples, oracle):
         got = bootstrap_ci(values, resamples=resamples, seed=seed)
         want = oracle(values, resamples, seed)
     assert bits(got) == bits(want)
+
+
+def test_bootstrap_means_stay_finite_where_a_resample_sum_overflows():
+    values = binary(320) * 4e306 - 2e306
+    idx = np.random.default_rng(1320).integers(0, 320, size=(1000, 320))
+    with np.errstate(over="ignore"):
+        plain = values[idx].mean(axis=1)
+    rescaled = np.ldexp(np.ldexp(values, -9)[idx].mean(axis=1), 9)
+    assert np.count_nonzero(np.isinf(plain)) == 4
+    assert np.isfinite(rescaled).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = bootstrap_ci(values, resamples=1000, seed=1320)
+    assert -2e306 < lo < hi < 2e306
+    assert bits((lo, hi)) == bits(rescaled_index_ci(values, 1000, 1320))
 
 
 def test_bootstrap_cases_span_several_blocks_and_a_partial_one():
