@@ -172,6 +172,9 @@ def cmd_convert(args) -> int:
     from .adapters import MethodConfig, from_gkpo, to_gkpo
 
     raw = _read_json(args.path)
+    if isinstance(raw, dict) and {"outcome", "target"} <= raw.keys():  # a convert result
+        if not isinstance(raw := raw["target"], dict):
+            raise _UsageError(f"{args.path}: convert result has no target config (blocked)")
     if isinstance(raw, dict) and "method" in raw:  # adapter config -> GKPO
         if args.to not in (None, "gkpo"):
             raise _UsageError("config input converts to GKPO; drop --to or use --to gkpo")

@@ -12,14 +12,16 @@ a zero decision.
 
 The decision statistics stay bounded at harness scale (n pairs):
 `kendall_tau` is Knight's O(n log n) merge-sort tau-b, `mcnemar_exact` sums
-the exact integer binomial tail, and `bootstrap_ci` draws each resample of a
-few-valued sample, such as paired win differences, as counts of its distinct
-values rather than as n indices.
+the exact integer binomial tail down from C(n, k) until the rest cannot change
+the rounded p-value (one math.comb, about sqrt(n) steps), and `bootstrap_ci`
+draws each resample of a few-valued sample, such as paired win differences, as
+counts of its distinct values rather than as n indices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -190,23 +192,33 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
 def mcnemar_exact(n01: int, n10: int) -> float:
     """Exact two-sided binomial test on discordant counts; p = 1 when none.
 
-    The tail sum of C(n, i) for i <= min(n01, n10) is an exact integer, each
-    term made from the last by term * (n - i) // (i + 1): O(min(n01, n10))
-    big-integer steps. When 2k + 1 >= n the tail holds half the mass or
-    more, and p is 1.
+    p = tail / 2**(n-1), tail the sum of C(n, i) for i <= k = min(n01, n10),
+    summed down from C(n, k). Once a term is 64 bits shorter than the tail,
+    the terms left, shrinking by at least (j-1)/(n-j+2) each, sum to at most
+    rest; if tail and tail + rest round to the same float (int / int rounds
+    correctly), that float is p, else the sum runs on to C(n, 0). Cost: one
+    math.comb and about sqrt(n) big-integer steps at near-balanced counts.
+    When 2k + 1 >= n the tail holds half the mass or more, and p is 1.
     """
+    n01, n10 = operator.index(n01), operator.index(n10)  # 1 << n overflows numpy ints
     if n01 < 0 or n10 < 0:
         raise ValueError("counts must be nonnegative")
     n = n01 + n10
     k = min(n01, n10)
     if 2 * k + 1 >= n:
         return 1.0
-    term = tail = 1
-    for i in range(k):
-        term = term * (n - i) // (i + 1)
+    half = 1 << (n - 1)
+    term = tail = math.comb(n, k)
+    tested = False
+    for j in range(k, 0, -1):
+        term = term * j // (n - j + 1)  # C(n, j - 1)
         tail += term
-    p = 2 * tail / (1 << n)
-    return min(1.0, p)
+        if not tested and tail.bit_length() - term.bit_length() >= 64:
+            tested = True
+            rest = term * (j - 1) // (n - 2 * j + 3) + 1
+            if tail / half == (tail + rest) / half:
+                break
+    return tail / half  # below 1, as 2k + 1 < n
 
 
 # index elements, or value counts, drawn per block of bootstrap resamples

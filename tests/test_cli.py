@@ -226,6 +226,34 @@ def test_convert_config_roundtrip_through_cli(capsys, tmp_path):
     assert target["penalties"] == {"rank_margin_1": 0.5, "rank_margin_2": 0.1}
 
 
+@pytest.mark.parametrize("doc, method", [(DPO, "DPO"), (RRHF, "RRHF"), (DPO, "RRHF")])
+def test_convert_result_converts_back_as_its_target(capsys, tmp_path, doc, method):
+    _, result, _ = run_cli(capsys, "convert", doc, "--to", method)
+    result_path = tmp_path / "result.json"
+    result_path.write_text(result)
+    code, back, err = run_cli(capsys, "convert", str(result_path), "--to", "gkpo")
+    assert (code, err) == (EXIT_OK, "")
+    # the result reads exactly as the target config it carries
+    target_path = tmp_path / "target.json"
+    target_path.write_text(json.dumps(json.loads(result)["target"]))
+    assert run_cli(capsys, "convert", str(target_path))[1] == back
+    if method == json.loads(open(doc).read())["provenance"]["method"]:
+        back_path = tmp_path / "back.json"
+        back_path.write_text(back)
+        assert run_cli(capsys, "hash", str(back_path))[1] == run_cli(capsys, "hash", doc)[1]
+
+
+def test_blocked_convert_result_is_usage_error_naming_target(capsys, tmp_path):
+    _, result, _ = run_cli(capsys, "convert", SCORE_DEP, "--to", "DPO")
+    assert json.loads(result)["target"] is None
+    path = tmp_path / "blocked.json"
+    path.write_text(result)
+    code, out, err = run_cli(capsys, "convert", str(path), "--to", "gkpo")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert_single_error_line(err, EXIT_USAGE)
+    assert "no target" in json.loads(err)["error"]
+
+
 # --- probe -----------------------------------------------------------------------------
 
 

@@ -319,6 +319,19 @@ def mcnemar_brute(n01: int, n10: int) -> float:
     return min(1.0, 2 * tail)
 
 
+def mcnemar_tail_oracle(n01: int, n10: int) -> float:
+    # the full upward tail sum, one exact big-integer step per term, rounded once
+    n = n01 + n10
+    k = min(n01, n10)
+    if 2 * k + 1 >= n:
+        return 1.0
+    term = tail = 1
+    for i in range(k):
+        term = term * (n - i) // (i + 1)
+        tail += term
+    return min(1.0, 2 * tail / (1 << n))
+
+
 def test_mcnemar_golden_value():
     p = mcnemar_exact(9, 1)
     assert p == pytest.approx(0.021484, abs=1e-6)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gkpo.engine import _BOOTSTRAP_BLOCK, bootstrap_ci, kendall_tau, mcnemar_exact
 
-from test_engine import kendall_brute, mcnemar_brute
+from test_engine import kendall_brute, mcnemar_brute, mcnemar_tail_oracle
 
 
 # --- Kendall tau-b ----------------------------------------------------------------
@@ -73,6 +73,32 @@ def test_mcnemar_equals_brute_force_exactly():
 def test_mcnemar_matches_scipy_at_scale(n01, n10):
     ref = scipy.stats.binomtest(n01, n01 + n10, 0.5).pvalue
     assert mcnemar_exact(n01, n10) == pytest.approx(ref, rel=1e-9)
+
+
+# the six near-balanced count pairs of the bench stats workload at seed 7
+STATS_SEED7_COUNTS = [(1820, 1793), (1853, 1906), (1772, 1862), (1774, 1825),
+                      (1811, 1837), (1770, 1902)]
+# pairs whose first rounding test fails, so the sum runs on to C(n, 0)
+FIRST_TEST_FAILS = [(124, 172), (57, 260), (122, 347)]
+
+
+def test_mcnemar_equals_full_tail_sum_bitwise():
+    rng = np.random.default_rng(2016)
+    n = rng.integers(0, 10_001, size=500)
+    # half split anywhere, half near balance, where p is not tiny
+    n01 = np.concatenate([rng.integers(0, n[:250] + 1), rng.binomial(n[250:], 0.5)])
+    drawn = list(zip(n01.tolist(), (n - n01).tolist()))
+    for n01, n10 in drawn + STATS_SEED7_COUNTS + FIRST_TEST_FAILS + [(9900, 10100)]:
+        assert mcnemar_exact(n01, n10) == mcnemar_tail_oracle(n01, n10), (n01, n10)
+
+
+def test_mcnemar_takes_numpy_integer_counts():
+    for kind in (np.int64, np.int32, np.uint16):
+        for n01, n10 in [(100, 10), (40, 3), (1820, 1793), (0, 0), (5, 5)]:
+            assert mcnemar_exact(kind(n01), kind(n10)) == mcnemar_exact(n01, n10)
+    assert mcnemar_exact(np.int64(100), np.int64(10)) == pytest.approx(8.0095e-20, rel=1e-4)
+    with pytest.raises(TypeError):
+        mcnemar_exact(3.0, 1)
 
 
 # --- bootstrap ----------------------------------------------------------------------
