@@ -41,6 +41,7 @@ from .schema import (
     ReferenceSpec,
     ScoreSpec,
     WeightSpec,
+    is_finite_number,
     is_name,
     require_valid,
 )
@@ -127,9 +128,7 @@ def _shift_evidence(ev: Any) -> dict[str, Any]:
     if isinstance(ev, Mapping) and set(ev) == {"raw_gap", "offsets"}:
         offsets = ev["offsets"] if isinstance(ev["offsets"], (list, tuple)) else ()
         values = [ev["raw_gap"], *offsets]
-        if len(values) == 3 and all(
-            algebra.is_number(v) and math.isfinite(v) for v in values
-        ):
+        if len(values) == 3 and all(map(is_finite_number, values)):
             return {"raw_gap": float(values[0]), "offsets": [float(v) for v in offsets]}
     raise ValueError(
         'ORPO shift_evidence must be {"raw_gap": g, "offsets": [o1, o2]} '

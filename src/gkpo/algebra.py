@@ -7,11 +7,6 @@ multiply named positive factors onto the weight side, and reference adjusts
 accumulate named reference terms. Collection folds any ladder into a normal
 form in one pass; margins evaluated through either route coincide.
 
-The normal-form `scale` field carries an applied scale-equivalence constant c.
-It multiplies the score side and divides the weight side simultaneously, so
-`margin()` is invariant to it by construction; `delta_score()` and `weight()`
-expose the two scaled views separately.
-
 A GKPO object folds to a normal form through `object_normal_form`;
 `object_margins_and_weights` evaluates its margin through `delta_score` and
 `weight`, with the object's reference and constant weight applied on top.
@@ -27,11 +22,10 @@ not import numpy.
 from __future__ import annotations
 
 import statistics
-import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .schema import GkpoObject
+from .schema import GkpoObject, is_finite_number
 
 
 @dataclass(frozen=True)
@@ -103,31 +97,25 @@ class PairSample:
         return self.prompt_id
 
 
-def is_number(value: Any) -> bool:
-    """A float, or an int that a float can hold; a bool is not a number here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
-
-
 def sample_from_row(row: Any) -> PairSample:
     """PairSample from one decoded JSON row of a probe or pair-dataset file.
 
     prompt_id (string) and delta_u (number) are required; delta_phi, omega and
     delta_ref are optional name -> number maps. Other keys are the caller's.
-    Raises ValueError naming the first bad field.
+    Every number must be finite as a float. Raises ValueError naming the
+    first bad field.
     """
     if not isinstance(row, dict):
         raise ValueError("sample row must be a JSON object")
     if not isinstance(row.get("prompt_id"), str):
         raise ValueError("prompt_id must be a string")
-    if not is_number(row.get("delta_u")):
-        raise ValueError("delta_u must be a number")
+    if not is_finite_number(row.get("delta_u")):
+        raise ValueError("delta_u must be a finite number")
     tables = {}
     for key in ("delta_phi", "omega", "delta_ref"):
         table = row.get(key, {})
-        if not isinstance(table, dict) or not all(map(is_number, table.values())):
-            raise ValueError(f"{key} must map names to numbers")
+        if not isinstance(table, dict) or not all(map(is_finite_number, table.values())):
+            raise ValueError(f"{key} must map names to finite numbers")
         tables[key] = table
     return PairSample(row["prompt_id"], row["delta_u"], **tables)
 
@@ -137,14 +125,11 @@ class NormalForm:
     penalty_coeffs: Mapping[str, float]
     weight_factors: tuple[str, ...]
     ref_terms: tuple[str, ...]
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "penalty_coeffs", dict(self.penalty_coeffs))
         object.__setattr__(self, "weight_factors", tuple(self.weight_factors))
         object.__setattr__(self, "ref_terms", tuple(self.ref_terms))
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
 
 def collect(ladder: Ladder | Iterable[Operator]) -> NormalForm:
@@ -178,7 +163,7 @@ def _lookup(table: Mapping[str, Any], name: str, kind: str, sample: Any):
         ) from None
 
 
-def _penalty_gap(nf: NormalForm, sample: PairSample) -> float:
+def delta_score(nf: NormalForm, sample: PairSample) -> float:
     """delta_u - sum(coeff * delta_phi), penalty names consumed in sorted order
     so that ladders differing only in operator order give bit-identical sums."""
     gap = sample.delta_u
@@ -189,8 +174,8 @@ def _penalty_gap(nf: NormalForm, sample: PairSample) -> float:
     return gap
 
 
-def factor_product(nf: NormalForm, sample: PairSample) -> float:
-    """prod(omega) over the normal form's weight factors, without the scale."""
+def weight(nf: NormalForm, sample: PairSample) -> float:
+    """prod(omega) over the normal form's weight factors."""
     w = 1.0
     for name in nf.weight_factors:
         w = w * _lookup(sample.omega, name, "weight factor", sample)
@@ -198,15 +183,11 @@ def factor_product(nf: NormalForm, sample: PairSample) -> float:
 
 
 def margin(nf: NormalForm, sample: PairSample) -> float:
-    """(delta_u - sum(coeff * delta_phi) - sum(delta_ref)) * prod(omega).
-
-    The scale field cancels between the score and weight sides of the triple,
-    so it does not appear here.
-    """
-    gap = _penalty_gap(nf, sample)
+    """(delta_u - sum(coeff * delta_phi) - sum(delta_ref)) * prod(omega)."""
+    gap = delta_score(nf, sample)
     for name in nf.ref_terms:
         gap = gap - _lookup(sample.delta_ref, name, "reference term", sample)
-    return gap * factor_product(nf, sample)
+    return gap * weight(nf, sample)
 
 
 def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> float:
@@ -225,16 +206,6 @@ def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> fl
         else:
             raise TypeError(f"not a ladder operator: {op!r}")
     return (gap - ref) * w
-
-
-def delta_score(nf: NormalForm, sample: PairSample) -> float:
-    """Score-side view of the triple: scale * (delta_u - sum(coeff*delta_phi))."""
-    return nf.scale * _penalty_gap(nf, sample)
-
-
-def weight(nf: NormalForm, sample: PairSample) -> float:
-    """Weight-side view of the triple: prod(omega) / scale."""
-    return factor_product(nf, sample) / nf.scale
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +274,12 @@ def object_margin(obj: GkpoObject, sample: PairSample) -> float:
     return object_margins_and_weights(obj, sample)[0]
 
 
-@dataclass(frozen=True)
-class ScaleFixResult:
-    normal_form: NormalForm
-    c: float
-    beta_multiplier: float
-    scale_undefined: bool = False
+def scale_fix(nf: NormalForm, probe: Iterable[PairSample]) -> float | None:
+    """The c that brings the probe median of |delta_score| to 1.
 
-
-def scale_fix(nf: NormalForm, probe: Iterable[PairSample]) -> ScaleFixResult:
-    """Pick c so the probe median of |delta_score| becomes 1.
-
-    Zero gaps are excluded from the median; an all-zero probe leaves c at 1
-    and sets the scale_undefined flag instead of failing. The returned normal
-    form differs only in its scale field, so margins and decisions on any
-    sample are unchanged exactly.
+    Zero gaps are excluded from the median; an all-zero probe has no such c
+    and gives None instead of failing. Applying c as (beta * c, w / c) leaves
+    beta * margin unchanged on every sample.
     """
     probe = list(probe)
     if not probe:
@@ -325,43 +287,5 @@ def scale_fix(nf: NormalForm, probe: Iterable[PairSample]) -> ScaleFixResult:
     magnitudes = [abs(delta_score(nf, s)) for s in probe]
     magnitudes = [m for m in magnitudes if m != 0.0]
     if not magnitudes:
-        return ScaleFixResult(nf, 1.0, 1.0, scale_undefined=True)
-    c = 1.0 / statistics.median(magnitudes)
-    return ScaleFixResult(replace(nf, scale=nf.scale * c), c, c)
-
-
-def margins_equal(
-    a: NormalForm,
-    b: NormalForm,
-    samples: Iterable[PairSample],
-    tol: float = 0.0,
-) -> bool:
-    return all(abs(margin(a, s) - margin(b, s)) <= tol for s in samples)
-
-
-def recover_scale(
-    a: NormalForm,
-    b: NormalForm,
-    samples: Iterable[PairSample],
-    rel_tol: float = 1e-9,
-) -> float | None:
-    """Return c > 0 with delta_score_b = c * delta_score_a and weight_b =
-    weight_a / c across all samples, or None if no single c fits."""
-    samples = list(samples)
-    anchored = [
-        (delta_score(a, s), delta_score(b, s)) for s in samples
-    ]
-    nonzero = [(da, db) for da, db in anchored if da != 0.0]
-    if not nonzero:
-        raise ValueError("need at least one sample with a nonzero score gap")
-    c = nonzero[0][1] / nonzero[0][0]
-    if not c > 0:
         return None
-    for da, db in anchored:
-        if abs(db - c * da) > rel_tol * max(1.0, abs(db), abs(c * da)):
-            return None
-    for s in samples:
-        wa, wb = weight(a, s), weight(b, s)
-        if abs(wb - wa / c) > rel_tol * max(1.0, abs(wb)):
-            return None
-    return c
+    return 1.0 / statistics.median(magnitudes)

@@ -9,10 +9,9 @@ Canonical form is produced in three steps:
   is immutable); any other object is validated first (ValueError);
 * optional scale fixing: with a probe set, the constant c that brings the
   probe median of |delta f*| to 1 is absorbed as weight.constant/c and beta*c
-  (constant-form weights only; an all-zero probe leaves c at 1 and flags
-  scale_undefined); the rescaled object is a new object and is validated, so
-  a beta pushed below the 1e-6 grid raises ValueError instead of emitting
-  "beta":0;
+  (constant-form weights only; an all-zero probe leaves the object as it is);
+  the rescaled object is a new object and is validated, so a beta pushed
+  below the 1e-6 grid raises ValueError instead of emitting "beta":0;
 * serialization: keys sorted lexicographically at every level, numbers rounded
   half-even to 1e-6 and emitted as the shortest plain decimal of the rounded
   value (no exponent, no trailing zeros, "-0" becomes "0"), compact
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from .schema import GkpoObject, quantize, require_valid, to_json_dict
 
 if TYPE_CHECKING:
-    from .algebra import PairSample, ScaleFixResult
+    from .algebra import PairSample
 
 
 def canonical_number(value) -> str:
@@ -74,28 +73,32 @@ def _emit(value: Any, out: list[str]) -> None:
 
 def scale_fix_object(
     obj: GkpoObject, probe: Iterable[PairSample]
-) -> tuple[GkpoObject, ScaleFixResult]:
-    """Absorb the probe-derived scale constant into (weight.constant, beta).
+) -> tuple[GkpoObject, float | None]:
+    """Absorb the probe-derived scale constant c into (weight.constant, beta).
 
-    The product beta * margin is exactly invariant under the transform, so
-    losses and decisions on the probe (or any data) are unchanged. Both the
-    object and its rescaling are validated (ValueError).
+    Returns the rescaled object and c, or obj and None when every probe gap
+    is zero. The product beta * margin is invariant under (beta * c, w / c),
+    so losses and decisions on the probe (or any data) are unchanged. Both
+    the object and its rescaling are validated, and a probe sample that
+    lacks one of the object's penalties is refused (ValueError).
     """
     from . import algebra  # only scale fixing needs it; `hash` alone does not
 
     require_valid(obj)
     if obj.weight.form != "constant":
         raise ValueError("scale fixing requires a constant-form weight")
-    result = algebra.scale_fix(algebra.object_normal_form(obj), probe)
-    if result.scale_undefined:
-        return obj, result
-    c = result.c
+    try:
+        c = algebra.scale_fix(algebra.object_normal_form(obj), probe)
+    except KeyError as exc:  # a probe sample lacks one of the penalties
+        raise ValueError(exc.args[0]) from None
+    if c is None:
+        return obj, None
     fixed = replace(
         obj,
         weight=replace(obj.weight, constant=obj.weight.constant / c),
         beta=obj.beta * c,
     )
-    return require_valid(fixed), result
+    return require_valid(fixed), c
 
 
 def _normalized(obj: GkpoObject, probe: Iterable[PairSample] | None) -> dict:

@@ -384,7 +384,7 @@ def _demo_lines() -> list[str]:
         PairSample(prompt_id="probe1", delta_u=2.0),
         PairSample(prompt_id="probe2", delta_u=2.0),
     ]
-    fixed, result = scale_fix_object(half, probe)
+    fixed, c = scale_fix_object(half, probe)
     twin = GkpoObject(
         weight=WeightSpec(form="constant", constant=1.0),
         reference=dpo.reference,
@@ -392,8 +392,8 @@ def _demo_lines() -> list[str]:
         provenance=dpo.provenance,
     )
     lines.append(
-        f"SCALE fix: c {result.c:g}, weight 0.5 -> {fixed.weight.constant:g}, "
-        f"beta multiplier {result.beta_multiplier:g}, "
+        f"SCALE fix: c {c:g}, weight 0.5 -> {fixed.weight.constant:g}, "
+        f"beta multiplier {c:g}, "
         f"hash equals pre-scaled twin {opal_hash(fixed) == opal_hash(twin)}"
     )
     return lines

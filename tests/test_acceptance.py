@@ -159,10 +159,9 @@ def test_scale_fixing():
     probe = load_probe_jsonl("scale_probe.jsonl")
     assert sorted(abs(s.delta_u) for s in probe)[len(probe) // 2] == 2.0
 
-    fixed, result = scale_fix_object(half, probe)
-    assert result.c == 0.5
+    fixed, c = scale_fix_object(half, probe)
+    assert c == 0.5
     assert fixed.weight.constant == 1.0
-    assert result.beta_multiplier == 0.5
     assert fixed.beta == half.beta * 0.5
     for s in probe:
         before = object_margin(half, s) * half.beta

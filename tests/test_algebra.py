@@ -1,7 +1,7 @@
-"""Operator-ladder laws: order insensitivity, single-pass collection, scale."""
+"""Operator-ladder laws: order insensitivity, single-pass collection, scale
+fixing."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +15,9 @@ from gkpo.algebra import (
     PairSample,
     ReferenceAdjust,
     collect,
-    delta_score,
     ladder_margin,
     margin,
-    margins_equal,
-    recover_scale,
     scale_fix,
-    weight,
 )
 
 PHI_NAMES = ("phi_a", "phi_b", "phi_c")
@@ -107,7 +103,6 @@ def test_collect_merges_like_penalties_and_sorts_names():
     assert nf.penalty_coeffs == {"phi_a": 0.5, "phi_b": 0.5}
     assert nf.weight_factors == ("om_a", "om_b")
     assert nf.ref_terms == ("ref_a", "ref_b")
-    assert nf.scale == 1.0
 
 
 def test_collect_is_a_homomorphism_under_concatenation():
@@ -151,19 +146,6 @@ def test_worked_margin_from_ladder():
 # --- scale handling ----------------------------------------------------------
 
 
-def test_margin_ignores_scale_exactly():
-    nf = collect([AdditivePenalty(0.25, "phi_a"), MultiplicativeWeight("om_a")])
-    sample = PairSample(
-        "s", 0.75, delta_phi={"phi_a": 0.5}, omega={"om_a": 2.0}
-    )
-    base = margin(nf, sample)
-    for c in (0.5, 2.0, 4.0, 0.125):
-        scaled = replace(nf, scale=c)
-        assert margin(scaled, sample) == base
-        assert delta_score(scaled, sample) == c * delta_score(nf, sample)
-        assert weight(scaled, sample) == weight(nf, sample) / c
-
-
 def test_scale_fix_example_median_two():
     # probe gaps +/-2.0: median |delta_score| = 2, so c = 0.5
     nf = NormalForm({}, (), ())
@@ -172,64 +154,24 @@ def test_scale_fix_example_median_two():
         PairSample("p2", -2.0),
         PairSample("p3", 2.0),
     ]
-    fixed = scale_fix(nf, probe)
-    assert fixed.c == 0.5
-    assert fixed.beta_multiplier == 0.5
-    assert not fixed.scale_undefined
-    assert fixed.normal_form.scale == 0.5
-    assert margins_equal(nf, fixed.normal_form, probe, tol=0.0)
+    assert scale_fix(nf, probe) == 0.5
 
 
 def test_scale_fix_excludes_zero_gaps_from_median():
     nf = NormalForm({}, (), ())
     probe = [PairSample("p1", 4.0), PairSample("p2", 0.0), PairSample("p3", 4.0)]
-    fixed = scale_fix(nf, probe)
-    assert fixed.c == 0.25
+    assert scale_fix(nf, probe) == 0.25
 
 
 def test_scale_fix_all_zero_probe_flags_undefined():
     nf = NormalForm({}, (), ())
     probe = [PairSample("p1", 0.0), PairSample("p2", 0.0)]
-    fixed = scale_fix(nf, probe)
-    assert fixed.scale_undefined
-    assert fixed.c == 1.0
-    assert fixed.normal_form == nf
+    assert scale_fix(nf, probe) is None
 
 
 def test_scale_fix_empty_probe_rejected():
     with pytest.raises(ValueError):
         scale_fix(NormalForm({}, (), ()), [])
-
-
-def test_scale_fix_composes_with_existing_scale():
-    nf = NormalForm({}, (), (), scale=2.0)
-    fixed = scale_fix(nf, [PairSample("p", 1.0)])
-    # |delta_score| = 2*1 so c = 0.5 and the stored scale returns to 1
-    assert fixed.c == 0.5
-    assert fixed.normal_form.scale == 1.0
-
-
-def test_recover_scale_finds_applied_constant():
-    nf = collect([AdditivePenalty(0.25, "phi_a")])
-    scaled = replace(nf, scale=4.0)
-    rng = random.Random(3)
-    samples = [random_sample(rng) for _ in range(20)]
-    assert recover_scale(nf, scaled, samples) == 4.0
-    assert recover_scale(scaled, nf, samples) == 0.25
-
-
-def test_recover_scale_rejects_unrelated_forms():
-    a = collect([AdditivePenalty(0.25, "phi_a")])
-    b = collect([AdditivePenalty(0.75, "phi_a")])
-    rng = random.Random(4)
-    samples = [random_sample(rng) for _ in range(20)]
-    assert recover_scale(a, b, samples) is None
-
-
-def test_recover_scale_needs_a_nonzero_gap():
-    nf = NormalForm({}, (), ())
-    with pytest.raises(ValueError):
-        recover_scale(nf, nf, [PairSample("p", 0.0)])
 
 
 # --- construction guards -----------------------------------------------------
@@ -242,13 +184,6 @@ def test_operator_names_must_be_nonempty():
         MultiplicativeWeight("")
     with pytest.raises(ValueError):
         ReferenceAdjust("")
-
-
-def test_normal_form_scale_must_be_positive():
-    with pytest.raises(ValueError):
-        NormalForm({}, (), (), scale=0.0)
-    with pytest.raises(ValueError):
-        NormalForm({}, (), (), scale=-1.0)
 
 
 def test_sample_rejects_nonpositive_omega():

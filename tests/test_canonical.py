@@ -8,12 +8,12 @@ from dataclasses import replace
 from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkpo import schema
 from gkpo.adapters import from_gkpo
-from gkpo.algebra import PairSample
+from gkpo.algebra import PairSample, object_margin, object_normal_form, scale_fix
 from gkpo.canonical import (
     attach_hash,
     canonical_form,
@@ -402,9 +402,8 @@ def test_scale_fix_object_matches_prescaled_twin():
     half = load_fixture("scale_half_weight.json")
     twin = load_fixture("scale_prescaled_twin.json")
     probe = load_probe_jsonl("scale_probe.jsonl")
-    fixed, result = scale_fix_object(half, probe)
-    assert result.c == 0.5
-    assert result.beta_multiplier == 0.5
+    fixed, c = scale_fix_object(half, probe)
+    assert c == 0.5
     assert fixed.weight.constant == 1.0
     assert fixed.beta == 0.5
     assert opal_hash(fixed) == opal_hash(twin)
@@ -418,9 +417,65 @@ def test_scale_fix_object_requires_constant_weight(orpo_shift_obj):
 
 def test_scale_fix_object_flags_degenerate_probe():
     obj = load_fixture("scale_half_weight.json")
-    fixed, result = scale_fix_object(obj, [PairSample("p", 0.0)])
-    assert result.scale_undefined
+    fixed, c = scale_fix_object(obj, [PairSample("p", 0.0)])
+    assert c is None
     assert opal_hash(fixed) == opal_hash(obj)
+
+
+def _off_grid(x: float) -> bool:
+    """True when x cannot be a valid positive beta or weight constant."""
+    return not (schema.is_finite_number(x) and x > 0 and schema.quantize(x) > 0)
+
+
+# magnitudes from 1e-9 to 1e10, so that some rescalings leave the 1e-6 grid
+_probe_number = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-9, 9)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(
+        st.tuples(
+            _probe_number,
+            st.lists(_probe_number, min_size=4, max_size=4),  # one per penalty
+            st.floats(-4, 4),
+            st.floats(-4, 4),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_scale_fix_object_keeps_beta_times_margin(seed, rows):
+    """The rescaled object's beta' * M'(s) equals beta * M(s) on every probe
+    sample, and its hash is the probe hash of the original; a rescaling that
+    leaves the 1e-6 grid is refused."""
+    obj = random_object(random.Random(seed))
+    assume(obj.weight.form == "constant")
+    names = [p.name for p in obj.penalties]
+    probe = [
+        PairSample(
+            f"p{i}",
+            du,
+            delta_phi=dict(zip(names, phis)),
+            delta_ref={"prompt_offset": prompt, "dataset_offset": dataset},
+        )
+        for i, (du, phis, prompt, dataset) in enumerate(rows)
+    ]
+    c = scale_fix(object_normal_form(obj), probe)
+    if c is not None and (_off_grid(obj.beta * c) or _off_grid(obj.weight.constant / c)):
+        with pytest.raises(ValueError):
+            scale_fix_object(obj, probe)
+        return
+    fixed, fixed_c = scale_fix_object(obj, probe)
+    assert fixed_c == c
+    for s in probe:
+        before = obj.beta * object_margin(obj, s)
+        after = fixed.beta * object_margin(fixed, s)
+        assert (before > 0, before < 0) == (after > 0, after < 0)
+        assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
+    assert opal_hash(fixed) == opal_hash(obj, probe=probe)
 
 
 def test_scale_fix_refuses_a_rescaled_beta_below_the_grid(dpo_obj):

@@ -165,6 +165,36 @@ def test_scale_fix_below_the_grid_is_failure(capsys, tmp_path, command):
     assert "must not round to 0 on the canonical 1e-6 grid" in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["hash", "canonicalize"])
+def test_scale_fix_probe_lacking_a_penalty_is_failure(capsys, command):
+    code, out, err = run_cli(capsys, command, RRHF, "--scale-fix", "--probe", SCALE_PROBE)
+    assert code == EXIT_FAILURE
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["code"] == EXIT_FAILURE
+    assert "'rank_margin_1'" in payload["error"] and "'probe1'" in payload["error"]
+
+
+@pytest.mark.parametrize("nan_line", [1, 2, 3])
+def test_scale_fix_refuses_a_nan_probe_number_on_any_line(capsys, tmp_path, nan_line):
+    rows = [2.0, 4.0]
+    rows.insert(nan_line - 1, float("nan"))
+    probe = tmp_path / "probe.jsonl"
+    probe.write_text("".join(
+        json.dumps({"prompt_id": f"p{i}", "delta_u": du}) + "\n" for i, du in enumerate(rows)
+    ))
+    code, out, err = run_cli(capsys, "hash", SCALE_HALF, "--scale-fix", "--probe", str(probe))
+    assert code == EXIT_FAILURE
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert f"{probe}:{nan_line}: bad probe sample: delta_u must be a finite number" in (
+        json.loads(lines[0])["error"]
+    )
+
+
 # --- convert ---------------------------------------------------------------------------
 
 
@@ -951,6 +981,9 @@ def cli_runs(draw):
         argv = draw(st.sampled_from([
             ["hash", SCALE_HALF, "--scale-fix", "--probe", "FILE"],
             ["canonicalize", SCALE_HALF, "--scale-fix", "--probe", "FILE"],
+            # the probe rows lack the fixture's rank_margin_* penalties
+            ["hash", RRHF, "--scale-fix", "--probe", "FILE"],
+            ["canonicalize", RRHF, "--scale-fix", "--probe", "FILE"],
             ["convert", str(FIXTURES / "kto_product_weight.json"),
              "--to", "KTO_GRPO", "--probe", "FILE"],
         ]))

@@ -416,6 +416,14 @@ def test_jsonl_malformed_row_names_path_and_line(tmp_path):
         load_jsonl(path)
 
 
+def test_jsonl_nan_number_names_path_and_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
+    _rewrite_row(path, 3, delta_u=float("nan"))
+    with pytest.raises(ValueError, match=rf"{path.name}:3: .*delta_u must be a finite number"):
+        load_jsonl(path)
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 
 
