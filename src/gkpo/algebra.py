@@ -21,7 +21,6 @@ not import numpy.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -281,6 +280,8 @@ def scale_fix(nf: NormalForm, probe: Iterable[PairSample]) -> float | None:
     and gives None instead of failing. Applying c as (beta * c, w / c) leaves
     beta * margin unchanged on every sample.
     """
+    import statistics  # loads fractions; only the probe median needs it
+
     probe = list(probe)
     if not probe:
         raise ValueError("probe must contain at least one sample")

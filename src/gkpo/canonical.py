@@ -1,33 +1,36 @@
 """Canonical byte serialization and content hashing for GKPO objects.
 
-Canonical form is produced in three steps:
+One writer reads the frozen object and appends its canonical text node by node:
 
-* normalisation: the plain `schema.to_json_dict` mapping with penalties sorted
-  by name and factor / citation / group / reason lists sorted (reasons
-  deduplicated); the object must be valid, so penalty names are unique. An
-  object that `schema.validate` has already passed is not checked again (it
-  is immutable); any other object is validated first (ValueError);
-* optional scale fixing: with a probe set, the constant c that brings the
-  probe median of |delta f*| to 1 is absorbed as weight.constant/c and beta*c
-  (constant-form weights only; an all-zero probe leaves the object as it is);
-  the rescaled object is a new object and is validated, so a beta pushed
-  below the 1e-6 grid raises ValueError instead of emitting "beta":0;
-* serialization: keys sorted lexicographically at every level, numbers rounded
-  half-even to 1e-6 and emitted as the shortest plain decimal of the rounded
-  value (no exponent, no trailing zeros, "-0" becomes "0"), compact
-  separators, UTF-8 bytes. provenance.opal_hash never enters the byte form.
+* the object must be valid, so penalty names are unique. An object that
+  `schema.validate` has already passed is not checked again (it is
+  immutable); any other object is validated first (ValueError);
+* optional scale fixing first: with a probe set, the constant c that brings
+  the probe median of |delta f*| to 1 is absorbed as weight.constant/c and
+  beta*c (constant-form weights only; an all-zero probe leaves the object as
+  it is). The rescaled object is validated, so a beta pushed below the 1e-6
+  grid raises ValueError instead of emitting "beta":0;
+* each node's keys in sorted order, penalties sorted by name, factor /
+  citation / group / reason lists sorted (reasons deduplicated), unused
+  optionals left out where `schema.to_json_dict` leaves them out, and no
+  provenance.opal_hash; numbers rounded half-even to 1e-6 as the shortest
+  plain decimal (no exponent, no trailing zeros, "-0" becomes "0"), strings
+  escaped as json.dumps does, compact separators, UTF-8 bytes.
 
-The opal hash is the SHA-256 of the canonical bytes, lowercase hex.
+`canonical_form` reads those bytes back, so `diff` and the opal hash (the
+SHA-256 of the bytes, lowercase hex) come from one path.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from decimal import Decimal
-from json.encoder import encode_basestring  # json.dumps' str escaper
+from json.encoder import encode_basestring as _str  # json.dumps' str escaper
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
-from .schema import GkpoObject, quantize, require_valid, to_json_dict
+from .schema import GkpoObject, PenaltyEntry, quantize, require_valid
 
 if TYPE_CHECKING:
     from .algebra import PairSample
@@ -43,32 +46,9 @@ def canonical_number(value) -> str:
     return "0" if text == "-0" else text
 
 
-def _emit(value: Any, out: list[str]) -> None:
-    """Append the canonical text of value to out, piece by piece."""
-    if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, float, Decimal)):
-        out.append(canonical_number(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(encode_basestring(key))
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+_num = canonical_number
+_name = attrgetter("name")
+_BOOL = {True: "true", False: "false"}
 
 
 def scale_fix_object(
@@ -101,45 +81,74 @@ def scale_fix_object(
     return require_valid(fixed), c
 
 
-def _normalized(obj: GkpoObject, probe: Iterable[PairSample] | None) -> dict:
-    """to_json_dict without provenance.opal_hash, order-free lists sorted."""
-    if probe is None:
-        require_valid(obj)
-    else:
-        obj, _ = scale_fix_object(obj, probe)  # validates obj and its rescaling
-    form = to_json_dict(obj)
-    # opal_hash is excluded so the hash can be written back into the object
-    # without changing what it hashes to.
-    form["provenance"].pop("opal_hash", None)
-    form["provenance"]["citations"].sort()
-    form["penalties"].sort(key=lambda entry: entry["name"])
-    form["weight"].get("factors", []).sort()
-    form["dataset_ops"]["group_weights"].sort()
-    form["dataset_ops"]["group_penalties"].sort()
-    red = form["reducibility"]
-    red["reasons"] = sorted(set(red["reasons"]))
-    return form
+def _strings(items) -> str:
+    return "[" + ",".join([_str(item) for item in sorted(items)]) + "]"
 
 
-def _quantized(value: Any) -> Any:
-    if isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, float)):
-        return quantize(value)
-    if isinstance(value, dict):
-        return {key: _quantized(item) for key, item in value.items()}
-    return [_quantized(item) for item in value]
+def _numbers(value) -> str:
+    """A witness value: a number, or a flat tuple of numbers."""
+    if isinstance(value, tuple):
+        return "[" + ",".join([_num(item) for item in value]) + "]"
+    return _num(value)
 
 
-def canonical_form(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> dict:
-    """Nested dict of the canonical content; numbers are quantized Decimals."""
-    return _quantized(_normalized(obj, probe))
+def _penalty(p: PenaltyEntry) -> str:
+    gate = "" if p.meta_gate is None else f',"meta":{{"gate":{_BOOL[p.meta_gate]}}}'
+    return f'{{"lambda":{_num(p.coeff)}{gate},"name":{_str(p.name)}}}'
+
+
+def _write(obj: GkpoObject) -> str:
+    """The canonical text of a valid object, each node's keys in sorted order.
+
+    An optional is left out exactly where schema.to_json_dict leaves it out.
+    """
+    score, weight, ref = obj.score, obj.weight, obj.reference
+    ops, prov, red = obj.dataset_ops, obj.provenance, obj.reducibility
+    witness = red.witness
+    out = [
+        '{"beta":', _num(obj.beta),
+        ',"dataset_ops":{"composition":', _str(ops.composition),
+        ',"group_penalties":', _strings(ops.group_penalties),
+        ',"group_weights":', _strings(ops.group_weights),
+        '},"link":', _str(obj.link),
+        ',"loss":', _str(obj.loss),
+        ',"penalties":[', ",".join([_penalty(p) for p in sorted(obj.penalties, key=_name)]),
+        # opal_hash is left out so the hash can be written back into the
+        # object without changing what it hashes to
+        '],"provenance":{"citations":', _strings(prov.citations),
+        ',"method":', _str(prov.method),
+        ',"notes":', _str(prov.notes),
+        '},"reducibility":{"inside_R":', _BOOL[red.inside_R],
+        ',"reasons":', _strings(set(red.reasons)),
+        ',"witness":{', ",".join([f"{_str(k)}:{_numbers(witness[k])}" for k in sorted(witness)]),
+        '}},"reference":{"form":', _str(ref.form),
+    ]
+    if ref.value is not None:
+        out += ',"value":', _num(ref.value)
+    out.append('},"score":{')
+    if score.custom_name is not None:
+        out += '"custom_name":', _str(score.custom_name), ","
+    out += '"type":', _str(score.type), '},"version":', _str(obj.version), ',"weight":{'
+    if weight.constant is not None:
+        out += '"constant":', _num(weight.constant), ","
+    if weight.factors:
+        out += '"factors":', _strings(weight.factors), ","
+    out += '"form":', _str(weight.form)
+    if weight.score_fn is not None:
+        out += ',"score_fn":', _str(weight.score_fn)
+    out.append("}}")
+    return "".join(out)
 
 
 def canonicalize(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> bytes:
-    out: list[str] = []
-    _emit(_normalized(obj, probe), out)
-    return "".join(out).encode("utf-8")
+    # scale_fix_object validates obj and its rescaling
+    obj = require_valid(obj) if probe is None else scale_fix_object(obj, probe)[0]
+    return _write(obj).encode("utf-8")
+
+
+def canonical_form(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> dict:
+    """The canonical bytes read back as JSON; numbers are exact Decimals."""
+    return json.loads(canonicalize(obj, probe), parse_float=Decimal, parse_int=Decimal)
 
 
 def opal_hash(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> str:
@@ -153,9 +162,6 @@ def attach_hash(
 ) -> GkpoObject:
     digest = opal_hash(obj, probe)
     return replace(obj, provenance=replace(obj.provenance, opal_hash=digest))
-
-
-ABSENT = None  # diff sentinel: key missing on that side
 
 
 def diff(a: GkpoObject, b: GkpoObject) -> list[tuple[str, Any, Any]]:
@@ -172,24 +178,14 @@ def diff(a: GkpoObject, b: GkpoObject) -> list[tuple[str, Any, Any]]:
     form_b.pop("provenance")
     out: list[tuple[str, Any, Any]] = []
 
-    def plain(value: Any) -> Any:
-        # canonical forms hold quantized Decimals; report JSON-native values
-        if isinstance(value, Decimal):
-            return float(value)
-        if isinstance(value, list):
-            return [plain(v) for v in value]
-        if isinstance(value, dict):
-            return {k: plain(v) for k, v in value.items()}
-        return value
-
     def walk(path: str, left: Any, right: Any):
         if isinstance(left, dict) and isinstance(right, dict):
             for key in sorted(set(left) | set(right)):
                 sub = f"{path}.{key}" if path else key
-                walk(sub, left.get(key, ABSENT), right.get(key, ABSENT))
+                walk(sub, left.get(key), right.get(key))
             return
-        if left != right:
-            out.append((path, plain(left), plain(right)))
+        if left != right:  # exact Decimals are reported as JSON-native floats
+            out.append((path, *json.loads(json.dumps([left, right], default=float))))
 
     walk("", form_a, form_b)
     return out

@@ -367,8 +367,8 @@ def load_jsonl(path: str) -> SyntheticDataset:
                 shape = (features_pos[0] if features_pos else fp).shape
                 if not fp.shape == fn.shape == shape:
                     raise ValueError(f"features must have shape {shape}")
-                if len(shape) != 1:
-                    raise ValueError("features must be lists of numbers")
+                if len(shape) != 1 or not (np.isfinite(fp).all() and np.isfinite(fn).all()):
+                    raise ValueError("features must be lists of finite numbers")
                 slices.setdefault(row["slice"], []).append(len(samples))
             # OverflowError: an integer feature beyond float range;
             # RecursionError: JSON nested too deeply

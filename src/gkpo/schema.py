@@ -352,6 +352,8 @@ def _numbers(value: Any, path: str) -> float | tuple[float, ...]:
     return _number(value, path, "expected a number or a flat number array")
 
 
+# one decoder serves every parse; json.loads would build one per call with hooks
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_strict_pairs)
 # UTF-8 cannot encode a surrogate code point, so a string holding one could not
 # be hashed. JSON text carries one as itself or as a \uD800-\uDFFF escape.
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
@@ -379,9 +381,9 @@ def _require_utf8(value: Any, path: str) -> None:
 def parse(text: str) -> GkpoObject:
     """Parse GKPO JSON text strictly; raises ParseError with a path on failure."""
     try:
-        raw = json.loads(
-            text, parse_constant=_reject_constant, object_pairs_hook=_strict_pairs
-        )
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
         if _SURROGATE_ESCAPE.search(text) or (
             not text.isascii() and _SURROGATE.search(text)
         ):

@@ -5,7 +5,7 @@ import json
 import random
 import sys
 from dataclasses import replace
-from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
+from decimal import ROUND_DOWN, Inexact, localcontext
 
 import pytest
 from hypothesis import assume, given, settings
@@ -317,56 +317,6 @@ def test_canonical_bytes_ignore_the_callers_decimal_context(dpo_obj, rrhf_obj):
         ctx.traps[Inexact] = True
         assert canonicalize(dpo_obj) == DPO_CANONICAL.encode()
         assert opal_hash(rrhf_obj) == RRHF_HASH
-
-
-# --- the emitter against the standard library's reader ---------------------------
-
-# quotes, backslashes, control characters, the JavaScript line separators and
-# non-BMP characters, beside any other encodable character
-_AWKWARD = '"\\\x00\x1f\x7f\u2028\u2029\U0001f600\U00010000'
-_free_text = st.text(
-    st.sampled_from(_AWKWARD) | st.characters(exclude_categories=("Cs",)), max_size=8
-)
-_witness_value = st.floats(-1e3, 1e3) | st.lists(st.floats(-1e3, 1e3), max_size=3)
-
-
-def _keys_sorted(pairs):
-    keys = [key for key, _ in pairs]
-    assert keys == sorted(keys)
-    return dict(pairs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    method=_free_text,
-    notes=_free_text,
-    citations=st.lists(_free_text, max_size=3),
-    witness=st.dictionaries(_free_text, _witness_value, max_size=4),
-    beta=st.floats(1e-3, 1e3),
-)
-def test_canonical_bytes_read_back_as_the_canonical_form(
-    seed, method, notes, citations, witness, beta
-):
-    """json.loads with exact decimals finds every object's keys sorted and
-    reads the bytes back as canonical_form: escaping and numbers are checked
-    against the standard library, not against the emitter."""
-    obj = replace(
-        random_object(random.Random(seed)),
-        beta=beta,
-        provenance=Provenance(method=method, citations=citations, notes=notes),
-        reducibility=ReducibilityBlock(
-            inside_R=False, reasons=("reference_shift",), witness=witness
-        ),
-    )
-    assert validate(obj) == []
-    read = json.loads(
-        canonicalize(obj).decode("utf-8"),
-        parse_float=Decimal,
-        parse_int=Decimal,
-        object_pairs_hook=_keys_sorted,
-    )
-    assert read == canonical_form(obj)
 
 
 # --- fuzzed stability ----------------------------------------------------------------

@@ -837,26 +837,27 @@ def test_document_commands_leave_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
-# command -> (argv, gkpo modules it loads, whether it loads hashlib)
+# command -> (argv, gkpo modules it loads, which of LAZY_STDLIB it loads)
+LAZY_STDLIB = ("hashlib", "statistics")
 DOCUMENT_COMMANDS = {
-    "validate": (["validate", DPO], {"schema"}, False),
-    "hash": (["hash", DPO], {"schema", "canonical"}, True),
+    "validate": (["validate", DPO], {"schema"}, set()),
+    "hash": (["hash", DPO], {"schema", "canonical"}, {"hashlib"}),
     "hash --scale-fix": (
         ["hash", SCALE_HALF, "--scale-fix", "--probe", SCALE_PROBE],
         {"schema", "canonical", "algebra"},
-        True,
+        {"hashlib", "statistics"},
     ),
-    "canonicalize": (["canonicalize", RRHF], {"schema", "canonical"}, False),
-    "diff": (["diff", DPO, DPO_ALT], {"schema", "canonical"}, False),
+    "canonicalize": (["canonicalize", RRHF], {"schema", "canonical"}, set()),
+    "diff": (["diff", DPO, DPO_ALT], {"schema", "canonical"}, set()),
     "convert": (
         ["convert", RRHF, "--to", "RRHF"],
         {"schema", "algebra", "reducibility", "adapters"},
-        False,
+        set(),
     ),
     "probe": (
         ["probe", "shift", "0.2", "0.5", "-0.5"],
         {"schema", "reducibility"},
-        False,
+        set(),
     ),
 }
 
@@ -864,8 +865,9 @@ DOCUMENT_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(DOCUMENT_COMMANDS))
 def test_each_command_loads_only_the_modules_it_runs(command):
     """A cold `python -m gkpo.cli` run imports gkpo, the modules its command
-    uses and no numpy, and hashlib only when it hashes; the interpreter's
-    import log (-X importtime) lists every module the run loaded."""
+    uses and no numpy, hashlib only when it hashes and statistics only when
+    it scale-fixes; the interpreter's import log (-X importtime) lists every
+    module the run loaded."""
     import os
     import subprocess
     import sys
@@ -873,7 +875,7 @@ def test_each_command_loads_only_the_modules_it_runs(command):
 
     import gkpo
 
-    argv, modules, hashes = DOCUMENT_COMMANDS[command]
+    argv, modules, lazy = DOCUMENT_COMMANDS[command]
     src = str(Path(gkpo.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "gkpo.cli", *argv],
@@ -892,7 +894,7 @@ def test_each_command_loads_only_the_modules_it_runs(command):
         *(f"gkpo.{m}" for m in modules),
     }
     assert not {m for m in loaded if m.split(".")[0] == "numpy"}
-    assert ("hashlib" in loaded) == hashes
+    assert {m for m in LAZY_STDLIB if m in loaded} == lazy
 
 
 # --- whole-CLI fuzz ----------------------------------------------------------------

@@ -424,6 +424,16 @@ def test_jsonl_nan_number_names_path_and_line(tmp_path):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize("key", ["features_pos", "features_neg"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_jsonl_non_finite_feature_names_path_and_line(tmp_path, key, bad):
+    path = tmp_path / "d.jsonl"
+    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
+    _rewrite_row(path, 3, **{key: [0.5, bad]})
+    with pytest.raises(ValueError, match=rf"{path.name}:3: .*features must be lists of finite numbers"):
+        load_jsonl(path)
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 
 

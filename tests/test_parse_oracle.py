@@ -154,7 +154,8 @@ def test_parsers_agree_on_malformed_texts():
         texts.append(text.replace('"form"', '"form": "x", "form"', 1))
         for token in ("NaN", "Infinity", "-Infinity"):
             texts.append(text.replace('"beta": ', f'"beta": {token}, "x": ', 1))
-    texts += ["", "null", "[]", '"gkpo-1.0"', "1", "{}", '{"version": 1}']
+        texts.append("\ufeff" + text)  # a byte order mark is refused, not skipped
+    texts += ["", "null", "[]", '"gkpo-1.0"', "1", "{}", '{"version": 1}', "\ufeff"]
     for text in texts:
         assert_agree(text)
 
