@@ -239,7 +239,7 @@ def _object_reference(obj: GkpoObject, sample: Any) -> Any:
     if form in ("fixed_zero", "fixed_scalar"):
         return float(obj.reference.value)
     if form == "per_prompt":
-        return sample.delta_ref[PROMPT_OFFSET_KEY]
+        return _lookup(sample.delta_ref, PROMPT_OFFSET_KEY, "reference term", sample)
     if form == "per_dataset":
         return sample.delta_ref.get(DATASET_OFFSET_KEY, 0.0)
     raise ValueError(f"reference form {form!r} has no sample-level numeric value")

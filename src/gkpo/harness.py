@@ -60,7 +60,7 @@ from .engine import (
     objective,
     z_slope,
 )
-from .schema import GkpoObject, parse
+from .schema import GkpoObject, is_finite_number, parse
 
 SLICE_KEY = "target_slice"
 BACKGROUND_KEY = "background"
@@ -362,12 +362,15 @@ def load_jsonl(path: str) -> SyntheticDataset:
                 sample = sample_from_row(row)
                 fp = np.asarray(row["features_pos"], dtype=float)
                 fn = np.asarray(row["features_neg"], dtype=float)
-                if row["label"] not in (-1, 1):
+                if isinstance(row["label"], bool) or row["label"] not in (-1, 1):
                     raise ValueError("label must be +1 or -1")
                 shape = (features_pos[0] if features_pos else fp).shape
                 if not fp.shape == fn.shape == shape:
                     raise ValueError(f"features must have shape {shape}")
-                if len(shape) != 1 or not (np.isfinite(fp).all() and np.isfinite(fn).all()):
+                # the raw items must be numbers: numpy reads "1.5" and true as floats
+                if len(shape) != 1 or not all(
+                    map(is_finite_number, row["features_pos"] + row["features_neg"])
+                ):
                     raise ValueError("features must be lists of finite numbers")
                 slices.setdefault(row["slice"], []).append(len(samples))
             # OverflowError: an integer feature beyond float range;

@@ -3,16 +3,18 @@
 A GKPO document is a JSON object with a fixed key set describing one pairwise
 margin objective: score source, weight, reference, link/loss pair, temperature,
 additive penalties, dataset-level operations, provenance, and a reducibility
-block. Parsing is strict (unknown keys, nulls, NaN/Infinity, and type
-mismatches are rejected with a path) and follows one table of node shapes,
-SHAPES; validation is non-throwing and returns every violation so callers can
-report them all at once.
+block. One table of node shapes, SHAPES, states its structure: parse reads by
+it strictly (unknown keys, nulls, NaN/Infinity, and type mismatches are
+rejected with a path), validate checks objects built in Python against it, and
+to_json_dict writes by it. Validation is non-throwing and returns every
+violation so callers can report them all at once.
 
 A GkpoObject is immutable all the way down: every field is a frozen
 dataclass, a tuple or a scalar, and the reducibility witness is a read-only
-mapping whose arrays are tuples. So a valid object stays valid: `validate`
-records a clean result on the instance and `require_valid` trusts that record.
-`dataclasses.replace` builds a new, unrecorded instance, which is checked again.
+mapping whose arrays are tuples. So a parsed object meets SHAPES for good, and
+a valid one stays valid: parse and `validate` record this on the instance, and
+`validate` and `require_valid` trust the records. `dataclasses.replace` builds
+a new, unrecorded instance, which is checked again.
 
 Optional keys are absent when unused; an explicit null is a parse error.
 """
@@ -196,12 +198,12 @@ def _frozen(cls: type) -> Callable[[dict], Any]:
     return make
 
 
-# The structural parse rules. For each node of a document: its wire keys in
-# the order they are read, each with its kind, what an absent key reads as
-# (REQUIRED: it may not be absent), its allowed values (ENUM, STRS) or child
-# node (NODE, ARRAY of nodes), and the field it fills. A child node is read
-# whole when its key is reached, and a node's unknown keys are reported after
-# its last key. An explicit null is an error for every key.
+# The structural rules of the format. For each node of a document: its wire
+# keys in reading and writing order, each with its kind, what an absent key
+# reads as (REQUIRED: it may not be absent), its allowed values (ENUM, STRS)
+# or child node (NODE, ARRAY of nodes), and the field it fills. A child node
+# is read whole when its key is reached, and a node's unknown keys are
+# reported after its last key. An explicit null is an error for every key.
 STR, ENUM, NUMBER, BOOL, STRS, ARRAY, NODE, NUMBER_MAP = (
     "string", "enum", "number", "bool", "string list", "array", "node",
     "number map",  # name -> number or flat number array (the witness)
@@ -402,7 +404,9 @@ def parse(text: str) -> GkpoObject:
         # other defect of the version key is the first one _read reports.
         if raw["version"] != SCHEMA_VERSION:
             raise ParseError(f"unsupported version {raw['version']!r}", "version")
-    return _read(raw, "", "document")
+    obj = _read(raw, "", "document")
+    object.__setattr__(obj, _PARSED, True)  # validate need not check SHAPES again
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -410,59 +414,28 @@ def parse(text: str) -> GkpoObject:
 
 
 def to_json_dict(obj: GkpoObject) -> dict[str, Any]:
-    """Full-fidelity JSON mapping; unused optionals are omitted, never null."""
-    score: dict[str, Any] = {"type": obj.score.type}
-    if obj.score.custom_name is not None:
-        score["custom_name"] = obj.score.custom_name
+    """Full-fidelity JSON mapping in SHAPES key order; an unused optional
+    (None) is omitted, never null, and so is an empty weight.factors."""
+    return _json_node(obj, "document")
 
-    weight: dict[str, Any] = {"form": obj.weight.form}
-    if obj.weight.constant is not None:
-        weight["constant"] = obj.weight.constant
-    if obj.weight.factors:
-        weight["factors"] = list(obj.weight.factors)
-    if obj.weight.score_fn is not None:
-        weight["score_fn"] = obj.weight.score_fn
 
-    reference: dict[str, Any] = {"form": obj.reference.form}
-    if obj.reference.value is not None:
-        reference["value"] = obj.reference.value
-
-    penalties = []
-    for p in obj.penalties:
-        entry: dict[str, Any] = {"name": p.name, "lambda": p.coeff}
-        if p.meta_gate is not None:
-            entry["meta"] = {"gate": p.meta_gate}
-        penalties.append(entry)
-
-    provenance: dict[str, Any] = {
-        "method": obj.provenance.method,
-        "citations": list(obj.provenance.citations),
-        "notes": obj.provenance.notes,
-    }
-    if obj.provenance.opal_hash is not None:
-        provenance["opal_hash"] = obj.provenance.opal_hash
-
-    return {
-        "version": obj.version,
-        "score": score,
-        "weight": weight,
-        "reference": reference,
-        "link": obj.link,
-        "loss": obj.loss,
-        "beta": obj.beta,
-        "penalties": penalties,
-        "dataset_ops": {
-            "group_weights": list(obj.dataset_ops.group_weights),
-            "group_penalties": list(obj.dataset_ops.group_penalties),
-            "composition": obj.dataset_ops.composition,
-        },
-        "provenance": provenance,
-        "reducibility": {
-            "inside_R": obj.reducibility.inside_R,
-            "reasons": list(obj.reducibility.reasons),
-            "witness": dict(obj.reducibility.witness),
-        },
-    }
+def _json_node(node: Any, shape: str) -> dict[str, Any]:
+    fields = {"gate": node} if shape == "meta" else node.__dict__  # meta is its gate
+    out = {}
+    for key, kind, absent, arg, field_name in SHAPES[shape][1]:
+        value = fields[field_name]
+        if value is None and absent is None or (key == "factors" and not value):
+            continue
+        if kind is NODE:
+            value = _json_node(value, arg)
+        elif kind is ARRAY:
+            value = [_json_node(item, arg) for item in value]
+        elif kind is STRS:
+            value = list(value)
+        elif kind is NUMBER_MAP:
+            value = dict(value)
+        out[key] = value
+    return out
 
 
 def serialize(obj: GkpoObject) -> str:
@@ -507,41 +480,92 @@ def quantize(value) -> Decimal:
     return Decimal(value).quantize(_QUANTUM, context=_CONTEXT)
 
 
-# Instance attribute (not a dataclass field) that marks a validated object.
+# Instance attributes (not dataclass fields) that record checks: _PARSED marks
+# an object parse built, which meets every SHAPES rule; _VALID marks an object
+# that validate passed.
+_PARSED = "_parsed"
 _VALID = "_validated"
+
+
+def _problem(kind: str, value: Any, allowed: Any) -> str | None:
+    """Why parse would refuse a NUMBER, BOOL, STR or ENUM value, or a STRS
+    item, that allows `allowed`; None when it would not."""
+    if kind is NUMBER:
+        return None if is_finite_number(value) else "expected a finite number"
+    if kind is BOOL:
+        return None if type(value) is bool else "expected a boolean"
+    if not isinstance(value, str):
+        return "expected a string"
+    if allowed is not None:
+        return None if value in allowed else f"{value!r} is not one of {sorted(allowed)}"
+    if value.isascii() or not _SURROGATE.search(value):
+        return None
+    return "string is not UTF-8 encodable (lone surrogate)"
+
+
+def _check_shape(node: Any, shape: str, path: str, bad: Callable[[str, str], None]) -> None:
+    """Report each value under node that SHAPES[shape] does not allow."""
+    fields = {"gate": node} if shape == "meta" else node.__dict__  # meta is its gate
+    for key, kind, absent, arg, field_name in SHAPES[shape][1]:
+        value = fields[field_name]
+        if value is None and absent is None:  # an unused optional
+            continue
+        if kind is NODE:
+            _check_shape(value, arg, _at(path, key), bad)
+        elif kind is ARRAY:
+            for i, item in enumerate(value):
+                _check_shape(item, arg, f"{_at(path, key)}[{i}]", bad)
+        elif kind is STRS:
+            for i, item in enumerate(value):
+                if problem := _problem(STR, item, arg):
+                    bad(f"{_at(path, key)}[{i}]", problem)
+        elif kind is NUMBER_MAP:
+            for name, item in value.items():
+                sub = f"{_at(path, key)}.{name}"
+                if problem := _problem(STR, name, None):
+                    bad(sub, problem)
+                if isinstance(item, tuple):
+                    for j, number in enumerate(item):
+                        if not is_finite_number(number):
+                            bad(f"{sub}[{j}]", "expected a finite number")
+                elif not is_finite_number(item):
+                    bad(sub, "expected a finite number or a flat number array")
+        elif problem := _problem(kind, value, arg):
+            bad(_at(path, key), problem)
 
 
 def validate(obj: GkpoObject) -> list[Violation]:
     """Check every schema invariant; returns an empty list iff the object is valid.
 
-    A valid object is marked as such, so require_valid need not check it again.
+    An object that parse did not build is first checked against SHAPES, in
+    parse's words. The cross-field rules below read a field only if it has the
+    table's type. A valid object is marked so that require_valid trusts it.
     """
     v: list[Violation] = []
 
     def bad(path: str, message: str):
         v.append(Violation(path, message))
 
+    if not obj.__dict__.get(_PARSED):
+        _check_shape(obj, "document", "", bad)
+
     def positive(path: str, x: Any):
         # a positive value that quantizes to 0 would canonicalize to an
         # invalid object and hash equal to every other such value
-        if not is_finite_number(x) or x <= 0:
+        if not is_finite_number(x):
+            pass  # reported by the walk
+        elif x <= 0:
             bad(path, "must be a finite positive real")
         elif x < _STEP and quantize(x) == 0:
             bad(path, "must not round to 0 on the canonical 1e-6 grid")
 
-    if obj.version != SCHEMA_VERSION:
+    if isinstance(obj.version, str) and obj.version != SCHEMA_VERSION:
         bad("version", f"must be {SCHEMA_VERSION!r}, got {obj.version!r}")
 
-    # score
-    if not isinstance(obj.score.type, str) or obj.score.type not in SCORE_TYPES:
-        bad("score.type", f"unknown score type {obj.score.type!r}")
     if (obj.score.custom_name is not None) != (obj.score.type == "custom"):
         bad("score.custom_name", "present iff score.type is 'custom'")
 
-    # weight
     w = obj.weight
-    if not isinstance(w.form, str) or w.form not in WEIGHT_FORMS:
-        bad("weight.form", f"unknown weight form {w.form!r}")
     if w.form == "constant":
         if w.constant is None:
             bad("weight.constant", "required for constant form")
@@ -552,110 +576,42 @@ def validate(obj: GkpoObject) -> list[Violation]:
     if (len(w.factors) > 0) != (w.form == "product"):
         bad("weight.factors", "nonempty iff weight form is 'product'")
     for i, name in enumerate(w.factors):
-        if not is_name(name):
+        if isinstance(name, str) and not is_name(name):
             bad(f"weight.factors[{i}]", f"invalid factor name {name!r}")
     if (w.score_fn is not None) != (w.form == "score_dependent"):
         bad("weight.score_fn", "present iff weight form is 'score_dependent'")
 
-    # reference
     r = obj.reference
-    if not isinstance(r.form, str) or r.form not in REFERENCE_FORMS:
-        bad("reference.form", f"unknown reference form {r.form!r}")
     if r.form in ("fixed_zero", "fixed_scalar"):
         if r.value is None:
             bad("reference.value", "required for fixed reference forms")
-        elif not is_finite_number(r.value):
-            bad("reference.value", "must be a finite real")
-        elif r.form == "fixed_zero" and r.value != 0:
+        elif r.form == "fixed_zero" and is_finite_number(r.value) and r.value != 0:
             bad("reference.value", "must be 0 for fixed_zero")
     elif r.value is not None:
         bad("reference.value", "only allowed for fixed reference forms")
 
-    if not isinstance(obj.link, str) or obj.link not in LINK_NAMES:
-        bad("link", f"unknown link {obj.link!r}")
-    if not isinstance(obj.loss, str) or obj.loss not in LOSS_NAMES:
-        bad("loss", f"unknown loss {obj.loss!r}")
     positive("beta", obj.beta)
 
     seen = set()
     for i, p in enumerate(obj.penalties):
+        if not isinstance(p.name, str):
+            continue
         if not is_name(p.name):
             bad(f"penalties[{i}].name", f"invalid penalty name {p.name!r}")
         elif p.name in seen:
             bad(f"penalties[{i}].name", f"duplicate penalty name {p.name!r}")
         else:
             seen.add(p.name)
-        if not is_finite_number(p.coeff):
-            bad(f"penalties[{i}].lambda", "must be a finite real")
-        if p.meta_gate is not None and not isinstance(p.meta_gate, bool):
-            bad(f"penalties[{i}].meta.gate", "must be a boolean")
-
-    composition = obj.dataset_ops.composition
-    if not isinstance(composition, str) or composition not in COMPOSITIONS:
-        bad("dataset_ops.composition", f"unknown composition {composition!r}")
 
     opal_hash = obj.provenance.opal_hash
-    if opal_hash is not None and not (
-        isinstance(opal_hash, str) and _HASH_RE.match(opal_hash)
-    ):
+    if isinstance(opal_hash, str) and not _HASH_RE.match(opal_hash):
         bad("provenance.opal_hash", "must be 64 lowercase hex characters")
 
     red = obj.reducibility
-    if not isinstance(red.inside_R, bool):
-        bad("reducibility.inside_R", "must be a boolean")
-    elif red.inside_R and red.reasons:
+    if red.inside_R is True and red.reasons:
         bad("reducibility", "inside_R is true but reasons are present")
-    elif not red.inside_R and not red.reasons:
+    elif red.inside_R is False and not red.reasons:
         bad("reducibility.reasons", "inside_R is false but no reason is given")
-    for i, reason in enumerate(red.reasons):
-        if not isinstance(reason, str) or reason not in REASON_CODES:
-            bad(f"reducibility.reasons[{i}]", f"unknown reason {reason!r}")
-    for key in red.witness:
-        value = red.witness[key]
-        path = f"reducibility.witness.{key}"
-        if isinstance(value, bool):
-            bad(path, "must be a number or a flat number array")
-        elif isinstance(value, (int, float)):
-            if not is_finite_number(value):
-                bad(path, "must be finite")
-        elif isinstance(value, (list, tuple)):
-            for j, item in enumerate(value):
-                if not is_finite_number(item):
-                    bad(f"{path}[{j}]", "must be a finite number")
-        else:
-            bad(path, "must be a number or a flat number array")
-
-    # free text that no name rule covers must be strings that encode, or
-    # hashing fails; None stands for an absent custom_name or score_fn
-    prov, ops = obj.provenance, obj.dataset_ops
-    custom_name, score_fn = obj.score.custom_name, w.score_fn
-    try:  # encoding all of it at once spares the usual object the walk by field
-        "".join([
-            "" if custom_name is None else custom_name,
-            "" if score_fn is None else score_fn,
-            prov.method, prov.notes,
-            *prov.citations, *ops.group_weights, *ops.group_penalties, *red.witness,
-        ]).encode("utf-8")
-    except (TypeError, UnicodeEncodeError):  # a non-string, or a lone surrogate
-        def encodable(path: str, text: Any):
-            if not isinstance(text, str):
-                bad(path, "must be a string")
-            elif _SURROGATE.search(text):
-                bad(path, "not UTF-8 encodable (lone surrogate)")
-
-        if custom_name is not None:
-            encodable("score.custom_name", custom_name)
-        if score_fn is not None:
-            encodable("weight.score_fn", score_fn)
-        for group in ("group_weights", "group_penalties"):
-            for i, text in enumerate(getattr(ops, group)):
-                encodable(f"dataset_ops.{group}[{i}]", text)
-        encodable("provenance.method", prov.method)
-        for i, text in enumerate(prov.citations):
-            encodable(f"provenance.citations[{i}]", text)
-        encodable("provenance.notes", prov.notes)
-        for key in red.witness:
-            encodable(f"reducibility.witness.{key}", key)
 
     if not v:
         object.__setattr__(obj, _VALID, True)

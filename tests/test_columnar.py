@@ -37,7 +37,7 @@ from gkpo.harness import (
     run_h2,
     save_jsonl,
 )
-from gkpo.schema import ReferenceSpec
+from gkpo.schema import GkpoObject, ReferenceSpec
 
 from conftest import random_object
 from test_harness import (
@@ -118,6 +118,27 @@ def test_batch_evaluator_names_the_same_missing_name_and_sample(seed):
     with pytest.raises(KeyError) as err:
         object_margins_and_weights(obj, PairBatch.from_samples(samples))
     assert str(err.value) == _first_error(obj, samples)
+
+
+def test_missing_prompt_offset_names_the_sample_that_lacks_it():
+    obj = GkpoObject(reference=ReferenceSpec(form="per_prompt", value=None))
+
+    def message(prompt_id):
+        return f"reference term {PROMPT_OFFSET_KEY!r} missing from sample {prompt_id!r}"
+
+    with pytest.raises(KeyError) as err:
+        object_margin(obj, PairSample("p7", 1.0))
+    assert err.value.args[0] == message("p7")
+    offset = {PROMPT_OFFSET_KEY: 0.5}
+    batches = {
+        "p7": [PairSample("p1", 1.0, delta_ref=offset), PairSample("p7", 1.0),
+               PairSample("p8", 1.0)],
+        "p2": [PairSample("p2", 1.0), PairSample("p3", 1.0)],  # no row carries it
+    }
+    for first, samples in batches.items():
+        with pytest.raises(KeyError) as err:
+            object_margins_and_weights(obj, PairBatch.from_samples(samples))
+        assert err.value.args[0] == message(first)
 
 
 # --- gen_dataset against the per-pair generator ------------------------------------

@@ -434,6 +434,24 @@ def test_jsonl_non_finite_feature_names_path_and_line(tmp_path, key, bad):
         load_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"features_pos": ["1.5", True]}, "features must be lists of finite numbers"),
+        ({"features_neg": [0.5, False]}, "features must be lists of finite numbers"),
+        ({"label": True}, r"label must be \+1 or -1"),
+    ],
+    ids=["string_and_bool_features", "bool_feature", "bool_label"],
+)
+def test_jsonl_non_number_feature_or_label_names_path_and_line(tmp_path, fields, message):
+    """numpy reads "1.5" and true as floats, and true == 1; the loader must not."""
+    path = tmp_path / "d.jsonl"
+    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
+    _rewrite_row(path, 3, **fields)
+    with pytest.raises(ValueError, match=rf"{path.name}:3: .*{message}"):
+        load_jsonl(path)
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 
 

@@ -1,8 +1,10 @@
 """Strict parsing and validation behavior."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import random
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +27,7 @@ from gkpo.schema import (
     validate,
 )
 
-from conftest import FIXTURES, fixture_text, load_fixture
+from conftest import FIXTURES, fixture_text, load_fixture, random_object
 
 MINIMAL = {
     "version": "gkpo-1.0",
@@ -558,3 +560,90 @@ def test_validate_reports_wrong_typed_fields_without_raising():
         )
         cases += 1
     assert cases > 500
+
+
+# --- the plain serialization's bytes ------------------------------------------------
+
+# sha256 over serialize(parse(text)) for every fixtures/*.json in sorted order,
+# then serialize(random_object(rng)) 3000 times with rng = random.Random(2024);
+# each item is followed by b"\n". It pins the exact bytes of the plain form:
+# its keys, their order and the optionals it leaves out.
+SERIALIZE_DIGEST = "b73b9b8570d291c77b2cd71fc2c332d0798fe850ec7ed399f40a74a9284c2e4c"
+
+
+def test_serialize_bytes_pinned_over_fixtures_and_fuzz_corpus():
+    digest = hashlib.sha256()
+    paths = sorted(FIXTURES.glob("*.json"))
+    assert len(paths) == 12
+    for path in paths:
+        digest.update(serialize(parse(path.read_text(encoding="utf-8"))).encode() + b"\n")
+    rng = random.Random(2024)
+    for _ in range(3000):
+        digest.update(serialize(random_object(rng)).encode() + b"\n")
+    assert digest.hexdigest() == SERIALIZE_DIGEST
+
+
+# --- a parsed object needs no SHAPES walk -------------------------------------------
+
+
+def _one_node_mutations(node, path=()):
+    """(path, value) for every node of a JSON document replaced by a value of
+    each JSON type; "x" is outside every enum."""
+    if path:
+        for replacement in _JSON_VALUES.values():
+            yield path, replacement
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _one_node_mutations(child, (*path, key))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+_FULL_DOC = json.loads(serialize(_FULL))
+# documents that parse but break a rule relating fields to each other
+_RULE_VIOLATIONS = [
+    _mutated(_FULL_DOC, ("beta",), 0),
+    _mutated(json.loads(fixture_text("kto_product_weight.json")), ("weight", "constant"), 1.0),
+    _mutated(_FULL_DOC, ("penalties",), [{"name": "len", "lambda": 0.2}] * 2),
+    _mutated(_FULL_DOC, ("reducibility", "inside_R"), True),
+]
+
+
+def _parity_texts():
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.read_text(encoding="utf-8")
+    rng = random.Random(11)
+    for _ in range(3000):
+        yield serialize(random_object(rng))
+    yield from _RULE_VIOLATIONS
+    # parse refuses most of these; a parse that let one of those through
+    # would fail the comparison, as the walk validate skips would report it
+    for path, value in _one_node_mutations(_FULL_DOC):
+        yield _mutated(_FULL_DOC, path, value)
+
+
+def test_validate_of_a_parsed_object_equals_validate_of_its_unrecorded_copy():
+    """validate skips the SHAPES walk for an object parse built; on every
+    document that parses, that must lose no violation and change no message."""
+    for text in _RULE_VIOLATIONS:
+        assert validate(parse(text)), text
+    compared = 0
+    for text in _parity_texts():
+        try:
+            obj = parse(text)
+        except ParseError:
+            continue
+        as_parsed = [(v.path, v.message) for v in validate(obj)]
+        walked = [(v.path, v.message) for v in validate(dataclasses.replace(obj))]
+        assert as_parsed == walked, text
+        compared += 1
+    assert compared >= 3000 + 12 + len(_RULE_VIOLATIONS)
