@@ -4,7 +4,7 @@ A GKPO document is a JSON object with a fixed key set describing one pairwise
 margin objective: score source, weight, reference, link/loss pair, temperature,
 additive penalties, dataset-level operations, provenance, and a reducibility
 block. One table of node shapes, SHAPES, states its structure: parse reads by
-it strictly (unknown keys, nulls, NaN/Infinity, and type mismatches are
+it strictly (unknown keys, nulls, non-finite numbers, and type mismatches are
 rejected with a path), validate checks objects built in Python against it, and
 to_json_dict writes by it. Validation is non-throwing and returns every
 violation so callers can report them all at once.
@@ -51,14 +51,14 @@ REASON_CODES = frozenset(
     {"reference_shift", "non_additive_gate", "score_dependent_weight"}
 )
 
-_HASH_RE = re.compile(r"^[0-9a-f]{64}$")
+_HASH_RE = re.compile(r"[0-9a-f]{64}")  # both fullmatch: "$" passes a final "\n"
 # Identifier strings name penalties, factors, score functions, witness keys.
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 
 
 def is_name(value: Any) -> bool:
     """True for a string that may name a penalty, factor or score function."""
-    return isinstance(value, str) and _NAME_RE.match(value) is not None
+    return isinstance(value, str) and _NAME_RE.fullmatch(value) is not None
 
 
 class ParseError(ValueError):
@@ -294,7 +294,7 @@ def _read(data: Any, path: str, shape: str) -> Any:
         elif kind is NODE:
             value = _read(value, f"{path}.{key}" if path else key, arg)
         elif kind is NUMBER:
-            if type(value) is not float:
+            if type(value) is not float or not math.isfinite(value):
                 value = _number(value, _at(path, key))
         elif kind is BOOL:
             if type(value) is not bool:
@@ -335,14 +335,11 @@ def _at(path: str, key: str) -> str:
 
 def _number(value: Any, path: str, message: str = "expected a number") -> float:
     # json.loads yields exact types, so a bool is never taken for an int
-    if type(value) is float:
-        return value
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ParseError("number out of range", path) from None
-    raise ParseError(message, path)
+    if type(value) is not float and type(value) is not int:
+        raise ParseError(message, path)
+    if not is_finite_number(value):  # 10**400, or a literal such as 1e400 (inf)
+        raise ParseError("number out of range", path)
+    return float(value)
 
 
 def _numbers(value: Any, path: str) -> float | tuple[float, ...]:
@@ -419,11 +416,16 @@ def to_json_dict(obj: GkpoObject) -> dict[str, Any]:
     return _json_node(obj, "document")
 
 
+def _fields(node: Any, shape: str) -> Mapping[str, Any]:
+    return {"gate": node} if shape == "meta" else node.__dict__  # meta is its gate
+
+
 def _json_node(node: Any, shape: str) -> dict[str, Any]:
-    fields = {"gate": node} if shape == "meta" else node.__dict__  # meta is its gate
+    fields = _fields(node, shape)
     out = {}
     for key, kind, absent, arg, field_name in SHAPES[shape][1]:
         value = fields[field_name]
+        # an empty weight.factors is the one omission SHAPES does not state
         if value is None and absent is None or (key == "factors" and not value):
             continue
         if kind is NODE:
@@ -498,14 +500,13 @@ def _problem(kind: str, value: Any, allowed: Any) -> str | None:
         return "expected a string"
     if allowed is not None:
         return None if value in allowed else f"{value!r} is not one of {sorted(allowed)}"
-    if value.isascii() or not _SURROGATE.search(value):
-        return None
-    return "string is not UTF-8 encodable (lone surrogate)"
+    surrogate = not value.isascii() and _SURROGATE.search(value)
+    return "string is not UTF-8 encodable (lone surrogate)" if surrogate else None
 
 
 def _check_shape(node: Any, shape: str, path: str, bad: Callable[[str, str], None]) -> None:
     """Report each value under node that SHAPES[shape] does not allow."""
-    fields = {"gate": node} if shape == "meta" else node.__dict__  # meta is its gate
+    fields = _fields(node, shape)
     for key, kind, absent, arg, field_name in SHAPES[shape][1]:
         value = fields[field_name]
         if value is None and absent is None:  # an unused optional
@@ -604,7 +605,7 @@ def validate(obj: GkpoObject) -> list[Violation]:
             seen.add(p.name)
 
     opal_hash = obj.provenance.opal_hash
-    if isinstance(opal_hash, str) and not _HASH_RE.match(opal_hash):
+    if isinstance(opal_hash, str) and not _HASH_RE.fullmatch(opal_hash):
         bad("provenance.opal_hash", "must be 64 lowercase hex characters")
 
     red = obj.reducibility

@@ -9,6 +9,7 @@ equal object or raise a ParseError with the same path and message.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from gkpo.schema import (
@@ -50,9 +51,12 @@ def _strict_pairs(pairs):
 
 def _float(value: int | float, path: str) -> float:
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ParseError("number out of range", path) from None
+    if not math.isfinite(value):  # a literal such as 1e400 decodes to inf
+        raise ParseError("number out of range", path)
+    return value
 
 
 class _Node:

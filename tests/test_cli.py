@@ -84,6 +84,48 @@ def test_validate_malformed_json_exits_1_with_location(capsys):
     assert_error_line(err, EXIT_FAILURE)
 
 
+@pytest.mark.parametrize("token", ["1e400", "-1e400"])
+@pytest.mark.parametrize(
+    "node, path",
+    [
+        (("beta",), "beta"),
+        (("weight", "constant"), "weight.constant"),
+        (("reference", "value"), "reference.value"),
+        (("penalties", 0, "lambda"), "penalties[0].lambda"),
+        (("reducibility", "witness", "phi_value_equal"), "reducibility.witness.phi_value_equal"),
+        (("reducibility", "witness", "phi_pairs", 1), "reducibility.witness.phi_pairs[1]"),
+    ],
+)
+def test_number_literal_beyond_float_range_is_refused_at_its_path(
+    capsys, tmp_path, node, path, token
+):
+    """JSON text 1e400 decodes to an infinite float: parse refuses it, so no
+    command validates, hashes or writes a document holding it."""
+    from gkpo.schema import ParseError, parse
+
+    doc = json.loads(fixture_path("gated_penalty.json").read_text())
+    target = doc
+    for key in node[:-1]:
+        target = target[key]
+    target[node[-1]] = "HOLE"
+    text = json.dumps(doc).replace('"HOLE"', token)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: number out of range")
+    file = tmp_path / "doc.json"
+    file.write_text(text)
+    code, out, err = run_cli(capsys, "validate", str(file))
+    assert code == EXIT_FAILURE
+    assert json.loads(out)["violations"] == [
+        {"path": path, "message": f"{path}: number out of range"}
+    ]
+    assert_error_line(err, EXIT_FAILURE)
+    for command in ("hash", "canonicalize"):
+        code, out, err = run_cli(capsys, command, str(file))
+        assert (code, out) == (EXIT_FAILURE, "")
+        assert_error_line(err, EXIT_FAILURE)
+
+
 def test_validate_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/x.json")
     assert code == EXIT_USAGE

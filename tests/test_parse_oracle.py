@@ -160,6 +160,20 @@ def test_parsers_agree_on_malformed_texts():
         assert_agree(text)
 
 
+def test_parsers_agree_on_number_literals_beyond_float_range():
+    """json.dumps cannot write 1e400 (it writes Infinity), so these texts put
+    the raw token in place of every node of every fixture."""
+    checked = 0
+    for name in FIXTURE_NAMES:
+        doc = json.loads(fixture_text(name))
+        for path in node_paths(doc):
+            hole = json.dumps(mutated(doc, (path, "replace", "\x00hole\x00")))
+            for token in ("1e400", "-1e400", "1e-400"):
+                assert_agree(hole.replace('"\\u0000hole\\u0000"', token))
+                checked += 1
+    assert checked > 900
+
+
 def _frozen_all_the_way(value) -> bool:
     if is_dataclass(value):
         # __init__ and __post_init__ rebuild an equal object

@@ -268,6 +268,24 @@ def test_validate_opal_hash_regex():
     assert "provenance.opal_hash" in paths(validate(GkpoObject(provenance=upper)))
 
 
+def test_hash_and_name_patterns_refuse_a_trailing_newline():
+    """The patterns must match the whole string: "$" alone also matches
+    before a final newline."""
+    hash_line = "a" * 64 + "\n"
+    built = GkpoObject(
+        weight=WeightSpec(form="product", constant=None, factors=("om_a\n",)),
+        penalties=(PenaltyEntry(name="len\n", coeff=0.2),),
+        provenance=Provenance(method="DPO", opal_hash=hash_line),
+    )
+    expected = [
+        ("weight.factors[0]", "invalid factor name 'om_a\\n'"),
+        ("penalties[0].name", "invalid penalty name 'len\\n'"),
+        ("provenance.opal_hash", "must be 64 lowercase hex characters"),
+    ]
+    for obj in (built, parse(serialize(built))):
+        assert [(v.path, v.message) for v in validate(obj)] == expected
+
+
 def test_validate_inside_r_implies_no_reasons():
     obj = GkpoObject(
         reducibility=ReducibilityBlock(inside_R=True, reasons=("reference_shift",))
@@ -599,13 +617,15 @@ def _one_node_mutations(node, path=()):
         yield from _one_node_mutations(child, (*path, key))
 
 
-def _mutated(doc, path, value):
+def _mutated(doc, path, value, raw=None):
+    """doc as JSON text with the node at path set to value, or to the JSON
+    token raw, which json.dumps could not write (it writes inf as Infinity)."""
     doc = json.loads(json.dumps(doc))
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
-    return json.dumps(doc)
+    target[path[-1]] = "\x00hole\x00" if raw else value
+    return json.dumps(doc).replace('"\\u0000hole\\u0000"', raw or "")
 
 
 _FULL_DOC = json.loads(serialize(_FULL))
@@ -629,6 +649,10 @@ def _parity_texts():
     # would fail the comparison, as the walk validate skips would report it
     for path, value in _one_node_mutations(_FULL_DOC):
         yield _mutated(_FULL_DOC, path, value)
+    # number literals that decode to an infinite float, at every node
+    for path in dict.fromkeys(path for path, _ in _one_node_mutations(_FULL_DOC)):
+        for raw in ("1e400", "-1e400"):
+            yield _mutated(_FULL_DOC, path, None, raw)
 
 
 def test_validate_of_a_parsed_object_equals_validate_of_its_unrecorded_copy():
