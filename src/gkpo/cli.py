@@ -9,12 +9,13 @@ turns a library error into that line. Primary output is JSON on stdout;
 
 Each command imports the modules it runs inside its own body, so a cold
 `gkpo validate` loads only gkpo.schema and `gkpo hash` adds gkpo.canonical.
+`gkpo harness` reads its config and leaves every decision about it to
+gkpo.harness.setup; a ValueError or TypeError from there is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -103,7 +104,9 @@ def _load_probe(path: str) -> list[PairSample]:
     from .algebra import sample_from_row
 
     samples = []
-    for i, line in enumerate(_read_text(path).splitlines(), start=1):
+    # "\n" only, as harness.load_jsonl reads: splitlines() would also break at
+    # U+0085, U+2028 and U+2029, which JSON allows raw inside a string
+    for i, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -405,87 +408,15 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
-_DATA_KEYS = ("size", "feature_dim", "data_seed")
-# Largest harness dataset, in feature cells (size * feature_dim): 10 times the
-# benchmark's h2 run of 50 000 pairs x 8 features. Training holds a few arrays
-# of this many floats, so a larger config is a usage error, not an allocation.
-MAX_HARNESS_CELLS = 4_000_000
+def cmd_harness(args) -> int:
+    from . import harness  # numpy; the document commands never load it
 
-
-def _harness_setup(which: str, config: dict[str, Any]):
-    from . import harness as hn
-
-    known = {*_DATA_KEYS, *(f.name for f in dataclasses.fields(hn.HarnessParams))}
-    unknown = set(config) - known
-    if unknown:
-        raise _UsageError(f"unknown harness config keys: {sorted(unknown)}")
-    defaults = {"h1": (300, 6, "none"), "h2": (1000, 8, "witness_slice")}[which]
-    size = config.get("size", defaults[0])
-    dim = config.get("feature_dim", defaults[1])
     try:
-        for key in _DATA_KEYS:
-            if key in config:
-                hn.require_int(key, config[key])
-        if size * dim > MAX_HARNESS_CELLS:
-            raise ValueError(
-                f"size * feature_dim is {size * dim}, over the limit of "
-                f"{MAX_HARNESS_CELLS} feature cells"
-            )
-        hp = hn.HarnessParams(
-            **{k: v for k, v in config.items() if k not in _DATA_KEYS}
-        )
-        data = hn.gen_dataset(size, dim, defaults[2], seed=config.get("data_seed", 0))
+        config = _read_json(args.config) if args.config else {}
+        run, specs, data, hp = harness.setup(args.which, config)
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad harness config: {exc}") from exc
-    return data, hp
-
-
-def cmd_harness(args) -> int:
-    from . import harness as hn  # numpy; the document commands never load it
-    from .adapters import MethodConfig, to_gkpo
-
-    config: dict[str, Any] = {}
-    if args.config:
-        try:
-            config = _read_json(args.config)
-            if not isinstance(config, dict):
-                raise ValueError("config must be a JSON object")
-        except ValueError as exc:
-            raise _UsageError(f"bad harness config: {exc}") from exc
-    data, hp = _harness_setup(args.which, config)
-
-    if args.which == "h1":
-        spec_a = to_gkpo(MethodConfig("DPO", {"beta": 1.0, "ref": 0.10}))
-        spec_b = to_gkpo(
-            MethodConfig(
-                "PPO_RM",
-                {
-                    "beta": 1.0,
-                    "ref": 0.05,
-                    "kl_coeff": 0.5,
-                    "anchor_offset": 0.1,
-                    "fold_kl": True,
-                },
-            )
-        )
-        report = hn.run_h1(spec_a, spec_b, data, hp)
-    else:
-        base = to_gkpo(MethodConfig("DPO", {"beta": 1.0, "ref": 0.0}))
-        shifted = to_gkpo(
-            MethodConfig(
-                "ORPO",
-                {
-                    "beta": 1.0,
-                    "offset_mode": "per_prompt",
-                    "shift_evidence": {
-                        "raw_gap": hn.FLIP_GAP,
-                        "offsets": [hn.FLIP_OFFSET, -hn.FLIP_OFFSET],
-                    },
-                },
-            )
-        )
-        report = hn.run_h2(base, shifted, data, hp)
-
+    report = run(*specs, data, hp)
     payload = report.to_json_dict()
     _print_json(payload, args.pretty)
     if args.out:

@@ -27,6 +27,9 @@ Datasets are columnar: a SyntheticDataset holds one PairBatch (prompt ids,
 delta_u and name -> column maps) plus (n, d) feature blocks and labels, and
 the spec's margins are evaluated once per column, not once per pair.
 
+`gkpo harness h1|h2` runs one row of HYPOTHESES; `setup` checks a whole
+--config against it, HarnessParams and MAX_HARNESS_CELLS, then builds it.
+
 Datasets serialize to line-delimited JSON: a header line
 {"format": "gkpo-pairs-1", "seed": ...} followed by one pair per line with
 keys, in order: prompt_id, delta_u, features_pos, features_neg, label, slice,
@@ -38,12 +41,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from . import adapters
 from .algebra import (
     PROMPT_OFFSET_KEY,
     PairSample,
@@ -182,6 +186,11 @@ def require_int(name: str, value: Any) -> None:
 
 # 1000 times the default; bootstrap_ci holds one float per resample
 MAX_BOOTSTRAP_RESAMPLES = 1_000_000
+# Largest array a harness run may hold, in floats: the dataset's feature cells
+# (size * feature_dim) and a run's margin trace (trace rows * size). It is 10
+# times the benchmark's h2 dataset of 50 000 pairs x 8 features and 5 times
+# its 16-row trace, so a larger config is a usage error, not an allocation.
+MAX_HARNESS_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -749,3 +758,57 @@ def run_h2(
             )
         )
     return H2Report(results=tuple(results))
+
+
+# ---------------------------------------------------------------------------
+# `gkpo harness h1|h2`
+
+
+# Per hypothesis: the data keys' defaults, the dataset's shift profile, the
+# runner and the two method configs it compares
+HYPOTHESES = {
+    "h1": ({"size": 300, "feature_dim": 6, "data_seed": 0}, "none", run_h1, (
+        ("DPO", {"beta": 1.0, "ref": 0.10}),
+        ("PPO_RM", {"beta": 1.0, "ref": 0.05, "kl_coeff": 0.5, "anchor_offset": 0.1,
+                    "fold_kl": True}),
+    )),
+    "h2": ({"size": 1000, "feature_dim": 8, "data_seed": 0}, "witness_slice", run_h2, (
+        ("DPO", {"beta": 1.0, "ref": 0.0}),
+        ("ORPO", {"beta": 1.0, "offset_mode": "per_prompt", "shift_evidence": {
+            "raw_gap": FLIP_GAP, "offsets": [FLIP_OFFSET, -FLIP_OFFSET]}}),
+    )),
+}
+
+
+def setup(which: str, config: Any) -> tuple[Callable, tuple, SyntheticDataset, HarnessParams]:
+    """The runner, specs, dataset and params of HYPOTHESES[which] under config.
+
+    config is a JSON object of data keys and HarnessParams fields. Any other
+    key, a data key that is not an integer, a dataset or margin trace over
+    MAX_HARNESS_CELLS, or a bad HarnessParams value is a ValueError or
+    TypeError, raised before the dataset exists.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    data_keys, profile, run, configs = HYPOTHESES[which]
+    unknown = config.keys() - data_keys.keys() - {f.name for f in fields(HarnessParams)}
+    if unknown:
+        raise ValueError(f"unknown keys: {sorted(unknown)}")
+    for key in data_keys:
+        if key in config:
+            require_int(key, config[key])
+    size, dim, data_seed = (config.get(key, value) for key, value in data_keys.items())
+    if size * dim > MAX_HARNESS_CELLS:
+        raise ValueError(
+            f"size * feature_dim is {size * dim}, over the limit of "
+            f"{MAX_HARNESS_CELLS} feature cells"
+        )
+    hp = HarnessParams(**{k: v for k, v in config.items() if k not in data_keys})
+    rows = -(-hp.steps // hp.eval_every) + 1  # len(trace_steps) in _train
+    if rows * size > MAX_HARNESS_CELLS:
+        raise ValueError(
+            f"the margin trace, {rows} rows x {size} pairs, is over the limit "
+            f"of {MAX_HARNESS_CELLS} cells"
+        )
+    specs = tuple(adapters.to_gkpo(adapters.MethodConfig(*c)) for c in configs)
+    return run, specs, gen_dataset(size, dim, profile, seed=data_seed), hp

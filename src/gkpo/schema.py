@@ -195,6 +195,7 @@ def _frozen(cls: type) -> Callable[[dict], Any]:
         obj.__dict__.update(fields)
         return obj
 
+    make.cls = cls  # what validate requires a node of this shape to be
     return make
 
 
@@ -505,9 +506,14 @@ def _problem(kind: str, value: Any, allowed: Any) -> str | None:
 
 
 def _check_shape(node: Any, shape: str, path: str, bad: Callable[[str, str], None]) -> None:
-    """Report each value under node that SHAPES[shape] does not allow."""
+    """Report each value under node that SHAPES[shape] does not allow; a node
+    that is not the dataclass its shape builds is reported, not entered."""
+    make, entries = SHAPES[shape]
+    if shape != "meta" and not isinstance(node, make.cls):  # meta is its gate
+        bad(path, "expected an object")
+        return
     fields = _fields(node, shape)
-    for key, kind, absent, arg, field_name in SHAPES[shape][1]:
+    for key, kind, absent, arg, field_name in entries:
         value = fields[field_name]
         if value is None and absent is None:  # an unused optional
             continue
@@ -539,8 +545,9 @@ def validate(obj: GkpoObject) -> list[Violation]:
     """Check every schema invariant; returns an empty list iff the object is valid.
 
     An object that parse did not build is first checked against SHAPES, in
-    parse's words. The cross-field rules below read a field only if it has the
-    table's type. A valid object is marked so that require_valid trusts it.
+    parse's words. The cross-field rules below read a node only if it is the
+    table's dataclass, and a field only if it has the table's type. A valid
+    object is marked so that require_valid trusts it.
     """
     v: list[Violation] = []
 
@@ -563,27 +570,31 @@ def validate(obj: GkpoObject) -> list[Violation]:
     if isinstance(obj.version, str) and obj.version != SCHEMA_VERSION:
         bad("version", f"must be {SCHEMA_VERSION!r}, got {obj.version!r}")
 
-    if (obj.score.custom_name is not None) != (obj.score.type == "custom"):
+    score, w, r = obj.score, obj.weight, obj.reference
+    if not isinstance(score, ScoreSpec):
+        pass  # reported by the walk, as is each node below
+    elif (score.custom_name is not None) != (score.type == "custom"):
         bad("score.custom_name", "present iff score.type is 'custom'")
 
-    w = obj.weight
-    if w.form == "constant":
-        if w.constant is None:
-            bad("weight.constant", "required for constant form")
-        else:
-            positive("weight.constant", w.constant)
-    elif w.constant is not None:
-        bad("weight.constant", "only allowed for constant form")
-    if (len(w.factors) > 0) != (w.form == "product"):
-        bad("weight.factors", "nonempty iff weight form is 'product'")
-    for i, name in enumerate(w.factors):
-        if isinstance(name, str) and not is_name(name):
-            bad(f"weight.factors[{i}]", f"invalid factor name {name!r}")
-    if (w.score_fn is not None) != (w.form == "score_dependent"):
-        bad("weight.score_fn", "present iff weight form is 'score_dependent'")
+    if isinstance(w, WeightSpec):
+        if w.form == "constant":
+            if w.constant is None:
+                bad("weight.constant", "required for constant form")
+            else:
+                positive("weight.constant", w.constant)
+        elif w.constant is not None:
+            bad("weight.constant", "only allowed for constant form")
+        if (len(w.factors) > 0) != (w.form == "product"):
+            bad("weight.factors", "nonempty iff weight form is 'product'")
+        for i, name in enumerate(w.factors):
+            if isinstance(name, str) and not is_name(name):
+                bad(f"weight.factors[{i}]", f"invalid factor name {name!r}")
+        if (w.score_fn is not None) != (w.form == "score_dependent"):
+            bad("weight.score_fn", "present iff weight form is 'score_dependent'")
 
-    r = obj.reference
-    if r.form in ("fixed_zero", "fixed_scalar"):
+    if not isinstance(r, ReferenceSpec):
+        pass
+    elif r.form in ("fixed_zero", "fixed_scalar"):
         if r.value is None:
             bad("reference.value", "required for fixed reference forms")
         elif r.form == "fixed_zero" and is_finite_number(r.value) and r.value != 0:
@@ -595,7 +606,7 @@ def validate(obj: GkpoObject) -> list[Violation]:
 
     seen = set()
     for i, p in enumerate(obj.penalties):
-        if not isinstance(p.name, str):
+        if not isinstance(p, PenaltyEntry) or not isinstance(p.name, str):
             continue
         if not is_name(p.name):
             bad(f"penalties[{i}].name", f"invalid penalty name {p.name!r}")
@@ -604,12 +615,15 @@ def validate(obj: GkpoObject) -> list[Violation]:
         else:
             seen.add(p.name)
 
-    opal_hash = obj.provenance.opal_hash
+    prov = obj.provenance
+    opal_hash = prov.opal_hash if isinstance(prov, Provenance) else None
     if isinstance(opal_hash, str) and not _HASH_RE.fullmatch(opal_hash):
         bad("provenance.opal_hash", "must be 64 lowercase hex characters")
 
     red = obj.reducibility
-    if red.inside_R is True and red.reasons:
+    if not isinstance(red, ReducibilityBlock):
+        pass
+    elif red.inside_R is True and red.reasons:
         bad("reducibility", "inside_R is true but reasons are present")
     elif red.inside_R is False and not red.reasons:
         bad("reducibility.reasons", "inside_R is false but no reason is given")

@@ -237,6 +237,24 @@ def test_scale_fix_refuses_a_nan_probe_number_on_any_line(capsys, tmp_path, nan_
     )
 
 
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"], ids=ascii)
+def test_probe_lines_split_only_at_newline(capsys, tmp_path, separator):
+    """JSON allows U+0085, U+2028 and U+2029 raw inside a string, so a probe
+    row holding one is one line, and its prompt id does not move the result."""
+    def probe(prompt_id):
+        path = tmp_path / f"{len(prompt_id)}.jsonl"
+        rows = [{"prompt_id": prompt_id, "delta_u": 2.0}, {"prompt_id": "c", "delta_u": -2.0}]
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                        encoding="utf-8")
+        return str(path)
+
+    for argv in (["hash", SCALE_HALF, "--scale-fix", "--probe"],
+                 ["convert", SCALE_HALF, "--to", "DPO", "--probe"]):
+        code, out, err = run_cli(capsys, *argv, probe(f"a{separator}b"))
+        assert (code, err) == (EXIT_OK, "")
+        assert (EXIT_OK, out, "") == run_cli(capsys, *argv, probe("ab"))
+
+
 # --- convert ---------------------------------------------------------------------------
 
 
@@ -823,7 +841,7 @@ def test_bad_probe_command_line_is_usage_error(capsys, tmp_path, argv):
     ids=["size", "feature_dim"],
 )
 def test_oversized_harness_dataset_is_usage_error(capsys, tmp_path, monkeypatch, config):
-    from gkpo.cli import MAX_HARNESS_CELLS
+    from gkpo.harness import MAX_HARNESS_CELLS
 
     def no_dataset(*args, **kwargs):
         raise AssertionError("the limit must refuse the config before allocating")
@@ -837,6 +855,27 @@ def test_oversized_harness_dataset_is_usage_error(capsys, tmp_path, monkeypatch,
         assert out == ""
         assert_single_error_line(err, EXIT_USAGE)
         assert str(MAX_HARNESS_CELLS) in json.loads(err)["error"]
+
+
+def test_oversized_margin_trace_is_usage_error(capsys, tmp_path, monkeypatch):
+    """A run holds its margin trace, one row per traced step by one column per
+    pair; over MAX_HARNESS_CELLS it is refused before the dataset exists."""
+    from gkpo.harness import MAX_HARNESS_CELLS
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the limit must refuse the config before allocating")
+
+    monkeypatch.setattr("gkpo.harness.gen_dataset", no_dataset)
+    path = tmp_path / "long.json"
+    # exactly at the feature-cell limit, with 10**9 + 1 trace rows
+    config = {"steps": 10**9, "eval_every": 1, "size": 4000, "feature_dim": 1000}
+    path.write_text(json.dumps(config))
+    for which in ("h1", "h2"):
+        code, out, err = run_cli(capsys, "harness", which, "--config", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert_single_error_line(err, EXIT_USAGE)
+        message = json.loads(err)["error"]
+        assert "margin trace" in message and str(MAX_HARNESS_CELLS) in message
 
 
 # --- import graph ----------------------------------------------------------------

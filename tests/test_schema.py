@@ -18,7 +18,10 @@ from gkpo.schema import (
     Provenance,
     ReducibilityBlock,
     ReferenceSpec,
+    NODE,
+    SHAPES,
     ScoreSpec,
+    Violation,
     WeightSpec,
     parse,
     require_valid,
@@ -578,6 +581,34 @@ def test_validate_reports_wrong_typed_fields_without_raising():
         )
         cases += 1
     assert cases > 500
+
+
+_DOCUMENT_NODES = [key for key, kind, *_ in SHAPES["document"][1] if kind is NODE]
+
+
+@pytest.mark.parametrize("where", [*_DOCUMENT_NODES, "penalties[0]"])
+def test_validate_reports_a_wrong_typed_node_without_raising(where):
+    """A node that is not the dataclass of its shape is one violation at its
+    path, in parse's words; validate neither enters it nor raises, and
+    require_valid raises ValueError."""
+    assert len(_DOCUMENT_NODES) == 6
+    wrong_kind = WeightSpec() if where == "score" else ScoreSpec()
+    for value in (None, 1, "x", wrong_kind):
+        if where == "penalties[0]":
+            obj = dataclasses.replace(_FULL, penalties=(value,))
+        else:
+            obj = dataclasses.replace(_FULL, **{where: value})
+        assert validate(obj) == [Violation(where, "expected an object")], value
+        with pytest.raises(ValueError, match=r"expected an object"):
+            require_valid(obj)
+    doc = to_json_dict(_FULL)
+    if where == "penalties[0]":
+        doc["penalties"] = [1]
+    else:
+        doc[where] = 1
+    with pytest.raises(ParseError, match=r"expected an object") as err:
+        parse(json.dumps(doc))
+    assert err.value.path == where
 
 
 # --- the plain serialization's bytes ------------------------------------------------
