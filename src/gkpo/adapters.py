@@ -21,13 +21,23 @@ the normal form. Shape blocks use result-level codes that are not schema
 reason codes: "weight_not_absorbable" (product weight and no probe, or probe
 products not constant to a relative ABSORB_TOL), "penalty_not_representable", and
 "reference_not_representable".
+
+The five targets share one analysis of an object. The first from_gkpo call on
+a valid object records on the instance, beside schema's _PARSED and _VALID
+records, what every target reads: the blocked result of a flagged object, or
+the reference value (or its block), the penalty map and the weight (a
+constant, or a product's normal form). Each call then does the per-target
+part, reading _REGIONS: a product weight is absorbed through the probe, which
+is read again on every call. `dataclasses.replace` builds an unrecorded
+instance, which is analysed again.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from . import algebra
 from .algebra import PairSample
@@ -195,6 +205,8 @@ def normalize_config(cfg: MethodConfig) -> MethodConfig:
             params["factors"] = sorted(factors)
         elif params["factors"]:
             raise ValueError(f"KTO_GRPO {mode} mode takes no factors")
+        else:
+            params["factors"] = []  # a fresh list, never _OPTIONAL's own
         if mode == "score_dependent":
             if not params["score_fn"]:
                 raise ValueError("KTO_GRPO score_dependent mode requires score_fn")
@@ -286,16 +298,55 @@ def to_gkpo(cfg: MethodConfig) -> GkpoObject:
 # ---------------------------------------------------------------------------
 # Recovery: GKPO -> config
 
+# What each target can express of an inside-R object: the penalty names it
+# carries (None: any name) and whether it carries a product weight as its
+# factors; the others absorb a product into beta through the probe.
+_REGIONS: dict[str, tuple[frozenset[str] | None, bool]] = {
+    "DPO": (None, False),
+    "PPO_RM": (frozenset({"kl_anchor"}), False),
+    "RRHF": (None, False),
+    "ORPO": (frozenset(), False),
+    "KTO_GRPO": (frozenset(), True),
+}
+
+_NOT_ABSORBABLE = ConversionResult(BLOCKED, reasons=("weight_not_absorbable",))
+_NO_REFERENCE = ConversionResult(BLOCKED, reasons=("reference_not_representable",))
+_NO_PENALTY = ConversionResult(BLOCKED, reasons=("penalty_not_representable",))
+
+_ANALYSIS = "_conversion"  # an instance attribute, like schema's _PARSED and _VALID
+
+
+def _analysis(obj: GkpoObject) -> Any:
+    """from_gkpo's target-independent facts about obj. The first call checks
+    obj with require_valid and records them on it as _ANALYSIS, so only a
+    valid object holds them: the blocked result of a flagged object, else
+    (weight, ref, penalties), where weight is the constant's value or a
+    product's normal form, ref the reference value or its block, and
+    penalties the name -> coefficient map as normalize_config writes it."""
+    facts = obj.__dict__.get(_ANALYSIS) if isinstance(obj, GkpoObject) else None
+    if facts is None:
+        require_valid(obj)
+        flagged = structural_reasons(obj).union(obj.reducibility.reasons)
+        if flagged or not obj.reducibility.inside_R:
+            facts = ConversionResult(BLOCKED, reasons=tuple(sorted(flagged)))
+        else:
+            w, r = obj.weight, obj.reference
+            weight = w.constant if w.form == "constant" else algebra.object_normal_form(obj)
+            ref = _NO_REFERENCE if r.form == "per_dataset" else float(r.value)
+            penalties = dict(sorted((p.name, float(p.coeff)) for p in obj.penalties))
+            facts = (weight, ref, penalties)
+        object.__setattr__(obj, _ANALYSIS, facts)
+    return facts
+
 
 def _absorbable_weight(
-    obj: GkpoObject, probe: Iterable[PairSample] | None
+    nf: algebra.NormalForm, probe: Iterable[PairSample] | None
 ) -> float | None:
-    """Constant value of a product weight across the probe, or None.
+    """Constant value of nf's product weight across the probe, or None.
 
     Factor values are positive by construction, so None is unambiguous."""
     if probe is None:
         return None
-    nf = algebra.object_normal_form(obj)
     try:
         products = [algebra.weight(nf, sample) for sample in probe]
     except KeyError:  # a sample lacks one of the factors
@@ -312,55 +363,44 @@ def from_gkpo(
 ) -> ConversionResult:
     if target not in METHODS:
         raise ValueError(f"unknown target method {target!r}")
-    require_valid(obj)
+    facts = _analysis(obj)
+    if isinstance(facts, ConversionResult):  # flagged
+        return facts
+    weight, ref, penalties = facts
+    allowed, carries_product = _REGIONS[target]
 
-    flagged = structural_reasons(obj).union(obj.reducibility.reasons)
-    if flagged or not obj.reducibility.inside_R:
-        return ConversionResult(BLOCKED, reasons=tuple(sorted(flagged)))
+    # weight: fold a constant into beta; carry a product's factors, or absorb it
+    factors = ()
+    if not isinstance(weight, algebra.NormalForm):
+        scale = weight
+    elif carries_product:
+        scale, factors = 1.0, weight.weight_factors
+    else:
+        scale = _absorbable_weight(weight, probe)  # the probe is read on every call
+        if scale is None:
+            return _NOT_ABSORBABLE
+    if ref is _NO_REFERENCE:
+        return ref
+    if allowed is not None and not penalties.keys() <= allowed:
+        return _NO_PENALTY
 
-    # weight: fold a constant into beta; KTO_GRPO carries product factors as-is
-    scale = 1.0
-    weight_mode = "constant"
-    factors: list[str] = []
-    if obj.weight.form == "constant":
-        scale = obj.weight.constant
-    elif obj.weight.form == "product":
-        if target == "KTO_GRPO":
-            weight_mode = "product"
-            factors = sorted(obj.weight.factors)
-        else:
-            found = _absorbable_weight(obj, probe)
-            if found is None:
-                return ConversionResult(BLOCKED, reasons=("weight_not_absorbable",))
-            scale = found
-    beta = obj.beta * scale
-
-    if obj.reference.form == "per_dataset":
-        return ConversionResult(BLOCKED, reasons=("reference_not_representable",))
-    ref = float(obj.reference.value)
-
-    penalties = {p.name: p.coeff for p in obj.penalties}
-
+    # params are built as normalize_config writes them: floats, sorted fresh
+    # maps and lists, after the target's defaults
+    beta = float(obj.beta * scale)
+    if not beta > 0:  # an absorbed product can underflow to 0
+        raise ValueError(f"{target} config beta must be positive")
     if target == "DPO":
-        params: dict[str, Any] = {"beta": beta, "ref": ref, "score_penalties": penalties}
+        params: dict[str, Any] = {"beta": beta, "ref": ref, "score_penalties": dict(penalties)}
     elif target == "PPO_RM":
-        extra = {n for n in penalties if n != "kl_anchor"}
-        if extra:
-            return ConversionResult(BLOCKED, reasons=("penalty_not_representable",))
         params = {"beta": beta, "ref": ref, "kl_coeff": penalties.get("kl_anchor", 0.0)}
     elif target == "RRHF":
-        params = {"beta": beta, "ref": ref, "penalties": penalties}
+        params = {"beta": beta, "ref": ref, "penalties": dict(penalties)}
     elif target == "ORPO":
-        if penalties:
-            return ConversionResult(BLOCKED, reasons=("penalty_not_representable",))
         params = {"beta": beta, "offset_mode": "fixed", "offset": ref}
     else:  # KTO_GRPO
-        if penalties:
-            return ConversionResult(BLOCKED, reasons=("penalty_not_representable",))
-        params = {"beta": beta, "ref": ref, "weight_mode": weight_mode}
-        if weight_mode == "product":
-            params["factors"] = factors
-    cfg = normalize_config(MethodConfig(target, params))
+        mode = "product" if factors else "constant"
+        params = {"beta": beta, "ref": ref, "weight_mode": mode, "factors": list(factors)}
+    cfg = MethodConfig(target, {**_OPTIONAL[target], **params})
     return ConversionResult(CONVERTED, target=cfg, scale_applied=scale)
 
 

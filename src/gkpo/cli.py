@@ -45,7 +45,7 @@ EXIT_USAGE = 2
 
 def __getattr__(name: str):
     # bench/tracing.py resolves these four names on gkpo.cli; this hook keeps
-    # them importable until ROADMAP item 5 replaces its table of patch sites.
+    # them importable until ROADMAP item 6 replaces its table of patch sites.
     if name in ("canonicalize", "opal_hash"):
         from . import canonical as module
     elif name in ("from_gkpo", "to_gkpo"):

@@ -28,7 +28,8 @@ delta_u and name -> column maps) plus (n, d) feature blocks and labels, and
 the spec's margins are evaluated once per column, not once per pair.
 
 `gkpo harness h1|h2` runs one row of HYPOTHESES; `setup` checks a whole
---config against it, HarnessParams and MAX_HARNESS_CELLS, then builds it.
+--config against it, HarnessParams, MAX_HARNESS_CELLS and
+MAX_DESCENT_PAIR_STEPS, then builds it.
 
 Datasets serialize to line-delimited JSON: a header line
 {"format": "gkpo-pairs-1", "seed": ...} followed by one pair per line with
@@ -191,6 +192,10 @@ MAX_BOOTSTRAP_RESAMPLES = 1_000_000
 # times the benchmark's h2 dataset of 50 000 pairs x 8 features and 5 times
 # its 16-row trace, so a larger config is a usage error, not an allocation.
 MAX_HARNESS_CELLS = 4_000_000
+# Most descent work a report may ask for, in pair-steps (steps * size * seeds).
+# It is 10 times the benchmark's h2 report of 150 steps x 50 000 pairs x 2
+# seeds, so a config that would descend for hours is a usage error, not a hang.
+MAX_DESCENT_PAIR_STEPS = 150_000_000
 
 
 @dataclass(frozen=True)
@@ -785,8 +790,9 @@ def setup(which: str, config: Any) -> tuple[Callable, tuple, SyntheticDataset, H
 
     config is a JSON object of data keys and HarnessParams fields. Any other
     key, a data key that is not an integer, a dataset or margin trace over
-    MAX_HARNESS_CELLS, or a bad HarnessParams value is a ValueError or
-    TypeError, raised before the dataset exists.
+    MAX_HARNESS_CELLS, a descent over MAX_DESCENT_PAIR_STEPS, or a bad
+    HarnessParams value is a ValueError or TypeError, raised before the
+    dataset exists.
     """
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
@@ -809,6 +815,11 @@ def setup(which: str, config: Any) -> tuple[Callable, tuple, SyntheticDataset, H
         raise ValueError(
             f"the margin trace, {rows} rows x {size} pairs, is over the limit "
             f"of {MAX_HARNESS_CELLS} cells"
+        )
+    if hp.steps * size * len(hp.seeds) > MAX_DESCENT_PAIR_STEPS:
+        raise ValueError(
+            f"the descent, {hp.steps} steps x {size} pairs x {len(hp.seeds)} seeds, "
+            f"is over the limit of {MAX_DESCENT_PAIR_STEPS} pair-steps"
         )
     specs = tuple(adapters.to_gkpo(adapters.MethodConfig(*c)) for c in configs)
     return run, specs, gen_dataset(size, dim, profile, seed=data_seed), hp

@@ -13,8 +13,12 @@ A GkpoObject is immutable all the way down: every field is a frozen
 dataclass, a tuple or a scalar, and the reducibility witness is a read-only
 mapping whose arrays are tuples. So a parsed object meets SHAPES for good, and
 a valid one stays valid: parse and `validate` record this on the instance, and
-`validate` and `require_valid` trust the records. `dataclasses.replace` builds
-a new, unrecorded instance, which is checked again.
+`validate` and `require_valid` trust the records. `adapters.from_gkpo` records
+its conversion analysis on the instance the same way: the reasons, reference,
+penalties and weight that every target's verdict reads. These records are
+instance attributes, not fields, so they change no `==`, `repr` or
+serialization. `dataclasses.replace` builds a new, unrecorded instance, which
+is checked and analysed again.
 
 Optional keys are absent when unused; an explicit null is a parse error.
 """
@@ -544,11 +548,14 @@ def _check_shape(node: Any, shape: str, path: str, bad: Callable[[str, str], Non
 def validate(obj: GkpoObject) -> list[Violation]:
     """Check every schema invariant; returns an empty list iff the object is valid.
 
-    An object that parse did not build is first checked against SHAPES, in
+    An argument that is not a GkpoObject is one violation at "<root>". An
+    object that parse did not build is first checked against SHAPES, in
     parse's words. The cross-field rules below read a node only if it is the
     table's dataclass, and a field only if it has the table's type. A valid
     object is marked so that require_valid trusts it.
     """
+    if not isinstance(obj, GkpoObject):  # parse's words for a wrong-typed root
+        return [Violation("<root>", "expected an object")]
     v: list[Violation] = []
 
     def bad(path: str, message: str):
@@ -638,7 +645,7 @@ def require_valid(obj: GkpoObject) -> GkpoObject:
 
     An object that validate has passed is returned without a second check.
     """
-    if obj.__dict__.get(_VALID):
+    if isinstance(obj, GkpoObject) and obj.__dict__.get(_VALID):
         return obj
     problems = validate(obj)
     if problems:

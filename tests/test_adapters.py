@@ -1,10 +1,13 @@
 """Method adapters: emission, recovery, blocking, and round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkpo import adapters, algebra
 from gkpo.adapters import (
     ABSORB_TOL,
     _absorbable_weight,
@@ -19,11 +22,11 @@ from gkpo.adapters import (
     roundtrip,
     to_gkpo,
 )
-from gkpo.algebra import PairSample, object_margin
-from gkpo.canonical import diff, opal_hash
+from gkpo.algebra import PairSample, object_margin, object_normal_form
+from gkpo.canonical import canonicalize, diff, opal_hash
 from gkpo.schema import ReferenceSpec, WeightSpec, parse, serialize, validate
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 
 
 def cfg_dpo(**extra) -> MethodConfig:
@@ -429,6 +432,119 @@ def test_from_gkpo_rejects_unknown_target(dpo_obj):
         from_gkpo(dpo_obj, "gkpo")
 
 
+# Outcome of every fixture x target: "converted" or the exact block reasons.
+_PENALTY_BLOCK = ("penalty_not_representable",)
+_ALL_CONVERT = dict.fromkeys(METHODS, "converted")
+_DPO_AND_RRHF = {
+    "DPO": "converted",
+    "PPO_RM": _PENALTY_BLOCK,
+    "RRHF": "converted",
+    "ORPO": _PENALTY_BLOCK,
+    "KTO_GRPO": _PENALTY_BLOCK,
+}
+CONVERSION_MATRIX = {
+    "dpo_alternate_reference.json": _ALL_CONVERT,
+    "dpo_fixed_reference.json": _ALL_CONVERT,
+    "gated_penalty.json": dict.fromkeys(METHODS, ("non_additive_gate",)),
+    "kto_product_weight.json": {
+        **dict.fromkeys(METHODS, ("weight_not_absorbable",)),
+        "KTO_GRPO": "converted",
+    },
+    "orpo_prompt_shift.json": dict.fromkeys(METHODS, ("reference_shift",)),
+    "ppo_rm_kl_anchor.json": {**_DPO_AND_RRHF, "PPO_RM": "converted"},
+    "rrhf_folded_penalties.json": _DPO_AND_RRHF,
+    "rrhf_rank_penalties.json": _DPO_AND_RRHF,
+    "rrhf_rank_penalties_reordered.json": _DPO_AND_RRHF,
+    "scale_half_weight.json": _ALL_CONVERT,
+    "scale_prescaled_twin.json": _ALL_CONVERT,
+    "score_dependent_weight.json": dict.fromkeys(METHODS, ("score_dependent_weight",)),
+}
+
+
+def test_fixture_conversion_matrix():
+    assert sorted(CONVERSION_MATRIX) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name, row in CONVERSION_MATRIX.items():
+        obj = load_fixture(name)
+        got = {}
+        for method in METHODS:
+            result = from_gkpo(obj, method)
+            got[method] = result.reasons if result.blocked else result.outcome
+        assert got == row, name
+
+
+@pytest.mark.parametrize(
+    "name", ["kto_product_weight.json", "rrhf_rank_penalties.json", "gated_penalty.json"]
+)
+def test_one_analysis_serves_every_target(monkeypatch, name):
+    calls = {"structural_reasons": 0, "object_normal_form": 0}
+
+    def counting(module, fn):
+        real = getattr(module, fn)
+
+        def wrapped(obj):
+            calls[fn] += 1
+            return real(obj)
+
+        monkeypatch.setattr(module, fn, wrapped)
+
+    counting(adapters, "structural_reasons")
+    counting(algebra, "object_normal_form")
+    obj = load_fixture(name)
+    probe = [PairSample("p", 1.0, omega={"clip_snr": 1.0, "var_floor": 2.0})]
+    for method in METHODS:
+        from_gkpo(obj, method, probe=probe)
+    assert calls["structural_reasons"] == 1
+    assert calls["object_normal_form"] <= 1
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSION_MATRIX))
+def test_the_conversion_record_is_invisible(name):
+    obj, twin = load_fixture(name), load_fixture(name)
+    before = (repr(obj), serialize(obj), opal_hash(obj), canonicalize(obj))
+    for method in METHODS:
+        from_gkpo(obj, method)
+    assert obj == twin
+    assert (repr(obj), serialize(obj), opal_hash(obj), canonicalize(obj)) == before
+    # replace builds a fresh instance, analysed afresh
+    flagged = replace(obj, reference=ReferenceSpec(form="per_prompt", value=None))
+    for method in METHODS:
+        assert "reference_shift" in from_gkpo(flagged, method).reasons
+        with pytest.raises(ValueError):
+            from_gkpo(replace(obj, beta=-1.0), method)
+
+
+def test_the_probe_is_read_on_every_call():
+    obj = load_fixture("kto_product_weight.json")
+
+    def sample(clip):
+        return PairSample("p", 1.0, omega={"clip_snr": clip, "var_floor": 1.0})
+
+    probe = [sample(2.0)]
+    assert from_gkpo(obj, "DPO", probe=probe).scale_applied == 2.0
+    probe.append(sample(3.0))  # the caller's list changes between calls
+    assert from_gkpo(obj, "DPO", probe=probe).reasons == ("weight_not_absorbable",)
+    once = iter([sample(2.0)])  # a one-shot iterator is spent by the first call
+    assert from_gkpo(obj, "RRHF", probe=once).scale_applied == 2.0
+    assert from_gkpo(obj, "RRHF", probe=once).reasons == ("weight_not_absorbable",)
+    assert from_gkpo(obj, "DPO", probe=[sample(4.0)]).scale_applied == 4.0
+
+
+def test_converted_configs_are_built_fresh(rrhf_obj, dpo_obj):
+    first = from_gkpo(rrhf_obj, "RRHF")
+    first.target.params["penalties"]["rank_margin_1"] = 99.0
+    first.target.params["beta"] = 99.0
+    again = from_gkpo(rrhf_obj, "RRHF")
+    assert again.target.params["beta"] == 1.0
+    assert again.target.params["penalties"]["rank_margin_1"] == 0.5
+    # the empty factor list of a constant-weight KTO_GRPO config is its own,
+    # not the default that later configs are filled from
+    kto = MethodConfig("KTO_GRPO", {"beta": 1.0, "ref": 0.0, "weight_mode": "constant"})
+    from_gkpo(dpo_obj, "KTO_GRPO").target.params["factors"].append("clip_snr")
+    normalize_config(kto).params["factors"].append("clip_snr")
+    assert normalize_config(kto).params["factors"] == []
+    assert from_gkpo(dpo_obj, "KTO_GRPO").target.params["factors"] == []
+
+
 def test_conversion_result_invariants():
     with pytest.raises(ValueError):
         ConversionResult("blocked", reasons=())
@@ -475,5 +591,6 @@ def test_absorption_decision_ignores_the_units_of_omega(clip, spread_exponent, p
             for i, c in enumerate(clip)
         ]
 
-    decided = _absorbable_weight(obj, probe(1.0)) is None
-    assert (_absorbable_weight(obj, probe(2.0**power)) is None) == decided
+    nf = object_normal_form(obj)
+    decided = _absorbable_weight(nf, probe(1.0)) is None
+    assert (_absorbable_weight(nf, probe(2.0**power)) is None) == decided

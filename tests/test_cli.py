@@ -878,6 +878,50 @@ def test_oversized_margin_trace_is_usage_error(capsys, tmp_path, monkeypatch):
         assert "margin trace" in message and str(MAX_HARNESS_CELLS) in message
 
 
+def test_overlong_descent_is_usage_error(capsys, tmp_path, monkeypatch):
+    """A report descends steps x size pairs once per seed; over
+    MAX_DESCENT_PAIR_STEPS it is refused before the dataset exists, although
+    its margin trace (2 rows) and dataset are small."""
+    from gkpo.harness import MAX_DESCENT_PAIR_STEPS
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the limit must refuse the config before allocating")
+
+    monkeypatch.setattr("gkpo.harness.gen_dataset", no_dataset)
+    path = tmp_path / "long.json"
+    config = {"size": 20, "steps": 10**12, "eval_every": 10**12, "seeds": [0],
+              "bootstrap_resamples": 100}
+    path.write_text(json.dumps(config))
+    for which in ("h1", "h2"):
+        code, out, err = run_cli(capsys, "harness", which, "--config", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert_single_error_line(err, EXIT_USAGE)
+        message = json.loads(err)["error"]
+        assert "descent" in message and str(MAX_DESCENT_PAIR_STEPS) in message
+
+
+def test_descent_limit_admits_the_benchmark_ci_and_default_configs(monkeypatch):
+    from gkpo import harness
+
+    monkeypatch.setattr(harness, "gen_dataset", lambda *args, **kwargs: "dataset")
+    admitted = [
+        ("h1", {}),
+        ("h2", {}),
+        ("h1", {"size": 4000, "data_seed": 7, "seeds": [0, 1]}),  # the benchmark's
+        ("h2", {"size": 50_000, "data_seed": 7, "seeds": [0, 1]}),
+        ("h1", {"size": 40, "seeds": [0], "steps": 5, "bootstrap_resamples": 100}),  # CI's
+        ("h2", {"size": 40, "seeds": [0, 1], "steps": 5, "bootstrap_resamples": 100}),
+    ]
+    for which, config in admitted:
+        assert harness.setup(which, config)[2] == "dataset"
+    # exactly at the limit passes, one pair-step over it does not
+    at = {"size": 1000, "seeds": [0], "eval_every": 10**6}
+    steps = harness.MAX_DESCENT_PAIR_STEPS // 1000
+    assert harness.setup("h1", {**at, "steps": steps})[2] == "dataset"
+    with pytest.raises(ValueError, match="pair-steps"):
+        harness.setup("h1", {**at, "steps": steps + 1})
+
+
 # --- import graph ----------------------------------------------------------------
 
 

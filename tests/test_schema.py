@@ -8,6 +8,8 @@ import random
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkpo.canonical import opal_hash
 from gkpo.schema import (
@@ -609,6 +611,23 @@ def test_validate_reports_a_wrong_typed_node_without_raising(where):
     with pytest.raises(ParseError, match=r"expected an object") as err:
         parse(json.dumps(doc))
     assert err.value.path == where
+
+
+_NOT_OBJECTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner) | st.tuples(inner),
+    max_leaves=8,
+) | st.sampled_from([ScoreSpec(), WeightSpec(), object(), GkpoObject])
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_NOT_OBJECTS)
+def test_validate_reports_a_non_object_argument_without_raising(value):
+    """An argument that is not a GkpoObject is one violation at the root, in
+    the words parse uses for a root that is not an object."""
+    assert validate(value) == [Violation("<root>", "expected an object")]
+    with pytest.raises(ValueError, match=r"<root>: expected an object"):
+        require_valid(value)
 
 
 # --- the plain serialization's bytes ------------------------------------------------
