@@ -11,11 +11,13 @@ and no warning is raised. Decisions are strict margin signs; a zero margin is
 a zero decision.
 
 The decision statistics stay bounded at harness scale (n pairs):
-`kendall_tau` is Knight's O(n log n) merge-sort tau-b, `mcnemar_exact` sums
-the exact integer binomial tail down from C(n, k) until the rest cannot change
-the rounded p-value (one math.comb, about sqrt(n) steps), and `bootstrap_ci`
-draws each resample of a few-valued sample, such as paired win differences, as
-counts of its distinct values rather than as n indices.
+`kendall_tau` is Knight's O(n log n) merge-sort tau-b. `mcnemar_exact` sums
+the binomial tail down from C(n, k) in 128-bit fixed point, with a bound on
+its rounding error, until the rest cannot change the rounded p-value; only
+if that bound cannot certify the float does it sum the exact integers (one
+math.comb, about sqrt(n) steps). `bootstrap_ci` draws each resample of a
+few-valued sample, such as paired win differences, as counts of its distinct
+values rather than as n indices.
 """
 
 from __future__ import annotations
@@ -192,14 +194,14 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
 def mcnemar_exact(n01: int, n10: int) -> float:
     """Exact two-sided binomial test on discordant counts; p = 1 when none.
 
-    p = tail / 2**(n-1), tail the sum of C(n, i) for i <= k = min(n01, n10),
-    summed down from C(n, k). Once a term is 64 bits shorter than the tail,
-    the terms left, shrinking by at least (j-1)/(n-j+2) each, sum to at most
-    rest; if tail and tail + rest round to the same float (int / int rounds
-    correctly), that float is p, else the sum runs on to C(n, 0). Cost: one
-    math.comb and about sqrt(n) big-integer steps at near-balanced counts.
-    When 2k + 1 >= n the tail holds half the mass or more, and p is 1.
+    p = tail / 2**(n-1), tail the sum of C(n, i) for i <= k = min(n01, n10).
+    `_mcnemar_tail` sums it on C(n, k) shifted to 128 bits, and again on the
+    exact integers only if that pass cannot certify the rounded p. Cost: one
+    math.comb and about sqrt(n) 128-bit steps at near-balanced counts. When
+    2k + 1 >= n the tail holds half the mass or more, and p is 1.
     """
+    if isinstance(n01, bool) or isinstance(n10, bool):
+        raise TypeError("counts must be integers, not bools")
     n01, n10 = operator.index(n01), operator.index(n10)  # 1 << n overflows numpy ints
     if n01 < 0 or n10 < 0:
         raise ValueError("counts must be nonnegative")
@@ -207,18 +209,43 @@ def mcnemar_exact(n01: int, n10: int) -> float:
     k = min(n01, n10)
     if 2 * k + 1 >= n:
         return 1.0
-    half = 1 << (n - 1)
-    term = tail = math.comb(n, k)
+    top = math.comb(n, k)
+    p = _mcnemar_tail(top, n, k, max(0, top.bit_length() - 128))
+    return _mcnemar_tail(top, n, k, 0) if p is None else p  # below 1, as 2k + 1 < n
+
+
+def _mcnemar_tail(top: int, n: int, k: int, shift: int) -> float | None:
+    """The sum of C(n, i) for i <= k over 2**(n-1), top = C(n, k); None if undecided.
+
+    Let tau_j = C(n, j) / 2**shift and a_j the term summed: a_k = top >> shift,
+    a_{j-1} = a_j * j // (n - j + 1). Then tau_j - e_j < a_j <= tau_j, where
+    e_k = 1 and e_{j-1} = e_j * j / (n - j + 1) + 1 <= e_j + 1, as j <= k and
+    2k + 1 < n. `err` is e_j and `total` the sum of the e_j so far, so the
+    scaled tail lies in [tail, tail + total); with shift = 0 both are 0.
+    Once a term is 64 bits shorter than the tail, the terms left, shrinking
+    by at least (j-1)/(n-j+2) each, sum to less than rest, taken on
+    term + err. If tail and tail + total + rest, over 2**(n-1-shift), round
+    to the same float, that float is the result: int / int rounds correctly
+    and monotonically, so every value between them rounds to it. Else the
+    sum runs on to C(n, 0) and is tested again without rest, which only a
+    shifted pass can fail.
+    """
+    half = 1 << (n - 1 - shift)  # shift <= C(n, k).bit_length() < n, as 2k + 1 < n
+    term = tail = top >> shift
+    err = total = step = 1 if shift else 0
     tested = False
     for j in range(k, 0, -1):
-        term = term * j // (n - j + 1)  # C(n, j - 1)
+        term = term * j // (n - j + 1)  # C(n, j - 1) / 2**shift, floored
         tail += term
+        err += step
+        total += err
         if not tested and tail.bit_length() - term.bit_length() >= 64:
             tested = True
-            rest = term * (j - 1) // (n - 2 * j + 3) + 1
-            if tail / half == (tail + rest) / half:
-                break
-    return tail / half  # below 1, as 2k + 1 < n
+            rest = (term + err) * (j - 1) // (n - 2 * j + 3) + 1
+            if tail / half == (tail + total + rest) / half:
+                return tail / half
+    p = tail / half
+    return p if p == (tail + total) / half else None
 
 
 # index elements, or value counts, drawn per block of bootstrap resamples
@@ -244,6 +271,8 @@ def bootstrap_ci(
     the block size.
     """
     arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("values must be a 1-d sequence")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
     if resamples < 100:
@@ -297,7 +326,10 @@ def bootstrap_diff_ci(
     resamples: int = 1000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile CI for mean(values_a) - mean(values_b) over paired resamples."""
+    """Percentile CI for mean(values_a) - mean(values_b) over paired resamples.
+
+    Both inputs are 1-d sequences of equal length.
+    """
     a = np.asarray(values_a, dtype=float)
     b = np.asarray(values_b, dtype=float)
     if a.shape != b.shape:

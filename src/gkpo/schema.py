@@ -18,7 +18,8 @@ its conversion analysis on the instance the same way: the reasons, reference,
 penalties and weight that every target's verdict reads. These records are
 instance attributes, not fields, so they change no `==`, `repr` or
 serialization. `dataclasses.replace` builds a new, unrecorded instance, which
-is checked and analysed again.
+is checked and analysed again. Objects are hashable; the hash leaves the
+witness out, so equal objects still hash equal.
 
 Optional keys are absent when unused; an explicit null is a parse error.
 """
@@ -138,7 +139,8 @@ class Provenance:
 class ReducibilityBlock:
     inside_R: bool = True
     reasons: tuple[str, ...] = ()
-    witness: Mapping[str, Any] = field(default_factory=dict)
+    # out of the hash, as a mapping proxy cannot be hashed
+    witness: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reasons", tuple(self.reasons))

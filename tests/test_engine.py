@@ -374,6 +374,18 @@ def test_bootstrap_ci_input_guards():
         bootstrap_ci([1.0, 2.0], resamples=10)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(16.0).reshape(4, 4), 3.0, np.arange(64.0).reshape(8, 8) % 2],
+    ids=["matrix", "scalar", "two-valued-matrix"],
+)
+def test_bootstrap_requires_one_dimensional_values(values):
+    with pytest.raises(ValueError, match="1-d"):
+        bootstrap_ci(values, resamples=100)
+    with pytest.raises(ValueError, match="1-d"):
+        bootstrap_diff_ci(values, np.zeros_like(values), resamples=100)
+
+
 def test_bootstrap_diff_ci_of_identical_lists_is_zero_width():
     values = [0.3, 0.6, 0.1, 0.8]
     lo, hi = bootstrap_diff_ci(values, values)

@@ -331,6 +331,19 @@ def test_witness_is_read_only(gated_obj):
         gated_obj.reducibility.witness["added"] = 1.0
 
 
+def test_objects_are_hashable_and_equal_objects_hash_equal():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.json"))]
+    assert len({parse(text) for text in texts}) == len(texts) == 12
+    for text in texts:
+        a, b = parse(text), parse(text)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    rng = random.Random(2022)
+    for _ in range(3000):
+        obj = random_object(rng)
+        twin = dataclasses.replace(obj)
+        assert hash(obj) == hash(twin) and {obj, twin} == {obj}
+
+
 def test_witness_arrays_are_stored_as_tuples():
     source = {"phi_pairs": [1.0, 10.0, 0.0, 1.0], "phi_value_equal": 1.0}
     block = ReducibilityBlock(

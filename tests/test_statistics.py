@@ -11,7 +11,14 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gkpo.engine import _BOOTSTRAP_BLOCK, bootstrap_ci, kendall_tau, mcnemar_exact
+from gkpo import engine
+from gkpo.engine import (
+    _BOOTSTRAP_BLOCK,
+    _mcnemar_tail,
+    bootstrap_ci,
+    kendall_tau,
+    mcnemar_exact,
+)
 
 from test_engine import kendall_brute, mcnemar_brute, mcnemar_tail_oracle
 
@@ -99,6 +106,50 @@ def test_mcnemar_takes_numpy_integer_counts():
     assert mcnemar_exact(np.int64(100), np.int64(10)) == pytest.approx(8.0095e-20, rel=1e-4)
     with pytest.raises(TypeError):
         mcnemar_exact(3.0, 1)
+
+
+def test_mcnemar_refuses_bool_counts():
+    for n01, n10 in [(True, 3), (3, False), (np.bool_(True), 3), (3, np.bool_(False))]:
+        with pytest.raises(TypeError):
+            mcnemar_exact(n01, n10)
+
+
+# small k, where the last shift leaves every term 0; at k = 0 no step runs at all
+SHIFT_EDGES = [(0, 2), (0, 37), (1, 140), (2, 5000)]
+
+
+def test_mcnemar_tail_is_the_full_sum_or_undecided_at_every_shift():
+    rng = np.random.default_rng(2022)
+    sizes = rng.integers(0, 5_001, size=40)
+    # half split anywhere, half near balance
+    n01 = np.concatenate([rng.integers(0, sizes[:20] + 1), rng.binomial(sizes[20:], 0.5)])
+    drawn = list(zip(n01.tolist(), (sizes - n01).tolist()))
+    for n01, n10 in drawn + SHIFT_EDGES:
+        n, k = n01 + n10, min(n01, n10)
+        if 2 * k + 1 >= n:
+            continue
+        want = mcnemar_tail_oracle(n01, n10)
+        top = math.comb(n, k)
+        # the exact pass always decides, and so does mcnemar_exact's 128-bit pass
+        assert _mcnemar_tail(top, n, k, 0) == want, (n01, n10)
+        assert _mcnemar_tail(top, n, k, max(0, top.bit_length() - 128)) == want, (n01, n10)
+        for shift in [*range(8, top.bit_length(), 8), top.bit_length()]:
+            got = _mcnemar_tail(top, n, k, shift)
+            assert got is None or got == want, (n01, n10, shift, got)
+
+
+def test_mcnemar_falls_back_to_the_exact_sum_when_undecided(monkeypatch):
+    shifts = []
+
+    def undecided_when_shifted(top, n, k, shift):
+        shifts.append(shift)
+        return None if shift else _mcnemar_tail(top, n, k, shift)
+
+    monkeypatch.setattr(engine, "_mcnemar_tail", undecided_when_shifted)
+    for n01, n10 in STATS_SEED7_COUNTS + FIRST_TEST_FAILS + [(9900, 10100)]:
+        shifts.clear()
+        assert mcnemar_exact(n01, n10) == mcnemar_tail_oracle(n01, n10), (n01, n10)
+        assert len(shifts) == 2 and shifts[0] > 0 and shifts[1] == 0, shifts
 
 
 # --- bootstrap ----------------------------------------------------------------------
