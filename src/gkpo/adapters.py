@@ -1,19 +1,19 @@
 """Named-method configs and their mappings onto GKPO objects.
 
-Configs are flat JSON maps. Required/optional keys per method:
-
-* DPO:      beta, ref; optional score_penalties (name -> coefficient, {}).
-* PPO_RM:   beta, ref, kl_coeff; optional anchor_offset (0.0), fold_kl (false).
-            fold_kl folds kl_coeff * anchor_offset into the reference and
-            emits the reduced DPO-form object; unfolded emission keeps one
-            penalty named "kl_anchor" carrying kl_coeff.
-* RRHF:     beta, penalties (name -> coefficient); optional ref (0.0).
-* ORPO:     beta, offset_mode ("fixed" | "per_prompt"); fixed requires
-            offset; per_prompt takes optional shift_evidence
-            {"raw_gap": g, "offsets": [o1, o2]} to attach a witness.
-* KTO_GRPO: beta, ref, weight_mode ("constant" | "product" |
-            "score_dependent"); product requires factors (list of names),
-            score_dependent requires score_fn.
+Configs are flat JSON maps. One table, METHOD_SHAPES, states each method
+once: its config keys in written order, each with a kind and a default; the
+keys each value of its mode key requires or accepts; and what the method
+carries of an inside-R object. normalize_config checks and fills a config by
+walking its entry, to_gkpo builds the object from it, and from_gkpo tests an
+object against it and writes the target's params in its key order. Values are
+checked by kind, never coerced (a number is finite and not a bool, a flag is a
+JSON boolean, a name matches schema's name pattern), and a refusal names the
+key. Outside the table: PPO_RM's fold_kl folds kl_coeff * anchor_offset into
+the reference and emits the DPO object it reduces to, and unfolded, a nonzero
+kl_coeff is the coefficient of a penalty named "kl_anchor"; ORPO's per_prompt
+mode emits a per-prompt reference, with shift_evidence {"raw_gap": g,
+"offsets": [o1, o2]} as the witness's evidence; KTO_GRPO's weight_mode names
+its weight form.
 
 from_gkpo blocks when the object sits outside the reducible class (reasons
 copied from its reducibility block) or when the target shape cannot express
@@ -22,28 +22,26 @@ reason codes: "weight_not_absorbable" (product weight and no probe, or probe
 products not constant to a relative ABSORB_TOL), "penalty_not_representable", and
 "reference_not_representable".
 
-The five targets share one analysis of an object. The first from_gkpo call on
-a valid object records on the instance, beside schema's _PARSED and _VALID
-records, what every target reads: the blocked result of a flagged object, or
-the reference value (or its block), the penalty map and the weight (a
-constant, or a product's normal form). Each call then does the per-target
-part, reading _REGIONS: a product weight is absorbed through the probe, which
-is read again on every call. `dataclasses.replace` builds an unrecorded
-instance, which is analysed again.
+The five targets share one analysis of an object, which the first from_gkpo
+call on a valid object records on the instance (see _analysis); each call
+then does the per-target part, reading METHOD_SHAPES. A product weight is
+absorbed through the probe, which is read again on every call.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from copy import copy
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from . import algebra
 from .algebra import PairSample
 from .reducibility import Evidence, classify, structural_reasons
 from .schema import (
     METHODS,
+    REQUIRED,
     DatasetOps,
     GkpoObject,
     PenaltyEntry,
@@ -108,110 +106,145 @@ class BlockedConversionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config validation and defaults
+# The method table
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "DPO": ("beta", "ref"),
-    "PPO_RM": ("beta", "ref", "kl_coeff"),
-    "RRHF": ("beta", "penalties"),
-    "ORPO": ("beta", "offset_mode"),
-    "KTO_GRPO": ("beta", "ref", "weight_mode"),
+# Config value kinds, each named by what it asks of a value
+NUMBER = "a finite number"
+FLAG = "true or false"
+PENALTIES = "a map of penalty names to finite numbers"
+MODE = "one of"  # the mode values follow
+FACTORS = "a list of factor names"
+EVIDENCE = '{"raw_gap": g, "offsets": [o1, o2]} with finite numbers g, o1 and o2'
+SCORE_FN = "a score function name"
+
+
+class MethodShape(NamedTuple):
+    # key -> (kind, default or REQUIRED), in written order; a None default
+    # leaves the key unset, and a null value is taken as unset
+    keys: dict[str, tuple[str, Any]]
+    ref: str  # the key holding the fixed reference
+    # the key holding the penalties (a PENALTIES map, or one NUMBER that is
+    # the coefficient of the one name allowed) and the names allowed (None: any)
+    penalties: str | None = None
+    penalty_names: frozenset[str] | None = frozenset()
+    product: str | None = None  # the key carrying a product weight's factors
+    # the mode key and, per value, the keys that mode takes -> whether it
+    # requires them; a key only other modes take must keep its default
+    modes: tuple[str, dict[str, dict[str, bool]]] | None = None
+
+
+METHOD_SHAPES: dict[str, MethodShape] = {
+    "DPO": MethodShape(
+        keys={"beta": (NUMBER, REQUIRED), "ref": (NUMBER, REQUIRED),
+              "score_penalties": (PENALTIES, {})},
+        ref="ref", penalties="score_penalties", penalty_names=None,
+    ),
+    "PPO_RM": MethodShape(
+        keys={"beta": (NUMBER, REQUIRED), "ref": (NUMBER, REQUIRED),
+              "kl_coeff": (NUMBER, REQUIRED), "anchor_offset": (NUMBER, 0.0),
+              "fold_kl": (FLAG, False)},
+        ref="ref", penalties="kl_coeff", penalty_names=frozenset({"kl_anchor"}),
+    ),
+    "RRHF": MethodShape(
+        keys={"beta": (NUMBER, REQUIRED), "penalties": (PENALTIES, REQUIRED),
+              "ref": (NUMBER, 0.0)},
+        ref="ref", penalties="penalties", penalty_names=None,
+    ),
+    "ORPO": MethodShape(
+        keys={"beta": (NUMBER, REQUIRED), "offset_mode": (MODE, REQUIRED),
+              "offset": (NUMBER, None), "shift_evidence": (EVIDENCE, None)},
+        ref="offset",
+        modes=("offset_mode", {"fixed": {"offset": True},
+                               "per_prompt": {"shift_evidence": False}}),
+    ),
+    "KTO_GRPO": MethodShape(
+        keys={"beta": (NUMBER, REQUIRED), "ref": (NUMBER, REQUIRED),
+              "weight_mode": (MODE, REQUIRED), "factors": (FACTORS, []),
+              "score_fn": (SCORE_FN, None)},
+        ref="ref", product="factors",
+        modes=("weight_mode", {"constant": {}, "product": {"factors": True},
+                               "score_dependent": {"score_fn": True}}),
+    ),
 }
 
-_OPTIONAL: dict[str, dict[str, Any]] = {
-    "DPO": {"score_penalties": {}},
-    "PPO_RM": {"anchor_offset": 0.0, "fold_kl": False},
-    "RRHF": {"ref": 0.0},
-    "ORPO": {"offset": None, "shift_evidence": None},
-    "KTO_GRPO": {"factors": [], "score_fn": None},
-}
+_REFUSED = object()
 
 
-def _sorted_map(value: Mapping[str, Any], where: str) -> dict[str, float]:
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{where} must be a map of name -> coefficient")
-    return {name: float(value[name]) for name in sorted(value)}
+def _value(kind: str, value: Any, modes: Mapping[str, Any]) -> Any:
+    """value as a normalized config holds it (floats; maps and lists sorted
+    and fresh), or _REFUSED when its kind does not allow it."""
+    if kind is NUMBER:
+        return float(value) if is_finite_number(value) else _REFUSED
+    if kind is FLAG:
+        return value if type(value) is bool else _REFUSED
+    if kind is PENALTIES:
+        if isinstance(value, Mapping) and all(
+            is_name(name) and is_finite_number(value[name]) for name in value
+        ):
+            return {name: float(value[name]) for name in sorted(value)}
+    elif kind is MODE:
+        if isinstance(value, str) and value in modes:
+            return value
+    elif kind is FACTORS:
+        if isinstance(value, (list, tuple)) and all(map(is_name, value)):
+            return sorted(value)
+    elif kind is EVIDENCE:
+        if isinstance(value, Mapping) and set(value) == {"raw_gap", "offsets"}:
+            offsets = value["offsets"] if isinstance(value["offsets"], (list, tuple)) else ()
+            numbers = [value["raw_gap"], *offsets]
+            if len(numbers) == 3 and all(map(is_finite_number, numbers)):
+                return {"raw_gap": float(numbers[0]), "offsets": [float(o) for o in offsets]}
+    elif is_name(value):  # SCORE_FN
+        return value
+    return _REFUSED
 
 
-def _shift_evidence(ev: Any) -> dict[str, Any]:
-    """ORPO's shift_evidence with exactly a raw gap and two offsets, all finite."""
-    if isinstance(ev, Mapping) and set(ev) == {"raw_gap", "offsets"}:
-        offsets = ev["offsets"] if isinstance(ev["offsets"], (list, tuple)) else ()
-        values = [ev["raw_gap"], *offsets]
-        if len(values) == 3 and all(map(is_finite_number, values)):
-            return {"raw_gap": float(values[0]), "offsets": [float(v) for v in offsets]}
-    raise ValueError(
-        'ORPO shift_evidence must be {"raw_gap": g, "offsets": [o1, o2]} '
-        "with finite numbers g, o1 and o2"
-    )
+def _mode_problem(shape: MethodShape, mode: str, params: Mapping[str, Any]) -> str | None:
+    """Why params (an absent key holds its default) do not fit mode: a key it
+    requires keeps its default, or a key only other modes take does not;
+    None when they fit."""
+    modes = shape.modes[1]
+    taken = modes[mode]
+    for key, required in taken.items():
+        default = shape.keys[key][1]
+        if required and params.get(key, default) == default:
+            return f"requires {key}"
+    for other in modes.values():
+        for key in other:
+            default = shape.keys[key][1]
+            if key not in taken and params.get(key, default) != default:
+                return f"takes no {key}"
+    return None
 
 
 def normalize_config(cfg: MethodConfig) -> MethodConfig:
-    """Check required keys, reject unknown ones, fill defaults, sort maps."""
-    required = _REQUIRED[cfg.method]
-    optional = _OPTIONAL[cfg.method]
-    for key in required:
-        if key not in cfg.params:
-            raise ValueError(f"{cfg.method} config missing required key {key!r}")
-    for key in cfg.params:
-        if key not in required and key not in optional:
-            raise ValueError(f"{cfg.method} config has unknown key {key!r}")
-    params: dict[str, Any] = dict(optional)
-    params.update(cfg.params)
-    params["beta"] = float(params["beta"])
+    """cfg checked against its METHOD_SHAPES entry and written in its key
+    order, defaults filled in. A missing or unknown key, a value its kind
+    refuses, a key its mode requires or refuses, and a beta that is not
+    positive are ValueErrors that name the key."""
+    method, given = cfg.method, cfg.params
+    shape = METHOD_SHAPES[method]
+    modes = shape.modes[1] if shape.modes else {}
+    params: dict[str, Any] = {}
+    for key, (kind, default) in shape.keys.items():
+        value = given.get(key, default)
+        if value is REQUIRED:
+            raise ValueError(f"{method} config missing required key {key!r}")
+        if value is not None or default is not None:
+            value = _value(kind, value, modes)
+            if value is _REFUSED:
+                listed = f" {', '.join(modes)}" if kind is MODE else ""
+                raise ValueError(f"{method} config {key} must be {kind}{listed}")
+        params[key] = value
+    for key in given:
+        if key not in shape.keys:
+            raise ValueError(f"{method} config has unknown key {key!r}")
     if not params["beta"] > 0:
-        raise ValueError(f"{cfg.method} config beta must be positive")
-
-    method = cfg.method
-    if "ref" in params:
-        params["ref"] = float(params["ref"])
-    if method == "DPO":
-        params["score_penalties"] = _sorted_map(
-            params["score_penalties"], "score_penalties"
-        )
-    elif method == "PPO_RM":
-        params["kl_coeff"] = float(params["kl_coeff"])
-        params["anchor_offset"] = float(params["anchor_offset"])
-        params["fold_kl"] = bool(params["fold_kl"])
-    elif method == "RRHF":
-        params["penalties"] = _sorted_map(params["penalties"], "penalties")
-    elif method == "ORPO":
-        mode = params["offset_mode"]
-        if mode not in ("fixed", "per_prompt"):
-            raise ValueError(f"ORPO offset_mode must be fixed or per_prompt, got {mode!r}")
-        if mode == "fixed":
-            if params["offset"] is None:
-                raise ValueError("ORPO fixed mode requires an offset")
-            params["offset"] = float(params["offset"])
-            if params["shift_evidence"] is not None:
-                raise ValueError("ORPO fixed mode takes no shift_evidence")
-        else:
-            if params["offset"] is not None:
-                raise ValueError("ORPO per_prompt mode takes no fixed offset")
-            if params["shift_evidence"] is not None:
-                params["shift_evidence"] = _shift_evidence(params["shift_evidence"])
-    elif method == "KTO_GRPO":
-        mode = params["weight_mode"]
-        if mode not in ("constant", "product", "score_dependent"):
-            raise ValueError(f"KTO_GRPO weight_mode {mode!r} not recognized")
-        if mode == "product":
-            factors = params["factors"]
-            if not factors:
-                raise ValueError("KTO_GRPO product mode requires factors")
-            if not isinstance(factors, (list, tuple)) or not all(map(is_name, factors)):
-                raise ValueError(
-                    f"KTO_GRPO factors must be a list of factor names, got {factors!r}"
-                )
-            params["factors"] = sorted(factors)
-        elif params["factors"]:
-            raise ValueError(f"KTO_GRPO {mode} mode takes no factors")
-        else:
-            params["factors"] = []  # a fresh list, never _OPTIONAL's own
-        if mode == "score_dependent":
-            if not params["score_fn"]:
-                raise ValueError("KTO_GRPO score_dependent mode requires score_fn")
-        elif params["score_fn"] is not None:
-            raise ValueError(f"KTO_GRPO {mode} mode takes no score_fn")
+        raise ValueError(f"{method} config beta must be positive")
+    if shape.modes:
+        mode = params[shape.modes[0]]
+        if problem := _mode_problem(shape, mode, params):
+            raise ValueError(f"{method} {mode} mode {problem}")
     return MethodConfig(method, params)
 
 
@@ -225,89 +258,43 @@ def _reference(value: float) -> ReferenceSpec:
     return ReferenceSpec(form="fixed_scalar", value=value)
 
 
-def _base(
-    method: str,
-    beta: float,
-    reference: ReferenceSpec,
-    penalties: tuple[PenaltyEntry, ...] = (),
-    weight: WeightSpec | None = None,
-) -> GkpoObject:
-    return GkpoObject(
-        score=ScoreSpec(type="logpi"),
-        weight=weight if weight is not None else WeightSpec(form="constant", constant=1.0),
-        reference=reference,
-        link="identity",
-        loss="logistic",
-        beta=beta,
-        penalties=penalties,
-        dataset_ops=DatasetOps(),
-        provenance=Provenance(method=method, citations=CITATIONS[method]),
-    )
-
-
-def _penalty_entries(table: Mapping[str, float]) -> tuple[PenaltyEntry, ...]:
-    return tuple(PenaltyEntry(name=n, coeff=table[n]) for n in sorted(table))
-
-
 def to_gkpo(cfg: MethodConfig) -> GkpoObject:
     """The GKPO object of a method config; its reducibility block is classify's,
     with ORPO's shift_evidence (when given) as the witness's evidence."""
     cfg = normalize_config(cfg)
-    p = cfg.params
-    beta = p["beta"]
-    evidence = None
+    method, p = cfg.method, cfg.params
+    shape = METHOD_SHAPES[method]
+    if p.get("fold_kl"):
+        # the fold IS the reduction: emit the DPO object it reduces to
+        folded = p["ref"] + p["kl_coeff"] * p["anchor_offset"]
+        return to_gkpo(MethodConfig("DPO", {"beta": p["beta"], "ref": folded}))
 
-    if cfg.method == "DPO":
-        obj = _base(
-            "DPO", beta, _reference(p["ref"]), _penalty_entries(p["score_penalties"])
-        )
-    elif cfg.method == "PPO_RM":
-        if p["fold_kl"]:
-            # the fold IS the reduction: emit the DPO object it reduces to
-            folded = p["ref"] + p["kl_coeff"] * p["anchor_offset"]
-            return to_gkpo(MethodConfig("DPO", {"beta": beta, "ref": folded}))
-        obj = _base(
-            "PPO_RM",
-            beta,
-            _reference(p["ref"]),
-            (PenaltyEntry(name="kl_anchor", coeff=p["kl_coeff"]),),
-        )
-    elif cfg.method == "RRHF":
-        obj = _base("RRHF", beta, _reference(p["ref"]), _penalty_entries(p["penalties"]))
-    elif cfg.method == "ORPO":
-        if p["offset_mode"] == "fixed":
-            obj = _base("ORPO", beta, _reference(p["offset"]))
-        else:
-            ev = p["shift_evidence"]
-            if ev is not None:
-                gap, (o1, o2) = ev["raw_gap"], ev["offsets"]
-                evidence = Evidence(shift_pairs=((gap, o1), (gap, o2)))
-            obj = _base("ORPO", beta, ReferenceSpec(form="per_prompt", value=None))
-    else:  # KTO_GRPO
-        mode = p["weight_mode"]
-        if mode == "product":
-            weight = WeightSpec(form="product", constant=None, factors=tuple(p["factors"]))
-        elif mode == "score_dependent":
-            weight = WeightSpec(form="score_dependent", constant=None, score_fn=p["score_fn"])
-        else:
-            weight = WeightSpec(form="constant", constant=1.0)
-        obj = _base("KTO_GRPO", beta, _reference(p["ref"]), weight=weight)
+    ref = p[shape.ref]  # None in ORPO's per_prompt mode
+    evidence = None
+    if (ev := p.get("shift_evidence")) is not None:
+        gap, (o1, o2) = ev["raw_gap"], ev["offsets"]
+        evidence = Evidence(shift_pairs=((gap, o1), (gap, o2)))
+    held = p[shape.penalties] if shape.penalties else {}
+    if not isinstance(held, dict):  # one coefficient; a zero one emits no penalty
+        held = dict.fromkeys(shape.penalty_names, held) if held else {}
+    form = p.get("weight_mode", "constant")  # KTO_GRPO's weight mode names its form
+    factors = tuple(p[shape.product]) if shape.product else ()
+    obj = GkpoObject(
+        score=ScoreSpec(type="logpi"),
+        weight=WeightSpec(form, 1.0 if form == "constant" else None, factors, p.get("score_fn")),
+        reference=ReferenceSpec(form="per_prompt", value=None) if ref is None else _reference(ref),
+        link="identity",
+        loss="logistic",
+        beta=p["beta"],
+        penalties=tuple(PenaltyEntry(name=n, coeff=c) for n, c in held.items()),
+        dataset_ops=DatasetOps(),
+        provenance=Provenance(method=method, citations=CITATIONS[method]),
+    )
     return require_valid(replace(obj, reducibility=classify(obj, evidence)))
 
 
 # ---------------------------------------------------------------------------
 # Recovery: GKPO -> config
-
-# What each target can express of an inside-R object: the penalty names it
-# carries (None: any name) and whether it carries a product weight as its
-# factors; the others absorb a product into beta through the probe.
-_REGIONS: dict[str, tuple[frozenset[str] | None, bool]] = {
-    "DPO": (None, False),
-    "PPO_RM": (frozenset({"kl_anchor"}), False),
-    "RRHF": (None, False),
-    "ORPO": (frozenset(), False),
-    "KTO_GRPO": (frozenset(), True),
-}
 
 _NOT_ABSORBABLE = ConversionResult(BLOCKED, reasons=("weight_not_absorbable",))
 _NO_REFERENCE = ConversionResult(BLOCKED, reasons=("reference_not_representable",))
@@ -367,13 +354,13 @@ def from_gkpo(
     if isinstance(facts, ConversionResult):  # flagged
         return facts
     weight, ref, penalties = facts
-    allowed, carries_product = _REGIONS[target]
+    shape = METHOD_SHAPES[target]
 
     # weight: fold a constant into beta; carry a product's factors, or absorb it
     factors = ()
     if not isinstance(weight, algebra.NormalForm):
         scale = weight
-    elif carries_product:
+    elif shape.product:
         scale, factors = 1.0, weight.weight_factors
     else:
         scale = _absorbable_weight(weight, probe)  # the probe is read on every call
@@ -381,26 +368,28 @@ def from_gkpo(
             return _NOT_ABSORBABLE
     if ref is _NO_REFERENCE:
         return ref
-    if allowed is not None and not penalties.keys() <= allowed:
+    if shape.penalty_names is not None and not penalties.keys() <= shape.penalty_names:
         return _NO_PENALTY
 
-    # params are built as normalize_config writes them: floats, sorted fresh
-    # maps and lists, after the target's defaults
     beta = float(obj.beta * scale)
     if not beta > 0:  # an absorbed product can underflow to 0
         raise ValueError(f"{target} config beta must be positive")
-    if target == "DPO":
-        params: dict[str, Any] = {"beta": beta, "ref": ref, "score_penalties": dict(penalties)}
-    elif target == "PPO_RM":
-        params = {"beta": beta, "ref": ref, "kl_coeff": penalties.get("kl_anchor", 0.0)}
-    elif target == "RRHF":
-        params = {"beta": beta, "ref": ref, "penalties": dict(penalties)}
-    elif target == "ORPO":
-        params = {"beta": beta, "offset_mode": "fixed", "offset": ref}
-    else:  # KTO_GRPO
-        mode = "product" if factors else "constant"
-        params = {"beta": beta, "ref": ref, "weight_mode": mode, "factors": list(factors)}
-    cfg = MethodConfig(target, {**_OPTIONAL[target], **params})
+    # params are written as normalize_config writes them, in the table's order
+    written: dict[str, Any] = {"beta": beta, shape.ref: ref}
+    if shape.penalty_names is None:  # a map takes every penalty
+        written[shape.penalties] = dict(penalties)
+    elif shape.penalties:  # one number: the coefficient of the one name allowed, or 0
+        written[shape.penalties] = next(iter(penalties.values()), 0.0)
+    if factors:
+        written[shape.product] = list(factors)
+    if shape.modes:  # the first mode that the written values fit
+        key, modes = shape.modes
+        written[key] = next(mode for mode in modes if _mode_problem(shape, mode, written) is None)
+    params = {  # a default map or list is copied, so each config owns its own
+        key: written[key] if key in written else copy(default)
+        for key, (_, default) in shape.keys.items()
+    }
+    cfg = MethodConfig(target, params)
     return ConversionResult(CONVERTED, target=cfg, scale_applied=scale)
 
 
@@ -414,23 +403,19 @@ def roundtrip(cfg: MethodConfig) -> MethodConfig:
 
 
 def configs_equal(a: MethodConfig, b: MethodConfig, tol: float = 1e-6) -> bool:
-    if a.method != b.method:
-        return False
-    na, nb = normalize_config(a).params, normalize_config(b).params
-    if na.keys() != nb.keys():
-        return False
-    for key in na:
-        va, vb = na[key], nb[key]
-        if isinstance(va, float) and isinstance(vb, float):
-            if not math.isclose(va, vb, rel_tol=0.0, abs_tol=tol):
-                return False
-        elif isinstance(va, Mapping) and isinstance(vb, Mapping):
-            if va.keys() != vb.keys():
-                return False
-            if any(
-                not math.isclose(va[k], vb[k], rel_tol=0.0, abs_tol=tol) for k in va
-            ):
-                return False
-        elif va != vb:
-            return False
-    return True
+    """Same method and the same normalized params, with every number in them
+    (a number key, a penalty coefficient, an evidence number) within tol."""
+    return a.method == b.method and _close(
+        normalize_config(a).params, normalize_config(b).params, tol
+    )
+
+
+def _close(a: Any, b: Any, tol: float) -> bool:
+    # normalized values have one Python type per kind: floats, dicts, lists
+    if isinstance(a, float) and isinstance(b, float):
+        return math.isclose(a, b, rel_tol=0.0, abs_tol=tol)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k], tol) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_close(x, y, tol) for x, y in zip(a, b))
+    return a == b

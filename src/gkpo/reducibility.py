@@ -84,7 +84,8 @@ def probe_shift(pairs: Iterable[tuple[float, float]]) -> ShiftProbeResult:
     Each pair (d, delta_ref) demands sign(d - x) == sign(d - delta_ref). A
     positive sign bounds x above by d, a negative sign bounds it below, so the
     feasible set is an open interval; when it is empty the two tightest
-    conflicting pairs form the witness.
+    conflicting pairs form the witness. Among pairs with equal d, the first
+    one is the tightest.
     """
     pairs = [(float(d), float(r)) for d, r in pairs]
     if not pairs:
@@ -171,7 +172,10 @@ def _solve_rank1(rows, tol):
 def probe_gate(
     items: Iterable[tuple[float, float, float]], tol: float = 1e-9
 ) -> GateProbeResult:
-    """Exact elimination for lambda1*phi1 + lambda2*phi2 = total, lambdas >= 0."""
+    """Exact elimination for lambda1*phi1 + lambda2*phi2 = total, lambdas >= 0.
+
+    Two rows are independent only when |det| > tol; |det| == tol counts as
+    dependent."""
     rows = [(float(p1), float(p2), float(t)) for p1, p2, t in items]
     if not rows:
         raise ValueError("need at least one item")

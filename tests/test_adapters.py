@@ -1,5 +1,7 @@
 """Method adapters: emission, recovery, blocking, and round-trips."""
 
+import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from gkpo.adapters import (
     ABSORB_TOL,
     _absorbable_weight,
     CITATIONS,
+    METHOD_SHAPES,
     METHODS,
     BlockedConversionError,
     ConversionResult,
@@ -26,7 +29,7 @@ from gkpo.algebra import PairSample, object_margin, object_normal_form
 from gkpo.canonical import canonicalize, diff, opal_hash
 from gkpo.schema import ReferenceSpec, WeightSpec, parse, serialize, validate
 
-from conftest import FIXTURES, load_fixture
+from conftest import FIXTURES, load_fixture, random_object
 
 
 def cfg_dpo(**extra) -> MethodConfig:
@@ -152,6 +155,18 @@ def test_ppo_fold_emits_the_dpo_object_it_reduces_to():
     assert a.provenance.method == "DPO"
 
 
+def test_ppo_rm_with_zero_kl_coeff_emits_no_penalty(dpo_obj):
+    result = from_gkpo(dpo_obj, "PPO_RM")
+    assert result.target.params["kl_coeff"] == 0.0
+    obj = to_gkpo(result.target)
+    assert obj.penalties == ()
+    assert to_gkpo(MethodConfig("PPO_RM", {"beta": 1.0, "ref": 0.1, "kl_coeff": -0.0})) == obj
+    for method in METHODS:
+        assert not from_gkpo(obj, method).blocked, method
+    sample = PairSample("p", 0.5)  # no phi at all
+    assert object_margin(obj, sample) == object_margin(dpo_obj, sample)
+
+
 def test_ppo_unfolded_keeps_kl_anchor_penalty():
     obj = to_gkpo(MethodConfig("PPO_RM", {"beta": 1.0, "ref": 0.05, "kl_coeff": 0.5}))
     assert [p.name for p in obj.penalties] == ["kl_anchor"]
@@ -251,6 +266,65 @@ def test_kto_mode_specific_requirements():
                  "factors": ["clip_snr"]},
             )
         )
+
+
+_NUMBER = "must be a finite number"
+_PENALTY_MAP = "must be a map of penalty names to finite numbers"
+
+
+@pytest.mark.parametrize(
+    "method, params, message",
+    [
+        ("PPO_RM", {"beta": 1.0, "ref": 0.0, "kl_coeff": 0.5, "fold_kl": "false"},
+         "PPO_RM config fold_kl must be true or false"),
+        ("PPO_RM", {"beta": 1.0, "ref": 0.0, "kl_coeff": 0.5, "fold_kl": 1},
+         "PPO_RM config fold_kl must be true or false"),
+        ("PPO_RM", {"beta": 1.0, "ref": 0.0, "kl_coeff": 0.5, "fold_kl": None},
+         "PPO_RM config fold_kl must be true or false"),
+        ("DPO", {"beta": True, "ref": 0.0}, f"DPO config beta {_NUMBER}"),
+        ("DPO", {"beta": "2", "ref": 0.0}, f"DPO config beta {_NUMBER}"),
+        ("DPO", {"beta": None, "ref": 0.0}, f"DPO config beta {_NUMBER}"),
+        ("DPO", {"beta": [1.0], "ref": 0.0}, f"DPO config beta {_NUMBER}"),
+        ("DPO", {"beta": 1.0, "ref": float("nan")}, f"DPO config ref {_NUMBER}"),
+        ("DPO", {"beta": 1.0, "ref": 10**400}, f"DPO config ref {_NUMBER}"),
+        ("PPO_RM", {"beta": 1.0, "ref": 0.0, "kl_coeff": "0.5"},
+         f"PPO_RM config kl_coeff {_NUMBER}"),
+        ("ORPO", {"beta": 1.0, "offset_mode": "fixed", "offset": False},
+         f"ORPO config offset {_NUMBER}"),
+        ("DPO", {"beta": 1.0, "ref": 0.0, "score_penalties": {"len": "0.2"}},
+         f"DPO config score_penalties {_PENALTY_MAP}"),
+        ("RRHF", {"beta": 1.0, "penalties": {"rank_margin_1": True}},
+         f"RRHF config penalties {_PENALTY_MAP}"),
+        ("RRHF", {"beta": 1.0, "penalties": {"9 bad name": 1.0}},
+         f"RRHF config penalties {_PENALTY_MAP}"),
+        ("RRHF", {"beta": 1.0, "penalties": [1.0]}, f"RRHF config penalties {_PENALTY_MAP}"),
+        ("KTO_GRPO",
+         {"beta": 1.0, "ref": 0.0, "weight_mode": "score_dependent", "score_fn": "1 bad"},
+         "KTO_GRPO config score_fn must be a score function name"),
+        ("KTO_GRPO", {"beta": 1.0, "ref": 0.0, "weight_mode": "score_dependent", "score_fn": 3},
+         "KTO_GRPO config score_fn must be a score function name"),
+        ("ORPO", {"beta": 1.0, "offset_mode": "sliding"},
+         "ORPO config offset_mode must be one of fixed, per_prompt"),
+        ("KTO_GRPO", {"beta": 1.0, "ref": 0.0, "weight_mode": ["product"]},
+         "KTO_GRPO config weight_mode must be one of constant, product, score_dependent"),
+    ],
+)
+def test_config_values_are_checked_by_kind_not_coerced(method, params, message):
+    with pytest.raises(ValueError) as err:
+        normalize_config(MethodConfig(method, params))
+    assert str(err.value) == message
+
+
+def test_config_kinds_accept_ints_flags_and_null_for_unset_keys():
+    ppo = normalize_config(
+        MethodConfig("PPO_RM", {"beta": 2, "ref": 0, "kl_coeff": 1, "fold_kl": True})
+    )
+    assert ppo.params == {"beta": 2.0, "ref": 0.0, "kl_coeff": 1.0,
+                          "anchor_offset": 0.0, "fold_kl": True}
+    assert all(type(ppo.params[k]) is float for k in ("beta", "ref", "kl_coeff"))
+    # null is what normalize_config writes for an unset key, so it reads back
+    orpo = {"beta": 1.0, "offset_mode": "fixed", "offset": 0.0, "shift_evidence": None}
+    assert normalize_config(MethodConfig("ORPO", orpo)).params == orpo
 
 
 def test_normalize_sorts_penalty_maps():
@@ -564,6 +638,41 @@ def test_configs_equal_tolerance_and_structure():
     p3 = MethodConfig("RRHF", {"beta": 1.0, "penalties": {"b_phi": 1.0}})
     assert configs_equal(p1, p2)
     assert not configs_equal(p1, p3)
+
+    def orpo(gap, offsets):
+        evidence = {"raw_gap": gap, "offsets": offsets}
+        return MethodConfig(
+            "ORPO", {"beta": 1.0, "offset_mode": "per_prompt", "shift_evidence": evidence}
+        )
+
+    # ORPO's evidence holds a list; its numbers compare within tol too
+    e = orpo(0.2, [0.5, -0.5])
+    assert configs_equal(e, e)
+    assert configs_equal(e, orpo(0.2 + 5e-7, [0.5 - 5e-7, -0.5]))
+    assert not configs_equal(e, orpo(0.2, [0.5, -0.4]))
+    assert not configs_equal(e, orpo(0.3, [0.5, -0.5]))
+    assert not configs_equal(e, MethodConfig("ORPO", {"beta": 1.0, "offset_mode": "per_prompt"}))
+
+
+def test_converted_configs_are_fixed_points_in_table_order():
+    """METHOD_SHAPES is the one statement of the keys: every converted config
+    of the fixtures and 3000 fuzzed objects is what normalize_config writes
+    for it, key order included, and its keys are the table's, in its order."""
+    rng = random.Random(2024)
+    objects = [load_fixture(p.name) for p in sorted(FIXTURES.glob("*.json"))]
+    objects += [random_object(rng) for _ in range(3000)]
+    converted = 0
+    for obj in objects:
+        for method in METHODS:
+            result = from_gkpo(obj, method)
+            if result.blocked:
+                continue
+            target, again = result.target, normalize_config(result.target)
+            assert again == target
+            assert json.dumps(again.params) == json.dumps(target.params)
+            assert list(target.params) == list(METHOD_SHAPES[method].keys)
+            converted += 1
+    assert converted > 2000
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, and machine-parsable errors."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkpo.adapters import METHOD_SHAPES, MethodConfig, normalize_config
 from gkpo.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from gkpo.schema import METHODS
 
@@ -629,6 +631,17 @@ def test_config_value_of_wrong_type_is_failure(capsys, tmp_path):
     assert_single_error_line(err, EXIT_FAILURE)
 
 
+def test_config_flag_is_not_coerced(capsys, tmp_path):
+    # bool("false") is true: the string used to fold and exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": "PPO_RM", "beta": 1.0, "ref": 0.0,
+                                "kl_coeff": 0.5, "fold_kl": "false"}))
+    code, out, err = run_cli(capsys, "convert", str(path))
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert_single_error_line(err, EXIT_FAILURE)
+    assert json.loads(err)["error"] == "PPO_RM config fold_kl must be true or false"
+
+
 @pytest.mark.parametrize("factors", [[None], ["om_a", 3], ["1om"], "om_a", {"om_a": 1}])
 def test_kto_grpo_factors_that_are_not_names_are_failures(capsys, tmp_path, factors):
     path = tmp_path / "cfg.json"
@@ -1172,3 +1185,14 @@ def test_every_cli_run_exits_cleanly(run):
         assert set(payload) == {"error", "code"} and payload["code"] == code
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("config", FUZZ_CONFIGS, ids=lambda config: config["method"])
+def test_normalize_config_writes_table_order_for_every_key_order(config):
+    method = config["method"]
+    params = {key: value for key, value in config.items() if key != "method"}
+    want = normalize_config(MethodConfig(method, params)).params
+    assert list(want) == list(METHOD_SHAPES[method].keys)
+    for order in itertools.permutations(params):
+        got = normalize_config(MethodConfig(method, {key: params[key] for key in order}))
+        assert json.dumps(got.params) == json.dumps(want), order  # nested order too

@@ -72,6 +72,14 @@ def test_shift_variant_golden():
     assert wmap["delta_ref_prompt2"] == -0.10
 
 
+def test_shift_witness_takes_the_first_of_equal_gap_pairs():
+    # two positive-margin pairs share the gap 0.2; the first is the witness's
+    result = probe_shift([(0.2, -0.5), (0.2, -0.3), (0.2, 0.5)])
+    assert not result.feasible
+    assert result.witness.delta_ref_1 == 0.5
+    assert result.witness.delta_ref_2 == -0.5
+
+
 def test_shift_feasible_interval_midpoint():
     # pair one needs x > 0.2, pair two needs x < 0.8
     result = probe_shift([(0.2, 0.5), (0.8, 0.1)])
@@ -173,6 +181,14 @@ def test_gate_rank2_feasible_solution():
     result = probe_gate([(1.0, 0.0, 0.5), (0.0, 1.0, 2.0)])
     assert result.feasible
     assert result.coefficients == (0.5, 2.0)
+
+
+def test_gate_determinant_equal_to_tol_counts_as_dependent():
+    # det = 1 * 0.5 = tol, so the rows are treated as parallel, and parallel
+    # rows with these totals are inconsistent
+    result = probe_gate([(1, 0, 1), (0, 0.5, 1)], tol=0.5)
+    assert not result.feasible
+    assert result.coefficients is None
 
 
 def test_gate_rank1_consistent_rows():
