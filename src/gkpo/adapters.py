@@ -15,17 +15,14 @@ mode emits a per-prompt reference, with shift_evidence {"raw_gap": g,
 "offsets": [o1, o2]} as the witness's evidence; KTO_GRPO's weight_mode names
 its weight form.
 
-from_gkpo blocks when the object sits outside the reducible class (reasons
-copied from its reducibility block) or when the target shape cannot express
-the normal form. Shape blocks use result-level codes that are not schema
-reason codes: "weight_not_absorbable" (product weight and no probe, or probe
-products not constant to a relative ABSORB_TOL), "penalty_not_representable", and
-"reference_not_representable".
-
-The five targets share one analysis of an object, which the first from_gkpo
-call on a valid object records on the instance (see _analysis); each call
-then does the per-target part, reading METHOD_SHAPES. A product weight is
-absorbed through the probe, which is read again on every call.
+from_gkpo reads the object's fold, collect(ladder_of(obj)), which the first
+call on a valid object records on the instance (see _analysis). It blocks
+when the fold or the reducibility block puts the object outside the
+reducible class, or when the target shape cannot express the normal form,
+with result-level codes that are not schema reason codes:
+"weight_not_absorbable" (a product weight and no probe, or probe products not
+constant to a relative ABSORB_TOL; the probe is read on every call),
+"penalty_not_representable" and "reference_not_representable".
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Any, Iterable, NamedTuple
 
 from . import algebra
 from .algebra import PairSample
-from .reducibility import Evidence, classify, structural_reasons
+from .reducibility import Evidence, classify
 from .schema import (
     METHODS,
     REQUIRED,
@@ -304,24 +301,17 @@ _ANALYSIS = "_conversion"  # an instance attribute, like schema's _PARSED and _V
 
 
 def _analysis(obj: GkpoObject) -> Any:
-    """from_gkpo's target-independent facts about obj. The first call checks
-    obj with require_valid and records them on it as _ANALYSIS, so only a
-    valid object holds them: the blocked result of a flagged object, else
-    (weight, ref, penalties), where weight is the constant's value or a
-    product's normal form, ref the reference value or its block, and
-    penalties the name -> coefficient map as normalize_config writes it."""
+    """from_gkpo's target-independent facts about obj, from its fold: the
+    blocked result of a flagged object (the fold's and the declared reasons),
+    else the normal form. The first call checks obj with require_valid and
+    records the facts on it as _ANALYSIS, so only a valid object holds them."""
     facts = obj.__dict__.get(_ANALYSIS) if isinstance(obj, GkpoObject) else None
     if facts is None:
         require_valid(obj)
-        flagged = structural_reasons(obj).union(obj.reducibility.reasons)
+        facts = algebra.collect(algebra.ladder_of(obj))
+        flagged = facts.reasons.union(obj.reducibility.reasons)
         if flagged or not obj.reducibility.inside_R:
             facts = ConversionResult(BLOCKED, reasons=tuple(sorted(flagged)))
-        else:
-            w, r = obj.weight, obj.reference
-            weight = w.constant if w.form == "constant" else algebra.object_normal_form(obj)
-            ref = _NO_REFERENCE if r.form == "per_dataset" else float(r.value)
-            penalties = dict(sorted((p.name, float(p.coeff)) for p in obj.penalties))
-            facts = (weight, ref, penalties)
         object.__setattr__(obj, _ANALYSIS, facts)
     return facts
 
@@ -353,21 +343,21 @@ def from_gkpo(
     facts = _analysis(obj)
     if isinstance(facts, ConversionResult):  # flagged
         return facts
-    weight, ref, penalties = facts
-    shape = METHOD_SHAPES[target]
+    nf, shape = facts, METHOD_SHAPES[target]
+    penalties = nf.penalty_coeffs  # sorted, with float sums as normalize_config has
 
     # weight: fold a constant into beta; carry a product's factors, or absorb it
     factors = ()
-    if not isinstance(weight, algebra.NormalForm):
-        scale = weight
+    if not nf.weight_factors:
+        scale = nf.weight_constants[0]
     elif shape.product:
-        scale, factors = 1.0, weight.weight_factors
+        scale, factors = 1.0, nf.weight_factors
     else:
-        scale = _absorbable_weight(weight, probe)  # the probe is read on every call
+        scale = _absorbable_weight(nf, probe)  # the probe is read on every call
         if scale is None:
             return _NOT_ABSORBABLE
-    if ref is _NO_REFERENCE:
-        return ref
+    if nf.ref_terms:  # a reference read from the data has no fixed value
+        return _NO_REFERENCE
     if shape.penalty_names is not None and not penalties.keys() <= shape.penalty_names:
         return _NO_PENALTY
 
@@ -375,7 +365,7 @@ def from_gkpo(
     if not beta > 0:  # an absorbed product can underflow to 0
         raise ValueError(f"{target} config beta must be positive")
     # params are written as normalize_config writes them, in the table's order
-    written: dict[str, Any] = {"beta": beta, shape.ref: ref}
+    written: dict[str, Any] = {"beta": beta, shape.ref: float(nf.ref_values[0])}
     if shape.penalty_names is None:  # a map takes every penalty
         written[shape.penalties] = dict(penalties)
     elif shape.penalties:  # one number: the coefficient of the one name allowed, or 0

@@ -1,15 +1,16 @@
 """Ladders of margin operators and their collected normal form.
 
-An objective is written as an ordered ladder of three primitive operators
-applied to the base pair (score gap, weight 1): additive penalties subtract
-coefficient-weighted penalty gaps from the score side, multiplicative weights
-multiply named positive factors onto the weight side, and reference adjusts
-accumulate named reference terms. Collection folds any ladder into a normal
-form in one pass; margins evaluated through either route coincide.
-
-A GKPO object folds to a normal form through `object_normal_form`;
-`object_margins_and_weights` evaluates its margin through `delta_score` and
-`weight`, with the object's reference and constant weight applied on top.
+An objective is an ordered ladder of operators on the base pair (score gap,
+weight 1): penalties subtract coefficient-weighted penalty gaps, weights
+multiply in named positive factors or a constant, and references subtract
+named terms or a fixed value. Three operators break the paper's reduction
+law and carry its reason code: a gated penalty, a per-prompt reference
+shift, and a form with no sample-level value (a score-dependent or custom
+weight, a custom reference). `collect`, the one fold, takes any ladder to a
+normal form that carries the reasons; `ladder_margin` evaluates it in order
+instead. `ladder_of` lowers a GKPO document: reference, weight, then
+penalties in file order. Object margins, classification, conversion and
+scale fixing all read `collect(ladder_of(obj))`.
 
 The evaluators use only `-`, `*` and `/` on the sample's attributes
 `delta_u`, `delta_phi`, `omega` and `delta_ref`, so they run unchanged on one
@@ -21,49 +22,65 @@ not import numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from .schema import GkpoObject, is_finite_number
 
+# Keys of the per-prompt / per-dataset reference values in PairSample.delta_ref
+PROMPT_OFFSET_KEY = "prompt_offset"
+DATASET_OFFSET_KEY = "dataset_offset"
+
+
+class _Named:
+    reason = None  # the law an operator breaks; None inside the class
+
+    def __post_init__(self):
+        if not self.name:
+            raise ValueError(f"{type(self).__name__} name must be nonempty")
+
 
 @dataclass(frozen=True)
-class AdditivePenalty:
+class AdditivePenalty(_Named):
     coeff: float
     name: str
 
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("penalty name must be nonempty")
+
+class GatedPenalty(AdditivePenalty):  # evaluates as its plain term
+    reason = "non_additive_gate"
 
 
 @dataclass(frozen=True)
-class MultiplicativeWeight:
+class MultiplicativeWeight(_Named):
     name: str
 
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("weight factor name must be nonempty")
+
+@dataclass(frozen=True)
+class ConstantWeight:
+    value: float
+    reason = None
 
 
 @dataclass(frozen=True)
-class ReferenceAdjust:
+class ReferenceAdjust(_Named):
     name: str
 
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("reference term name must be nonempty")
 
-
-Operator = AdditivePenalty | MultiplicativeWeight | ReferenceAdjust
+class ReferenceShift(ReferenceAdjust):  # a term that differs per prompt
+    reason = "reference_shift"
 
 
 @dataclass(frozen=True)
-class Ladder:
-    ops: tuple[Operator, ...]
+class FixedReference:
+    value: float
+    reason = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
+
+@dataclass(frozen=True)
+class Unvalued:  # such as "weight form 'custom'"; evaluating it is a ValueError
+    reason: str
+    form: str
 
 
 @dataclass(frozen=True)
@@ -121,87 +138,155 @@ def sample_from_row(row: Any) -> PairSample:
 
 @dataclass(frozen=True)
 class NormalForm:
+    """A collected ladder; the evaluators read each side in sorted order.
+    reasons name the laws it breaks, unvalued its forms that have no
+    sample-level value."""
+
     penalty_coeffs: Mapping[str, float]
     weight_factors: tuple[str, ...]
     ref_terms: tuple[str, ...]
+    ref_values: tuple[float, ...] = ()
+    weight_constants: tuple[float, ...] = ()
+    reasons: frozenset[str] = frozenset()
+    unvalued: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "penalty_coeffs", dict(self.penalty_coeffs))
+    def __post_init__(self):  # collect, which skips this, builds sorted sides
+        object.__setattr__(self, "penalty_coeffs", dict(sorted(self.penalty_coeffs.items())))
         object.__setattr__(self, "weight_factors", tuple(self.weight_factors))
         object.__setattr__(self, "ref_terms", tuple(self.ref_terms))
 
 
-def collect(ladder: Ladder | Iterable[Operator]) -> NormalForm:
-    """Fold a ladder into normal form in a single pass over its operators.
-
-    Repeated penalty names sum; weight factors and reference terms are kept as
-    multisets (stored sorted so collection is order-insensitive).
-    """
-    ops = ladder.ops if isinstance(ladder, Ladder) else ladder
-    coeffs: dict[str, float] = {}
-    factors: list[str] = []
-    refs: list[str] = []
-    for op in ops:
+def collect(ladder: Iterable[Any]) -> NormalForm:
+    """Fold a ladder into normal form in one pass, whatever its order: each
+    penalty name's coefficients sum with math.fsum, and every other side is a
+    sorted multiset of values only stored, so an invalid document's ladder
+    folds too. Each operator that breaks the law adds its reason."""
+    coeffs: dict[str, list[float]] = {}
+    factors, constants, terms, values, unvalued, reasons = [], [], [], [], [], set()
+    for op in ladder:
         if isinstance(op, AdditivePenalty):
-            coeffs[op.name] = coeffs.get(op.name, 0.0) + op.coeff
+            coeffs.setdefault(op.name, []).append(op.coeff)
+        elif isinstance(op, FixedReference):
+            values.append(op.value)
+        elif isinstance(op, ConstantWeight):
+            constants.append(op.value)
         elif isinstance(op, MultiplicativeWeight):
             factors.append(op.name)
         elif isinstance(op, ReferenceAdjust):
-            refs.append(op.name)
+            terms.append(op.name)
+        elif isinstance(op, Unvalued):
+            unvalued.append(op.form)
         else:
             raise TypeError(f"not a ladder operator: {op!r}")
-    return NormalForm(coeffs, tuple(sorted(factors)), tuple(sorted(refs)))
+        if op.reason:
+            reasons.add(op.reason)
+    nf = object.__new__(NormalForm)  # the frozen __init__ would setattr each field
+    nf.__dict__.update(
+        penalty_coeffs={name: math.fsum(coeffs[name]) for name in sorted(coeffs)},
+        weight_factors=tuple(sorted(factors)), ref_terms=tuple(sorted(terms)),
+        ref_values=tuple(sorted(values)), weight_constants=tuple(sorted(constants)),
+        reasons=frozenset(reasons), unvalued=tuple(sorted(unvalued)))
+    return nf
 
 
-def _lookup(table: Mapping[str, Any], name: str, kind: str, sample: Any):
-    try:
-        return table[name]
-    except KeyError:
-        raise KeyError(
-            f"{kind} {name!r} missing from sample {sample.lacking(table, name)!r}"
-        ) from None
+def ladder_of(obj: GkpoObject) -> list[Any]:
+    """obj's ladder: reference, weight, then penalties in file order. Forms,
+    names and gates choose the operators; values are carried as they are."""
+    r, w = obj.reference, obj.weight
+    if r.form in ("fixed_zero", "fixed_scalar"):
+        ops: list[Any] = [FixedReference(r.value)]
+    elif r.form == "per_dataset":  # fixed within its dataset
+        ops = [ReferenceAdjust(DATASET_OFFSET_KEY)]
+    elif r.form == "per_prompt":
+        ops = [ReferenceShift(PROMPT_OFFSET_KEY)]
+    else:
+        ops = [Unvalued("reference_shift", f"reference form {r.form!r}")]
+    if w.form == "constant":
+        ops.append(ConstantWeight(w.constant))
+    elif w.form == "product":
+        ops.extend(map(MultiplicativeWeight, w.factors))
+    else:
+        ops.append(Unvalued("score_dependent_weight", f"weight form {w.form!r}"))
+    ops += [(GatedPenalty if p.meta_gate else AdditivePenalty)(p.coeff, p.name)
+            for p in obj.penalties]
+    return ops
+
+
+def _missing(table: Mapping[str, Any], name: str, kind: str, sample: Any) -> KeyError:
+    return KeyError(f"{kind} {name!r} missing from sample {sample.lacking(table, name)!r}")
+
+
+def _value(table: Mapping[str, Any], name: str, kind: str, sample: Any) -> Any:
+    if name not in table:
+        raise _missing(table, name, kind, sample)
+    return table[name]
+
+
+def _reference_term(sample: Any, name: str) -> Any:
+    if name == DATASET_OFFSET_KEY:  # 0 in a sample that carries none
+        return sample.delta_ref.get(name, 0.0)
+    return _value(sample.delta_ref, name, "reference term", sample)
 
 
 def delta_score(nf: NormalForm, sample: PairSample) -> float:
     """delta_u - sum(coeff * delta_phi), penalty names consumed in sorted order
     so that ladders differing only in operator order give bit-identical sums."""
-    gap = sample.delta_u
-    for name in sorted(nf.penalty_coeffs):
-        gap = gap - nf.penalty_coeffs[name] * _lookup(
-            sample.delta_phi, name, "penalty", sample
-        )
+    gap, phi = sample.delta_u, sample.delta_phi
+    try:
+        for name, coeff in nf.penalty_coeffs.items():
+            gap = gap - coeff * phi[name]
+    except KeyError:
+        raise _missing(phi, name, "penalty", sample) from None
     return gap
 
 
 def weight(nf: NormalForm, sample: PairSample) -> float:
-    """prod(omega) over the normal form's weight factors."""
-    w = 1.0
-    for name in nf.weight_factors:
-        w = w * _lookup(sample.omega, name, "weight factor", sample)
+    """prod(weight_constants) * prod(omega); an unvalued form is a ValueError."""
+    if nf.unvalued:
+        raise ValueError(f"{nf.unvalued[0]} has no sample-level numeric value")
+    w, omega = 1.0, sample.omega
+    for value in nf.weight_constants:
+        w = w * value
+    try:
+        for name in nf.weight_factors:
+            w = w * omega[name]
+    except KeyError:
+        raise _missing(omega, name, "weight factor", sample) from None
     return w
 
 
-def margin(nf: NormalForm, sample: PairSample) -> float:
-    """(delta_u - sum(coeff * delta_phi) - sum(delta_ref)) * prod(omega)."""
+def _margin_and_weight(nf: NormalForm, sample: Any) -> tuple[Any, Any]:
     gap = delta_score(nf, sample)
+    for value in nf.ref_values:
+        gap = gap - value
     for name in nf.ref_terms:
-        gap = gap - _lookup(sample.delta_ref, name, "reference term", sample)
-    return gap * weight(nf, sample)
+        gap = gap - _reference_term(sample, name)
+    w = weight(nf, sample)
+    return gap * w, w
 
 
-def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> float:
-    """Evaluate a ladder left to right without collecting it first."""
-    ops = ladder.ops if isinstance(ladder, Ladder) else ladder
-    gap = sample.delta_u
-    ref = 0.0
-    w = 1.0
-    for op in ops:
+def margin(nf: NormalForm, sample: PairSample) -> float:
+    """(delta_u - sum(coeff * delta_phi) - sum(references)) * weight."""
+    return _margin_and_weight(nf, sample)[0]
+
+
+def ladder_margin(ladder: Iterable[Any], sample: PairSample) -> float:
+    """Evaluate a ladder left to right without collecting it first; an
+    unvalued form raises where it stands."""
+    gap, ref, w = sample.delta_u, 0.0, 1.0
+    for op in ladder:
         if isinstance(op, AdditivePenalty):
-            gap = gap - op.coeff * _lookup(sample.delta_phi, op.name, "penalty", sample)
+            gap = gap - op.coeff * _value(sample.delta_phi, op.name, "penalty", sample)
         elif isinstance(op, MultiplicativeWeight):
-            w = w * _lookup(sample.omega, op.name, "weight factor", sample)
+            w = w * _value(sample.omega, op.name, "weight factor", sample)
+        elif isinstance(op, ConstantWeight):
+            w = w * op.value
         elif isinstance(op, ReferenceAdjust):
-            ref = ref + _lookup(sample.delta_ref, op.name, "reference term", sample)
+            ref = ref + _reference_term(sample, op.name)
+        elif isinstance(op, FixedReference):
+            ref = ref + op.value
+        elif isinstance(op, Unvalued):
+            raise ValueError(f"{op.form} has no sample-level numeric value")
         else:
             raise TypeError(f"not a ladder operator: {op!r}")
     return (gap - ref) * w
@@ -210,62 +295,20 @@ def ladder_margin(ladder: Ladder | Iterable[Operator], sample: PairSample) -> fl
 # ---------------------------------------------------------------------------
 # Object-level evaluation (GKPO object + realized sample)
 
-# Keys under which per-prompt / per-dataset reference values travel in
-# PairSample.delta_ref when an object's reference form is not fixed.
-PROMPT_OFFSET_KEY = "prompt_offset"
-DATASET_OFFSET_KEY = "dataset_offset"
-
 
 def object_normal_form(obj: GkpoObject) -> NormalForm:
-    coeffs: dict[str, float] = {}
-    for p in obj.penalties:
-        coeffs[p.name] = coeffs.get(p.name, 0.0) + p.coeff
-    factors = obj.weight.factors if obj.weight.form == "product" else ()
-    return NormalForm(coeffs, tuple(sorted(factors)), ())
-
-
-def _object_weight(obj: GkpoObject, nf: NormalForm, sample: Any) -> Any:
-    if obj.weight.form == "constant":
-        return float(obj.weight.constant)
-    if obj.weight.form == "product":
-        return weight(nf, sample)
-    raise ValueError(
-        f"weight form {obj.weight.form!r} has no sample-level numeric value"
-    )
-
-
-def _object_reference(obj: GkpoObject, sample: Any) -> Any:
-    form = obj.reference.form
-    if form in ("fixed_zero", "fixed_scalar"):
-        return float(obj.reference.value)
-    if form == "per_prompt":
-        return _lookup(sample.delta_ref, PROMPT_OFFSET_KEY, "reference term", sample)
-    if form == "per_dataset":
-        return sample.delta_ref.get(DATASET_OFFSET_KEY, 0.0)
-    raise ValueError(f"reference form {form!r} has no sample-level numeric value")
-
-
-def object_reference(obj: GkpoObject, sample: PairSample) -> float:
-    """Fixed value, or the sample's per-prompt / per-dataset offset."""
-    return float(_object_reference(obj, sample))
+    return collect(ladder_of(obj))
 
 
 def object_margins_and_weights(obj: GkpoObject, s: Any) -> tuple[Any, Any]:
-    """(margin, weight) of obj on s, folding obj to its normal form once.
-
-    margin = (delta_score - reference) * weight. s is one PairSample (two
-    floats come back) or a batch of columns (arrays come back; a constant
-    weight stays one float). Each batch entry equals the PairSample result
-    bit for bit.
-    """
-    nf = object_normal_form(obj)
-    gap = delta_score(nf, s) - _object_reference(obj, s)
-    w = _object_weight(obj, nf, s)
-    return gap * w, w
+    """(margin, weight) of obj on s, folding obj once. s is one PairSample
+    (two floats come back) or a batch of columns (arrays come back, a constant
+    weight as one float), each entry equal to its PairSample's bit for bit."""
+    return _margin_and_weight(object_normal_form(obj), s)
 
 
 def object_weight(obj: GkpoObject, sample: PairSample) -> float:
-    return _object_weight(obj, object_normal_form(obj), sample)
+    return weight(object_normal_form(obj), sample)
 
 
 def object_margin(obj: GkpoObject, sample: PairSample) -> float:

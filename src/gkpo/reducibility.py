@@ -2,8 +2,10 @@
 
 An objective sits inside the reducible class when its reference is fixed, its
 penalties are plain additive terms (no gates), and its weight does not depend
-on the score gap. Each probe either certifies feasibility with a concrete
-surrogate or returns a small witness showing no surrogate exists:
+on the score gap. `classify` reads which of these fail from the reasons of
+the document's fold, `algebra.collect(algebra.ladder_of(obj))`. Each probe
+certifies feasibility with a concrete surrogate or returns a small witness
+showing no surrogate exists:
 
 * probe_shift: is there one fixed reference value reproducing the decisions of
   per-prompt references? (interval intersection over the gap constraints)
@@ -290,27 +292,16 @@ class Evidence:
 
 
 def structural_reasons(obj: GkpoObject) -> set[str]:
-    """The reason codes that put obj outside the reducible class; empty inside.
-
-    Inside the class iff the reference form is fixed (fixed_zero, fixed_scalar,
-    or per_dataset, which is constant within its dataset scope), no penalty is
-    gated, and the weight form is constant or product. A custom weight form is
-    conservatively flagged score_dependent_weight.
-    """
-    reasons: set[str] = set()
-    if obj.reference.form in ("per_prompt", "custom"):
-        reasons.add("reference_shift")
-    if any(p.meta_gate for p in obj.penalties):
-        reasons.add("non_additive_gate")
-    if obj.weight.form in ("score_dependent", "custom"):
-        reasons.add("score_dependent_weight")
-    return reasons
+    """The reasons of obj's fold, `collect(ladder_of(obj))`; empty inside R."""
+    return set(classify(obj).reasons)
 
 
 def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityBlock:
-    """structural_reasons as a reducibility block, plus the witnesses that
-    evidence backs for the flagged mechanisms."""
-    reasons = structural_reasons(obj)
+    """The reasons of obj's fold as a reducibility block, plus the witnesses
+    that evidence backs for the flagged mechanisms."""
+    from . import algebra  # `gkpo probe` runs the probes and never folds
+
+    reasons = algebra.collect(algebra.ladder_of(obj)).reasons
     witness: dict[str, Any] = {}
 
     if evidence is not None:

@@ -600,6 +600,8 @@ def validate(obj: GkpoObject) -> list[Violation]:
                 bad(f"weight.factors[{i}]", f"invalid factor name {name!r}")
         if (w.score_fn is not None) != (w.form == "score_dependent"):
             bad("weight.score_fn", "present iff weight form is 'score_dependent'")
+        if isinstance(w.score_fn, str) and not is_name(w.score_fn):
+            bad("weight.score_fn", f"invalid score function name {w.score_fn!r}")
 
     if not isinstance(r, ReferenceSpec):
         pass

@@ -18,7 +18,6 @@ import numpy as np
 from gkpo.adapters import MethodConfig, configs_equal, roundtrip, to_gkpo
 from gkpo.algebra import (
     AdditivePenalty,
-    Ladder,
     PairSample,
     collect,
     ladder_margin,
@@ -267,7 +266,7 @@ def test_gradient_equivalence():
         names = [f"pen_{k}" for k in range(int(rng.integers(0, 4)))]
         ops = [AdditivePenalty(round(float(rng.uniform(-1, 1)), 6), n) for n in names]
         rng.shuffle(ops)
-        ladder = Ladder(tuple(ops))
+        ladder = tuple(ops)
         sample = PairSample(
             "p",
             float(rng.normal()),

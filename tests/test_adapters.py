@@ -550,25 +550,25 @@ def test_fixture_conversion_matrix():
     "name", ["kto_product_weight.json", "rrhf_rank_penalties.json", "gated_penalty.json"]
 )
 def test_one_analysis_serves_every_target(monkeypatch, name):
-    calls = {"structural_reasons": 0, "object_normal_form": 0}
+    # the five targets share one fold of the object: one lowering, one collect
+    calls = {"ladder_of": 0, "collect": 0}
 
-    def counting(module, fn):
-        real = getattr(module, fn)
+    def counting(fn):
+        real = getattr(algebra, fn)
 
-        def wrapped(obj):
+        def wrapped(arg):
             calls[fn] += 1
-            return real(obj)
+            return real(arg)
 
-        monkeypatch.setattr(module, fn, wrapped)
+        monkeypatch.setattr(algebra, fn, wrapped)
 
-    counting(adapters, "structural_reasons")
-    counting(algebra, "object_normal_form")
+    counting("ladder_of")
+    counting("collect")
     obj = load_fixture(name)
     probe = [PairSample("p", 1.0, omega={"clip_snr": 1.0, "var_floor": 2.0})]
     for method in METHODS:
         from_gkpo(obj, method, probe=probe)
-    assert calls["structural_reasons"] == 1
-    assert calls["object_normal_form"] <= 1
+    assert calls == {"ladder_of": 1, "collect": 1}
 
 
 @pytest.mark.parametrize("name", sorted(CONVERSION_MATRIX))

@@ -1,6 +1,7 @@
 """Operator-ladder laws: order insensitivity, single-pass collection, scale
 fixing."""
 
+import math
 import random
 
 import pytest
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 from gkpo.algebra import (
     AdditivePenalty,
-    Ladder,
+    ConstantWeight,
+    FixedReference,
+    GatedPenalty,
     MultiplicativeWeight,
     NormalForm,
     PairSample,
     ReferenceAdjust,
+    ReferenceShift,
+    Unvalued,
     collect,
     ladder_margin,
     margin,
@@ -72,6 +77,30 @@ def test_permuted_ladders_collect_identically_and_agree_bitwise():
         assert margin(nf, sample) == m_ladder
 
 
+def test_repeated_penalty_names_sum_alike_in_any_order():
+    # non-dyadic coefficients: a left-to-right float sum depends on the order
+    forward = [AdditivePenalty(c, "x") for c in (0.1, 0.2, 0.3)]
+    assert collect(forward).penalty_coeffs == {"x": 0.6}
+    assert collect(forward[::-1]) == collect(forward)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=8),
+    order=st.randoms(use_true_random=False),
+    du=st.floats(-8, 8, allow_nan=False),
+)
+def test_collect_sums_each_name_exactly_once_rounded(coeffs, order, du):
+    ops = [AdditivePenalty(c, "x") for c in coeffs] + [AdditivePenalty(0.5, "y")]
+    shuffled = ops[:]
+    order.shuffle(shuffled)
+    nf = collect(ops)
+    assert nf.penalty_coeffs == {"x": math.fsum(coeffs), "y": 0.5}
+    assert collect(shuffled) == nf
+    sample = PairSample("h", du, delta_phi={"x": 0.7, "y": -1.3})
+    assert margin(collect(shuffled), sample) == margin(nf, sample)
+
+
 def test_collect_single_pass_over_operators():
     rng = random.Random(5)
     ops = random_ladder(rng)
@@ -121,12 +150,22 @@ def test_collect_is_a_homomorphism_under_concatenation():
         assert joint.ref_terms == tuple(sorted(a.ref_terms + b.ref_terms))
 
 
-def test_ladder_wrapper_and_plain_iterable_agree():
-    rng = random.Random(2)
-    ops = random_ladder(rng)
-    sample = random_sample(rng)
-    assert collect(Ladder(tuple(ops))) == collect(ops)
-    assert ladder_margin(Ladder(tuple(ops)), sample) == ladder_margin(ops, sample)
+def test_law_breaking_operators_add_their_reasons_and_evaluate_in_order():
+    plain = [FixedReference(0.25), ConstantWeight(2.0), AdditivePenalty(0.5, "phi_a"),
+             ReferenceAdjust("ref_a")]
+    broken = [FixedReference(0.25), ConstantWeight(2.0), GatedPenalty(0.5, "phi_a"),
+              ReferenceShift("ref_a")]
+    sample = PairSample("p", 1.5, delta_phi={"phi_a": 0.5}, delta_ref={"ref_a": 0.25})
+    assert collect(plain).reasons == frozenset()
+    assert collect(broken).reasons == {"non_additive_gate", "reference_shift"}
+    # a gate and a per-prompt shift change the verdict, not the arithmetic
+    assert ladder_margin(broken, sample) == ladder_margin(plain, sample) == 1.5
+    assert margin(collect(broken), sample) == margin(collect(plain), sample) == 1.5
+    score = Unvalued("score_dependent_weight", "weight form 'score_dependent'")
+    assert collect([*plain, score]).reasons == {"score_dependent_weight"}
+    for evaluate in (ladder_margin, lambda ops, s: margin(collect(ops), s)):
+        with pytest.raises(ValueError, match="weight form 'score_dependent'"):
+            evaluate([*plain, score], sample)
 
 
 def test_worked_margin_from_ladder():

@@ -6,6 +6,7 @@ generator kept here as its oracle.
 """
 
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -18,6 +19,11 @@ from gkpo.algebra import (
     DATASET_OFFSET_KEY,
     PROMPT_OFFSET_KEY,
     PairSample,
+    collect,
+    ladder_margin,
+    ladder_of,
+    margin,
+    weight,
     object_margin,
     object_margins_and_weights,
     object_weight,
@@ -88,6 +94,30 @@ def test_batch_evaluator_equals_per_sample_bit_for_bit(seed):
     weights = np.broadcast_to(weights, margins.shape)
     assert _bits(margins) == _bits([object_margin(obj, s) for s in samples])
     assert _bits(weights) == _bits([object_weight(obj, s) for s in samples])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_object_margins_are_the_margins_of_its_ladder(seed):
+    """Inside R, object_margins_and_weights is the margin through
+    collect(ladder_of(obj)) bit for bit, on one sample and on a batch, and
+    evaluating the ladder in file order agrees to rtol 1e-12."""
+    _, obj, samples = _fuzzed_case(seed)
+    ladder = ladder_of(obj)
+    nf = collect(ladder)
+    if nf.reasons:  # a per-prompt reference or a gated penalty
+        return
+    batch = PairBatch.from_samples(samples)
+    margins, weights = object_margins_and_weights(obj, batch)
+    assert _bits(margins) == _bits(margin(nf, batch))
+    assert _bits(weights) == _bits(weight(nf, batch))
+    for s in samples:
+        m, w = object_margins_and_weights(obj, s)
+        assert _bits([m, w]) == _bits([margin(nf, s), weight(nf, s)])
+        # the terms' size bounds the rounding of a sum that cancels
+        size = abs(s.delta_u) + sum(abs(c * s.delta_phi[n]) for n, c in nf.penalty_coeffs.items())
+        size += sum(map(abs, nf.ref_values)) + sum(abs(v) for v in s.delta_ref.values())
+        assert math.isclose(ladder_margin(ladder, s), m, rel_tol=1e-12, abs_tol=1e-12 * size * w)
 
 
 def _first_error(obj, samples) -> str:

@@ -17,7 +17,6 @@ from gkpo.algebra import (
     PairSample,
     object_margin,
     object_normal_form,
-    object_reference,
     object_weight,
 )
 from gkpo.engine import (
@@ -209,7 +208,7 @@ def test_link_and_loss_names_cover_schema_enums():
 def test_object_margin_fixed_reference(dpo_obj):
     sample = PairSample("demo", 0.5)
     assert object_margin(dpo_obj, sample) == pytest.approx(0.40, abs=1e-12)
-    assert object_reference(dpo_obj, sample) == 0.10
+    assert object_normal_form(dpo_obj).ref_values == (0.10,)
 
 
 def test_object_margin_with_penalties(rrhf_obj):

@@ -230,6 +230,25 @@ def test_validate_score_fn_iff_score_dependent():
     assert "weight.score_fn" in paths(validate(GkpoObject(weight=bad)))
 
 
+def test_validate_score_fn_is_a_name():
+    """weight.score_fn names a function, as a config's score_fn does, so it
+    meets the name pattern; score.custom_name stays a free label."""
+    raw = json.loads(fixture_text("score_dependent_weight.json"))
+    raw["weight"]["score_fn"] = "9 bad name!"
+    expected = [("weight.score_fn", "invalid score function name '9 bad name!'")]
+    assert [(v.path, v.message) for v in validate(parse(json.dumps(raw)))] == expected
+    with pytest.raises(ValueError, match="invalid score function name"):
+        opal_hash(parse(json.dumps(raw)))
+    # a lone surrogate is refused as unencodable and as a name, never hashed
+    lone = GkpoObject(weight=WeightSpec(form="score_dependent", constant=None, score_fn="a\udc00b"))
+    assert [v.path for v in validate(lone)] == ["weight.score_fn"] * 2
+    with pytest.raises(ValueError, match="invalid GKPO object") as info:
+        opal_hash(lone)
+    assert not isinstance(info.value, UnicodeError)
+    label = GkpoObject(score=ScoreSpec(type="custom", custom_name="9 free label!"))
+    assert validate(label) == []
+
+
 def test_validate_reference_value_rules():
     assert "reference.value" in paths(
         validate(GkpoObject(reference=ReferenceSpec(form="fixed_scalar", value=None)))
@@ -457,9 +476,6 @@ _LONE = "a\udc00b"
 # surrogate there
 _UNENCODABLE = {
     "score.custom_name": GkpoObject(score=ScoreSpec(type="custom", custom_name=_LONE)),
-    "weight.score_fn": GkpoObject(
-        weight=WeightSpec(form="score_dependent", constant=None, score_fn=_LONE)
-    ),
     "dataset_ops.group_weights[1]": GkpoObject(
         dataset_ops=DatasetOps(group_weights=("g", _LONE))
     ),
