@@ -15,11 +15,11 @@ mode emits a per-prompt reference, with shift_evidence {"raw_gap": g,
 "offsets": [o1, o2]} as the witness's evidence; KTO_GRPO's weight_mode names
 its weight form.
 
-from_gkpo reads the object's fold, collect(ladder_of(obj)), which the first
-call on a valid object records on the instance (see _analysis). It blocks
-when the fold or the reducibility block puts the object outside the
-reducible class, or when the target shape cannot express the normal form,
-with result-level codes that are not schema reason codes:
+from_gkpo reads the fold an object records (algebra.object_normal_form), and
+the first call on a valid object records what every target reads of it (see
+_analysis). It blocks when the fold or the reducibility block puts the object
+outside the reducible class, or when the target shape cannot express the
+normal form, with result-level codes that are not schema reason codes:
 "weight_not_absorbable" (a product weight and no probe, or probe products not
 constant to a relative ABSORB_TOL; the probe is read on every call),
 "penalty_not_representable" and "reference_not_representable".
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from copy import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple
 
 from . import algebra
@@ -287,7 +287,9 @@ def to_gkpo(cfg: MethodConfig) -> GkpoObject:
         dataset_ops=DatasetOps(),
         provenance=Provenance(method=method, citations=CITATIONS[method]),
     )
-    return require_valid(replace(obj, reducibility=classify(obj, evidence)))
+    # set in place, so obj keeps the fold classify records (the block is not in it)
+    object.__setattr__(obj, "reducibility", classify(obj, evidence))
+    return require_valid(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,7 @@ def _analysis(obj: GkpoObject) -> Any:
     facts = obj.__dict__.get(_ANALYSIS) if isinstance(obj, GkpoObject) else None
     if facts is None:
         require_valid(obj)
-        facts = algebra.collect(algebra.ladder_of(obj))
+        facts = algebra.object_normal_form(obj)
         flagged = facts.reasons.union(obj.reducibility.reasons)
         if flagged or not obj.reducibility.inside_R:
             facts = ConversionResult(BLOCKED, reasons=tuple(sorted(flagged)))

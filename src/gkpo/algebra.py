@@ -8,9 +8,10 @@ law and carry its reason code: a gated penalty, a per-prompt reference
 shift, and a form with no sample-level value (a score-dependent or custom
 weight, a custom reference). `collect`, the one fold, takes any ladder to a
 normal form that carries the reasons; `ladder_margin` evaluates it in order
-instead. `ladder_of` lowers a GKPO document: reference, weight, then
-penalties in file order. Object margins, classification, conversion and
-scale fixing all read `collect(ladder_of(obj))`.
+instead. A GKPO document's ladder is its own nodes (`ladder_of`), which
+`collect` reads by form and gate. `object_normal_form(obj)` records the fold
+on the object, and margins, classification, conversion and scale fixing
+read that record, so each object is folded once.
 
 The evaluators use only `-`, `*` and `/` on the sample's attributes
 `delta_u`, `delta_phi`, `omega` and `delta_ref`, so they run unchanged on one
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-from .schema import GkpoObject, is_finite_number
+from .schema import GkpoObject, PenaltyEntry, ReferenceSpec, WeightSpec, is_finite_number
 
 # Keys of the per-prompt / per-dataset reference values in PairSample.delta_ref
 PROMPT_OFFSET_KEY = "prompt_offset"
@@ -42,13 +43,15 @@ class _Named:
 
 
 @dataclass(frozen=True)
-class AdditivePenalty(_Named):
+class AdditivePenalty(_Named):  # read as a document's PenaltyEntry is
     coeff: float
     name: str
+    meta_gate = False
 
 
 class GatedPenalty(AdditivePenalty):  # evaluates as its plain term
     reason = "non_additive_gate"
+    meta_gate = True
 
 
 @dataclass(frozen=True)
@@ -156,17 +159,48 @@ class NormalForm:
         object.__setattr__(self, "ref_terms", tuple(self.ref_terms))
 
 
+# the operators of the reference forms that read a term: fixed within its dataset, or per prompt
+_REFERENCE_OPS = {"per_dataset": ReferenceAdjust(DATASET_OFFSET_KEY),
+                  "per_prompt": ReferenceShift(PROMPT_OFFSET_KEY)}
+
+
 def collect(ladder: Iterable[Any]) -> NormalForm:
-    """Fold a ladder into normal form in one pass, whatever its order: each
-    penalty name's coefficients sum with math.fsum, and every other side is a
-    sorted multiset of values only stored, so an invalid document's ladder
-    folds too. Each operator that breaks the law adds its reason."""
-    coeffs: dict[str, list[float]] = {}
+    """Fold a ladder into normal form in one pass, whatever its order. Its
+    operators are the classes above or a document's nodes (see ladder_of). A
+    coefficient is kept as a float; a repeated name's coefficients sum with
+    math.fsum, or exactly and then rounded (+-inf past float range) when fsum
+    overflows. Every other side is a sorted multiset of values only stored,
+    so every document that parse accepts folds. Each operator that breaks the
+    law adds its reason."""
+    coeffs: dict[str, float] = {}
+    repeated: dict[str, list[float]] = {}
     factors, constants, terms, values, unvalued, reasons = [], [], [], [], [], set()
     for op in ladder:
-        if isinstance(op, AdditivePenalty):
-            coeffs.setdefault(op.name, []).append(op.coeff)
-        elif isinstance(op, FixedReference):
+        kind = type(op)  # one dispatch; a document's penalties come first
+        if kind is PenaltyEntry or isinstance(op, AdditivePenalty):
+            name, coeff = op.name, op.coeff + 0.0  # a float, as math.fsum gives
+            if name in coeffs:
+                repeated.setdefault(name, [coeffs[name]]).append(coeff)
+            else:
+                coeffs[name] = coeff
+            if op.meta_gate:
+                reasons.add(GatedPenalty.reason)
+            continue
+        if kind is ReferenceSpec:  # a fixed value, or the operator of its form
+            if op.form == "fixed_zero" or op.form == "fixed_scalar":
+                values.append(op.value)
+                continue
+            op = _REFERENCE_OPS.get(op.form) or Unvalued(
+                "reference_shift", f"reference form {op.form!r}")
+        elif kind is WeightSpec:  # a constant, factors, or no sample-level value
+            if op.form == "constant":
+                constants.append(op.constant)
+                continue
+            if op.form == "product":
+                factors += op.factors
+                continue
+            op = Unvalued("score_dependent_weight", f"weight form {op.form!r}")
+        if isinstance(op, FixedReference):
             values.append(op.value)
         elif isinstance(op, ConstantWeight):
             constants.append(op.value)
@@ -180,36 +214,32 @@ def collect(ladder: Iterable[Any]) -> NormalForm:
             raise TypeError(f"not a ladder operator: {op!r}")
         if op.reason:
             reasons.add(op.reason)
+    for name, addends in repeated.items():
+        try:
+            coeffs[name] = math.fsum(addends)
+        except OverflowError:  # partial sums past float range: round the exact sum
+            from fractions import Fraction
+
+            exact = sum(map(Fraction, addends))
+            finite = abs(exact) < 2**1024 - 2**970  # the sums that round to a finite float
+            coeffs[name] = float(exact) if finite else math.inf if exact > 0 else -math.inf
     nf = object.__new__(NormalForm)  # the frozen __init__ would setattr each field
-    nf.__dict__.update(
-        penalty_coeffs={name: math.fsum(coeffs[name]) for name in sorted(coeffs)},
-        weight_factors=tuple(sorted(factors)), ref_terms=tuple(sorted(terms)),
-        ref_values=tuple(sorted(values)), weight_constants=tuple(sorted(constants)),
+    nf.__dict__.update(  # a side of fewer than two entries is sorted already
+        penalty_coeffs=coeffs if len(coeffs) < 2 else dict(sorted(coeffs.items())),
+        weight_factors=tuple(factors) if len(factors) < 2 else tuple(sorted(factors)),
+        ref_terms=tuple(terms) if len(terms) < 2 else tuple(sorted(terms)),
+        ref_values=tuple(values) if len(values) < 2 else tuple(sorted(values)),
+        weight_constants=tuple(constants) if len(constants) < 2 else tuple(sorted(constants)),
         reasons=frozenset(reasons), unvalued=tuple(sorted(unvalued)))
     return nf
 
 
 def ladder_of(obj: GkpoObject) -> list[Any]:
-    """obj's ladder: reference, weight, then penalties in file order. Forms,
-    names and gates choose the operators; values are carried as they are."""
-    r, w = obj.reference, obj.weight
-    if r.form in ("fixed_zero", "fixed_scalar"):
-        ops: list[Any] = [FixedReference(r.value)]
-    elif r.form == "per_dataset":  # fixed within its dataset
-        ops = [ReferenceAdjust(DATASET_OFFSET_KEY)]
-    elif r.form == "per_prompt":
-        ops = [ReferenceShift(PROMPT_OFFSET_KEY)]
-    else:
-        ops = [Unvalued("reference_shift", f"reference form {r.form!r}")]
-    if w.form == "constant":
-        ops.append(ConstantWeight(w.constant))
-    elif w.form == "product":
-        ops.extend(map(MultiplicativeWeight, w.factors))
-    else:
-        ops.append(Unvalued("score_dependent_weight", f"weight form {w.form!r}"))
-    ops += [(GatedPenalty if p.meta_gate else AdditivePenalty)(p.coeff, p.name)
-            for p in obj.penalties]
-    return ops
+    """obj's ladder, its own nodes: reference, weight, then penalties in file
+    order. collect reads a reference or weight by form (a per_dataset or
+    per_prompt reference is a dataset or prompt offset term) and a penalty by
+    its gate; values are carried as they are."""
+    return [obj.reference, obj.weight, *obj.penalties]
 
 
 def _missing(table: Mapping[str, Any], name: str, kind: str, sample: Any) -> KeyError:
@@ -271,33 +301,35 @@ def margin(nf: NormalForm, sample: PairSample) -> float:
 
 
 def ladder_margin(ladder: Iterable[Any], sample: PairSample) -> float:
-    """Evaluate a ladder left to right without collecting it first; an
-    unvalued form raises where it stands."""
+    """Evaluate a ladder left to right without collecting it as a whole: each
+    operator is read as collect reads it alone, and an unvalued form raises
+    where it stands."""
     gap, ref, w = sample.delta_u, 0.0, 1.0
     for op in ladder:
-        if isinstance(op, AdditivePenalty):
-            gap = gap - op.coeff * _value(sample.delta_phi, op.name, "penalty", sample)
-        elif isinstance(op, MultiplicativeWeight):
-            w = w * _value(sample.omega, op.name, "weight factor", sample)
-        elif isinstance(op, ConstantWeight):
-            w = w * op.value
-        elif isinstance(op, ReferenceAdjust):
-            ref = ref + _reference_term(sample, op.name)
-        elif isinstance(op, FixedReference):
-            ref = ref + op.value
-        elif isinstance(op, Unvalued):
-            raise ValueError(f"{op.form} has no sample-level numeric value")
-        else:
-            raise TypeError(f"not a ladder operator: {op!r}")
+        one = collect((op,))
+        for name, coeff in one.penalty_coeffs.items():
+            gap = gap - coeff * _value(sample.delta_phi, name, "penalty", sample)
+        for value in one.ref_values:
+            ref = ref + value
+        for name in one.ref_terms:
+            ref = ref + _reference_term(sample, name)
+        w = w * weight(one, sample)
     return (gap - ref) * w
 
 
 # ---------------------------------------------------------------------------
 # Object-level evaluation (GKPO object + realized sample)
 
+_FOLD = "_fold"  # an instance attribute, like schema's _PARSED and _VALID
+
 
 def object_normal_form(obj: GkpoObject) -> NormalForm:
-    return collect(ladder_of(obj))
+    """collect(ladder_of(obj)), recorded on the frozen obj by the first call."""
+    nf = obj.__dict__.get(_FOLD)
+    if nf is None:
+        nf = collect(ladder_of(obj))
+        object.__setattr__(obj, _FOLD, nf)
+    return nf
 
 
 def object_margins_and_weights(obj: GkpoObject, s: Any) -> tuple[Any, Any]:

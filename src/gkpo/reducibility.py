@@ -3,9 +3,9 @@
 An objective sits inside the reducible class when its reference is fixed, its
 penalties are plain additive terms (no gates), and its weight does not depend
 on the score gap. `classify` reads which of these fail from the reasons of
-the document's fold, `algebra.collect(algebra.ladder_of(obj))`. Each probe
-certifies feasibility with a concrete surrogate or returns a small witness
-showing no surrogate exists:
+the document's fold, `collect(ladder_of(obj))`, as `algebra.object_normal_form`
+records it on the object. Each probe certifies feasibility with a concrete
+surrogate or returns a small witness showing no surrogate exists:
 
 * probe_shift: is there one fixed reference value reproducing the decisions of
   per-prompt references? (interval intersection over the gap constraints)
@@ -301,7 +301,7 @@ def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityB
     that evidence backs for the flagged mechanisms."""
     from . import algebra  # `gkpo probe` runs the probes and never folds
 
-    reasons = algebra.collect(algebra.ladder_of(obj)).reasons
+    reasons = algebra.object_normal_form(obj).reasons
     witness: dict[str, Any] = {}
 
     if evidence is not None:

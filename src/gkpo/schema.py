@@ -150,6 +150,9 @@ class ReducibilityBlock:
                 witness[key] = tuple(value)
         object.__setattr__(self, "witness", MappingProxyType(witness))
 
+    def __reduce__(self):  # a mapping proxy cannot be pickled; its copy can
+        return ReducibilityBlock, (self.inside_R, self.reasons, dict(self.witness))
+
 
 @dataclass(frozen=True)
 class GkpoObject:

@@ -1,6 +1,7 @@
 """Method adapters: emission, recovery, blocking, and round-trips."""
 
 import json
+import pickle
 import random
 from dataclasses import replace
 
@@ -27,9 +28,10 @@ from gkpo.adapters import (
 )
 from gkpo.algebra import PairSample, object_margin, object_normal_form
 from gkpo.canonical import canonicalize, diff, opal_hash
+from gkpo.reducibility import classify
 from gkpo.schema import ReferenceSpec, WeightSpec, parse, serialize, validate
 
-from conftest import FIXTURES, load_fixture, random_object
+from conftest import FIXTURES, load_fixture, load_probe_jsonl, random_object
 
 
 def cfg_dpo(**extra) -> MethodConfig:
@@ -571,14 +573,66 @@ def test_one_analysis_serves_every_target(monkeypatch, name):
     assert calls == {"ladder_of": 1, "collect": 1}
 
 
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Counts of the calls to algebra.ladder_of and algebra.collect."""
+    calls = {"ladder_of": 0, "collect": 0}
+    for fn in calls:
+        real = getattr(algebra, fn)
+
+        def wrapped(arg, fn=fn, real=real):
+            calls[fn] += 1
+            return real(arg)
+
+        monkeypatch.setattr(algebra, fn, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        cfg_dpo(),
+        MethodConfig("RRHF", {"beta": 1.0, "penalties": {"rank_margin_1": 0.5}}),
+        MethodConfig("PPO_RM", {"beta": 1.0, "ref": 0.1, "kl_coeff": 0.2,
+                                "anchor_offset": 0.5, "fold_kl": True}),
+        MethodConfig("KTO_GRPO", {"beta": 1.0, "ref": 0.0, "weight_mode": "product",
+                                  "factors": ["clip_snr"]}),
+        MethodConfig("ORPO", {"beta": 1.0, "offset_mode": "per_prompt",
+                              "shift_evidence": {"raw_gap": 0.2, "offsets": [0.5, -0.5]}}),
+    ],
+    ids=lambda cfg: cfg.method,
+)
+def test_a_config_is_folded_once_through_hash_and_back(fold_calls, cfg):
+    # classify folds the object to_gkpo emits; its hash and from_gkpo reuse that fold
+    obj = to_gkpo(cfg)
+    opal_hash(obj)
+    from_gkpo(obj, cfg.method)
+    assert fold_calls == {"ladder_of": 1, "collect": 1}
+
+
+def test_a_parsed_object_is_folded_once_by_every_reader(fold_calls):
+    obj = load_fixture("scale_half_weight.json")
+    for method in METHODS:
+        from_gkpo(obj, method)
+    classify(obj)
+    opal_hash(obj, probe=load_probe_jsonl("scale_probe.jsonl"))
+    assert fold_calls == {"ladder_of": 1, "collect": 1}
+
+
 @pytest.mark.parametrize("name", sorted(CONVERSION_MATRIX))
 def test_the_conversion_record_is_invisible(name):
     obj, twin = load_fixture(name), load_fixture(name)
-    before = (repr(obj), serialize(obj), opal_hash(obj), canonicalize(obj))
+    before = (repr(obj), serialize(obj), opal_hash(obj), canonicalize(obj), hash(obj))
     for method in METHODS:
         from_gkpo(obj, method)
+    classify(obj)  # reads the fold record that from_gkpo's analysis made
     assert obj == twin
-    assert (repr(obj), serialize(obj), opal_hash(obj), canonicalize(obj)) == before
+    assert (repr(obj), serialize(obj), opal_hash(obj), canonicalize(obj), hash(obj)) == before
+    # the records travel with the fields they were made from
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == twin and hash(back) == hash(twin)
+    assert (repr(back), canonicalize(back)) == (repr(twin), canonicalize(twin))
+    assert object_normal_form(back) == object_normal_form(twin)
     # replace builds a fresh instance, analysed afresh
     flagged = replace(obj, reference=ReferenceSpec(form="per_prompt", value=None))
     for method in METHODS:

@@ -3,12 +3,16 @@ fixing."""
 
 import math
 import random
+import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkpo.algebra import (
+    DATASET_OFFSET_KEY,
+    PROMPT_OFFSET_KEY,
     AdditivePenalty,
     ConstantWeight,
     FixedReference,
@@ -21,9 +25,14 @@ from gkpo.algebra import (
     Unvalued,
     collect,
     ladder_margin,
+    ladder_of,
     margin,
+    object_normal_form,
     scale_fix,
 )
+from gkpo.schema import REFERENCE_FORMS, WEIGHT_FORMS, PenaltyEntry
+
+from conftest import random_object
 
 PHI_NAMES = ("phi_a", "phi_b", "phi_c")
 OMEGA_NAMES = ("om_a", "om_b")
@@ -180,6 +189,85 @@ def test_worked_margin_from_ladder():
         delta_phi={"phi_a": 0.2, "phi_b": -0.1},
     )
     assert abs(ladder_margin(ops, sample) - 0.41) < 1e-12
+
+
+def test_a_repeated_name_whose_partial_sums_overflow_sums_exactly():
+    big = 1.5e308  # two of these leave float range; math.fsum raises
+    assert collect([AdditivePenalty(big, "x")] * 2).penalty_coeffs == {"x": math.inf}
+    assert collect([AdditivePenalty(-big, "x")] * 2).penalty_coeffs == {"x": -math.inf}
+    back = [AdditivePenalty(big, "x"), AdditivePenalty(big, "x"), AdditivePenalty(-big, "x")]
+    assert collect(back).penalty_coeffs == {"x": big}
+
+
+# --- document ladders --------------------------------------------------------
+
+
+def operator_ladder(obj) -> list:
+    """obj's ladder built from the operator classes: reference, weight, then
+    penalties in file order."""
+    r, w = obj.reference, obj.weight
+    if r.form in ("fixed_zero", "fixed_scalar"):
+        ops = [FixedReference(r.value)]
+    elif r.form == "per_dataset":
+        ops = [ReferenceAdjust(DATASET_OFFSET_KEY)]
+    elif r.form == "per_prompt":
+        ops = [ReferenceShift(PROMPT_OFFSET_KEY)]
+    else:
+        ops = [Unvalued("reference_shift", f"reference form {r.form!r}")]
+    if w.form == "constant":
+        ops.append(ConstantWeight(w.constant))
+    elif w.form == "product":
+        ops += [MultiplicativeWeight(name) for name in w.factors]
+    else:
+        ops.append(Unvalued("score_dependent_weight", f"weight form {w.form!r}"))
+    return ops + [(GatedPenalty if p.meta_gate else AdditivePenalty)(p.coeff, p.name)
+                  for p in obj.penalties]
+
+
+def by_bits(nf) -> tuple:
+    """Every NormalForm field, in order, with each float as its type and bytes."""
+    def bits(x):
+        return (type(x), struct.pack("<d", x)) if isinstance(x, float) else x
+
+    return (
+        [(name, bits(c)) for name, c in nf.penalty_coeffs.items()],
+        nf.weight_factors, nf.ref_terms,
+        [bits(v) for v in nf.ref_values], [bits(v) for v in nf.weight_constants],
+        nf.reasons, nf.unvalued,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    reference_form=st.sampled_from(sorted(REFERENCE_FORMS) + [None]),
+    weight_form=st.sampled_from(sorted(WEIGHT_FORMS) + [None]),
+    extra=st.sampled_from([None, -0.0, 0.1, -2.5]),
+)
+def test_the_object_fold_is_the_fold_of_its_operator_ladder(
+    seed, reference_form, weight_form, extra
+):
+    """The fold reads a document's own nodes as the operator classes would
+    stand for them, bit for bit, on fuzzer draws, with a form swapped in
+    without its field (most such objects are invalid) and with a penalty
+    name repeated or given the coefficient -0.0."""
+    obj = random_object(random.Random(seed))
+    if reference_form:
+        obj = replace(obj, reference=replace(obj.reference, form=reference_form))
+    if weight_form:
+        obj = replace(obj, weight=replace(obj.weight, form=weight_form))
+    if extra is not None and obj.penalties:
+        obj = replace(obj, penalties=(*obj.penalties, PenaltyEntry(obj.penalties[0].name, extra)))
+    elif extra is not None:
+        obj = replace(obj, penalties=(PenaltyEntry("phi_a", extra),))
+    expected = by_bits(collect(operator_ladder(obj)))
+    sums: dict = {}  # each name's coefficients sum as math.fsum sums them
+    for p in obj.penalties:
+        sums.setdefault(p.name, []).append(p.coeff)
+    assert expected[0] == by_bits(NormalForm({n: math.fsum(c) for n, c in sums.items()}, (), ()))[0]
+    assert by_bits(collect(ladder_of(obj))) == expected
+    assert by_bits(object_normal_form(obj)) == expected
+    assert object_normal_form(obj) is object_normal_form(obj)  # recorded once
 
 
 # --- scale handling ----------------------------------------------------------

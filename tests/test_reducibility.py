@@ -1,5 +1,7 @@
 """Probes for the three irreducibility mechanisms, checked against grid oracles."""
 
+import json
+import math
 import random
 from dataclasses import replace
 
@@ -28,6 +30,8 @@ from gkpo.schema import (
     PenaltyEntry,
     ReferenceSpec,
     WeightSpec,
+    parse,
+    to_json_dict,
     validate,
 )
 
@@ -471,3 +475,44 @@ def test_fold_reasons_are_the_form_reasons_on_fuzzed_and_swapped_objects():
         invalid += bool(validate(swapped))
         assert set(fold_reasons(swapped)) == form_reasons(swapped)
     assert invalid > 1500
+
+
+def mutated(doc: dict, kind: str, at: int, sign: float) -> dict:
+    """doc with one node changed or added that parse accepts and validate
+    reports: an empty penalty name, an empty factor name, or a penalty named
+    twice with coefficients whose sum leaves float range."""
+    penalties = doc["penalties"]
+    if kind == "penalty_name":
+        if penalties:
+            penalties[at % len(penalties)]["name"] = ""
+        else:
+            penalties.append({"name": "", "lambda": 1.0})
+    elif kind == "factor_name":
+        factors = list(doc["weight"].get("factors", ()))
+        factors.insert(at % (len(factors) + 1), "")
+        doc["weight"] = {"form": "product", "factors": factors}
+    else:
+        twice = [{"name": "overflow_phi", "lambda": sign * 1.5e308}] * 2
+        penalties[at % (len(penalties) + 1):0] = twice
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    source=st.one_of(
+        st.sampled_from(sorted(p.name for p in FIXTURES.glob("*.json"))),
+        st.integers(0, 2**32 - 1),
+    ),
+    kind=st.sampled_from(("penalty_name", "factor_name", "overflow")),
+    at=st.integers(0, 40),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_the_fold_never_raises_on_a_parsed_document(source, kind, at, sign):
+    """classify folds every document parse accepts, valid or not, with the
+    reasons its forms give; an overflowing repeated name sums to +-inf."""
+    obj = load_fixture(source) if isinstance(source, str) else random_object(random.Random(source))
+    obj = parse(json.dumps(mutated(to_json_dict(obj), kind, at, sign)))
+    assert validate(obj)
+    assert set(classify(obj).reasons) == form_reasons(obj)
+    if kind == "overflow":
+        assert collect(ladder_of(obj)).penalty_coeffs["overflow_phi"] == sign * math.inf
