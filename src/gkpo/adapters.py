@@ -96,12 +96,6 @@ class ConversionResult:
         return self.outcome == BLOCKED
 
 
-class BlockedConversionError(ValueError):
-    def __init__(self, reasons: tuple[str, ...]):
-        self.reasons = tuple(reasons)
-        super().__init__(f"conversion blocked: {', '.join(self.reasons)}")
-
-
 # ---------------------------------------------------------------------------
 # The method table
 
@@ -383,15 +377,6 @@ def from_gkpo(
     }
     cfg = MethodConfig(target, params)
     return ConversionResult(CONVERTED, target=cfg, scale_applied=scale)
-
-
-def roundtrip(cfg: MethodConfig) -> MethodConfig:
-    """config -> GKPO -> config; raises BlockedConversionError when flagged."""
-    obj = to_gkpo(cfg)
-    result = from_gkpo(obj, cfg.method)
-    if result.blocked:
-        raise BlockedConversionError(result.reasons)
-    return result.target
 
 
 def configs_equal(a: MethodConfig, b: MethodConfig, tol: float = 1e-6) -> bool:

@@ -111,13 +111,13 @@ class PairSample:
                     f"omega[{name!r}] must be positive, got {value!r}"
                 )
 
-    def lacking(self, table: Mapping[str, float], name: str) -> str:
-        """Prompt id an error names when `name` is missing from `table`."""
+    def lacking(self) -> str:
+        """Prompt id that an error for a name this sample lacks names."""
         return self.prompt_id
 
 
 def sample_from_row(row: Any) -> PairSample:
-    """PairSample from one decoded JSON row of a probe or pair-dataset file.
+    """PairSample from one decoded JSON row of a probe file.
 
     prompt_id (string) and delta_u (number) are required; delta_phi, omega and
     delta_ref are optional name -> number maps. Other keys are the caller's.
@@ -242,13 +242,13 @@ def ladder_of(obj: GkpoObject) -> list[Any]:
     return [obj.reference, obj.weight, *obj.penalties]
 
 
-def _missing(table: Mapping[str, Any], name: str, kind: str, sample: Any) -> KeyError:
-    return KeyError(f"{kind} {name!r} missing from sample {sample.lacking(table, name)!r}")
+def _missing(name: str, kind: str, sample: Any) -> KeyError:
+    return KeyError(f"{kind} {name!r} missing from sample {sample.lacking()!r}")
 
 
 def _value(table: Mapping[str, Any], name: str, kind: str, sample: Any) -> Any:
     if name not in table:
-        raise _missing(table, name, kind, sample)
+        raise _missing(name, kind, sample)
     return table[name]
 
 
@@ -266,7 +266,7 @@ def delta_score(nf: NormalForm, sample: PairSample) -> float:
         for name, coeff in nf.penalty_coeffs.items():
             gap = gap - coeff * phi[name]
     except KeyError:
-        raise _missing(phi, name, "penalty", sample) from None
+        raise _missing(name, "penalty", sample) from None
     return gap
 
 
@@ -281,7 +281,7 @@ def weight(nf: NormalForm, sample: PairSample) -> float:
         for name in nf.weight_factors:
             w = w * omega[name]
     except KeyError:
-        raise _missing(omega, name, "weight factor", sample) from None
+        raise _missing(name, "weight factor", sample) from None
     return w
 
 

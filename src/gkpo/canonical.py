@@ -157,13 +157,6 @@ def opal_hash(obj: GkpoObject, probe: Iterable[PairSample] | None = None) -> str
     return hashlib.sha256(canonicalize(obj, probe)).hexdigest()
 
 
-def attach_hash(
-    obj: GkpoObject, probe: Iterable[PairSample] | None = None
-) -> GkpoObject:
-    digest = opal_hash(obj, probe)
-    return replace(obj, provenance=replace(obj.provenance, opal_hash=digest))
-
-
 def diff(a: GkpoObject, b: GkpoObject) -> list[tuple[str, Any, Any]]:
     """Path-keyed deltas between canonical operator content.
 

@@ -2,7 +2,8 @@
 harness, diff.
 
 Exit codes: 0 success, 1 validation or domain failure, 2 usage error
-(including unreadable files and bad harness configs). Every nonzero exit
+(including unreadable files, bad harness configs and a harness --out path
+that cannot hold the reports). Every nonzero exit
 writes one machine-parsable JSON line to stderr; `main` is the one place that
 turns a library error into that line. Primary output is JSON on stdout;
 --pretty indents it for reading.
@@ -104,8 +105,8 @@ def _load_probe(path: str) -> list[PairSample]:
     from .algebra import sample_from_row
 
     samples = []
-    # "\n" only, as harness.load_jsonl reads: splitlines() would also break at
-    # U+0085, U+2028 and U+2029, which JSON allows raw inside a string
+    # rows end at "\n" only: splitlines() would also break at U+0085, U+2028
+    # and U+2029, which JSON allows raw inside a string
     for i, line in enumerate(_read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -414,19 +415,25 @@ def cmd_harness(args) -> int:
     try:
         config = _read_json(args.config) if args.config else {}
         run, specs, data, hp = harness.setup(args.which, config)
+        if args.out:  # before training, so an unusable path fails fast
+            os.makedirs(args.out, exist_ok=True)
     except (ValueError, TypeError) as exc:
         raise _UsageError(f"bad harness config: {exc}") from exc
+    except OSError as exc:  # _read_json turns its own into a usage error
+        raise _UsageError(f"cannot write reports to {args.out}: {exc}") from exc
     report = run(*specs, data, hp)
     payload = report.to_json_dict()
     _print_json(payload, args.pretty)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         stem = os.path.join(args.out, f"{args.which}_report")
-        with open(stem + ".json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        with open(stem + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(report.to_text() + "\n")
+        try:
+            with open(stem + ".json", "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            with open(stem + ".txt", "w", encoding="utf-8") as fh:
+                fh.write(report.to_text() + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write reports to {args.out}: {exc}") from exc
     return EXIT_OK
 
 

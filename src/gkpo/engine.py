@@ -108,14 +108,6 @@ def z_slope(loss: str, link: str, z):
     return slope if link == "identity" else slope * link_grad(link, z)
 
 
-def decision(margin_value: float) -> int:
-    if margin_value > 0:
-        return 1
-    if margin_value < 0:
-        return -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Decision statistics
 

@@ -23,23 +23,18 @@ H2's shifted spec differs from its base only on the stationary witness pairs,
 so run_h2 descends once per seed. run_h1 trains its two specs separately, so
 that its trace equality is checked on two runs, not assumed.
 
-Datasets are columnar: a SyntheticDataset holds one PairBatch (prompt ids,
-delta_u and name -> column maps) plus (n, d) feature blocks and labels, and
-the spec's margins are evaluated once per column, not once per pair.
+Datasets are generated in process and held as columns: a SyntheticDataset
+holds one PairBatch (prompt ids, delta_u and name -> column maps that every
+row carries) plus (n, d) feature blocks and labels, and the spec's margins
+are evaluated once per column, not once per pair.
 
 `gkpo harness h1|h2` runs one row of HYPOTHESES; `setup` checks a whole
 --config against it, HarnessParams, MAX_HARNESS_CELLS and
 MAX_DESCENT_PAIR_STEPS, then builds it.
-
-Datasets serialize to line-delimited JSON: a header line
-{"format": "gkpo-pairs-1", "seed": ...} followed by one pair per line with
-keys, in order: prompt_id, delta_u, features_pos, features_neg, label, slice,
-delta_phi, omega, delta_ref.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -51,11 +46,9 @@ import numpy as np
 from . import adapters
 from .algebra import (
     PROMPT_OFFSET_KEY,
-    PairSample,
     object_margin,  # noqa: F401  bench/tracing.py resolves it here by name
     object_margins_and_weights,
     object_weight,  # noqa: F401  likewise
-    sample_from_row,
 )
 from .canonical import canonicalize, opal_hash
 from .engine import (
@@ -65,7 +58,7 @@ from .engine import (
     objective,
     z_slope,
 )
-from .schema import GkpoObject, is_finite_number, parse
+from .schema import GkpoObject, parse
 
 SLICE_KEY = "target_slice"
 BACKGROUND_KEY = "background"
@@ -76,81 +69,28 @@ FLIP_GAP = 0.20
 FLIP_OFFSET = 0.50
 
 
-class Columns(dict):
-    """name -> float64 column for the names every row of a batch carries.
-
-    `partial` maps each name that only some rows carry to (present mask,
-    values with 0.0 where absent). Indexing such a name raises KeyError, as a
-    PairSample lacking it would; `get` fills the absent rows with the default.
-    """
-
-    def __init__(self, full=(), partial=()):
-        super().__init__(full)
-        self.partial = dict(partial)
-
-    def get(self, name, default=None):
-        if name in self.partial:
-            present, values = self.partial[name]
-            return np.where(present, values, default)
-        return super().get(name, default)
-
-    def rows(self, n: int) -> list[dict[str, float]]:
-        """The per-row name -> value maps, full names first."""
-        rows: list[dict[str, float]] = [{} for _ in range(n)]
-        for name, col in self.items():
-            for row, value in zip(rows, col.tolist()):
-                row[name] = value
-        for name, (present, values) in self.partial.items():
-            for row, has, value in zip(rows, present.tolist(), values.tolist()):
-                if has:
-                    row[name] = value
-        return rows
-
-
-_TABLES = ("delta_phi", "omega", "delta_ref")
-
-
 @dataclass(frozen=True, eq=False)
 class PairBatch:
     """PairSample's attributes as columns, one entry per pair.
 
     algebra's evaluators run on it unchanged: delta_u is an array and each
-    name -> value map is a Columns of arrays.
+    name -> value map holds one float64 column per name, which every row
+    carries.
     """
 
     prompt_ids: tuple[str, ...]
     delta_u: np.ndarray
-    delta_phi: Columns
-    omega: Columns
-    delta_ref: Columns
+    delta_phi: dict[str, np.ndarray]
+    omega: dict[str, np.ndarray]
+    delta_ref: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.delta_u)
 
-    def lacking(self, table: Columns, name: str) -> str:
-        """Prompt id of the first row whose table lacks name."""
-        entry = table.partial.get(name)
-        return self.prompt_ids[0 if entry is None else int(np.argmin(entry[0]))]
-
-    @classmethod
-    def from_samples(cls, samples: Sequence[PairSample]) -> PairBatch:
-        tables = {}
-        for attr in _TABLES:
-            maps = [getattr(s, attr) for s in samples]
-            full, partial = {}, {}
-            for name in dict.fromkeys(name for m in maps for name in m):
-                present = np.array([name in m for m in maps])
-                values = np.array([m.get(name, 0.0) for m in maps], dtype=float)
-                if present.all():
-                    full[name] = values
-                else:
-                    partial[name] = (present, values)
-            tables[attr] = Columns(full, partial)
-        return cls(
-            prompt_ids=tuple(s.prompt_id for s in samples),
-            delta_u=np.array([s.delta_u for s in samples], dtype=float),
-            **tables,
-        )
+    def lacking(self) -> str:
+        """Prompt id that an error for a name this batch lacks names: every
+        row lacks it, so the first row's."""
+        return self.prompt_ids[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +105,6 @@ class SyntheticDataset:
     labels: np.ndarray
     slices: dict[str, tuple[int, ...]]
     seed: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "slices", {k: tuple(v) for k, v in self.slices.items()}
-        )
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -308,11 +243,9 @@ def gen_dataset(
         prompt_ids=tuple(f"p{i}" for i in range(n_global))
         + tuple(f"w{k}{tag}" for k in range(instances) for tag in "ab"),
         delta_u=np.concatenate([np.where(flip, -du, du), np.full(n_slice, FLIP_GAP)]),
-        delta_phi=Columns(),
-        omega=Columns(),
-        delta_ref=Columns(
-            {PROMPT_OFFSET_KEY: np.concatenate([np.zeros(n_global), offsets])}
-        ),
+        delta_phi={},
+        omega={},
+        delta_ref={PROMPT_OFFSET_KEY: np.concatenate([np.zeros(n_global), offsets])},
     )
     slices = {
         SLICE_KEY: tuple(range(n_global, size)),
@@ -323,85 +256,6 @@ def gen_dataset(
         features_pos=np.concatenate([np.where(flip_rows, fn, fp), zeros]),
         features_neg=np.concatenate([np.where(flip_rows, fp, fn), zeros]),
         labels=np.ones(size),
-        slices=slices,
-        seed=seed,
-    )
-
-
-_ROW_KEYS = (
-    "prompt_id", "delta_u", "features_pos", "features_neg", "label", "slice", *_TABLES
-)
-
-
-def save_jsonl(data: SyntheticDataset, path: str) -> None:
-    n = len(data)
-    slice_of = [BACKGROUND_KEY] * n
-    for name, idx in data.slices.items():
-        for i in idx:
-            slice_of[i] = name
-    batch = data.batch
-    rows = zip(
-        batch.prompt_ids,
-        batch.delta_u.tolist(),
-        data.features_pos.tolist(),
-        data.features_neg.tolist(),
-        data.labels.astype(int).tolist(),
-        slice_of,
-        *(getattr(batch, attr).rows(n) for attr in _TABLES),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": "gkpo-pairs-1", "seed": data.seed}) + "\n")
-        for values in rows:
-            fh.write(json.dumps(dict(zip(_ROW_KEYS, values))) + "\n")
-
-
-def load_jsonl(path: str) -> SyntheticDataset:
-    """Read a gkpo-pairs-1 file; a malformed line raises ValueError at path:line."""
-    samples: list[PairSample] = []
-    features_pos: list[np.ndarray] = []
-    features_neg: list[np.ndarray] = []
-    labels: list[int] = []
-    slices: dict[str, list[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            header = json.loads(fh.readline())
-            if not isinstance(header, dict) or header.get("format") != "gkpo-pairs-1":
-                raise ValueError("not a gkpo-pairs-1 file")
-            seed = header["seed"]
-        except (ValueError, KeyError, RecursionError) as exc:
-            raise ValueError(f"{path}:1: bad header: {exc}") from exc
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                row = json.loads(line)
-                sample = sample_from_row(row)
-                fp = np.asarray(row["features_pos"], dtype=float)
-                fn = np.asarray(row["features_neg"], dtype=float)
-                if isinstance(row["label"], bool) or row["label"] not in (-1, 1):
-                    raise ValueError("label must be +1 or -1")
-                shape = (features_pos[0] if features_pos else fp).shape
-                if not fp.shape == fn.shape == shape:
-                    raise ValueError(f"features must have shape {shape}")
-                # the raw items must be numbers: numpy reads "1.5" and true as floats
-                if len(shape) != 1 or not all(
-                    map(is_finite_number, row["features_pos"] + row["features_neg"])
-                ):
-                    raise ValueError("features must be lists of finite numbers")
-                slices.setdefault(row["slice"], []).append(len(samples))
-            # OverflowError: an integer feature beyond float range;
-            # RecursionError: JSON nested too deeply
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad pair row: {exc}") from exc
-            samples.append(sample)
-            features_pos.append(fp)
-            features_neg.append(fn)
-            labels.append(row["label"])
-    n = len(samples)
-    dim = len(features_pos[0]) if n else 0
-    return SyntheticDataset(
-        batch=PairBatch.from_samples(samples),
-        features_pos=np.array(features_pos).reshape(n, dim),
-        features_neg=np.array(features_neg).reshape(n, dim),
-        labels=np.array(labels, dtype=float),
         slices=slices,
         seed=seed,
     )

@@ -291,11 +291,6 @@ class Evidence:
     score_case: tuple[float, float, PiecewisePsi] | None = None
 
 
-def structural_reasons(obj: GkpoObject) -> set[str]:
-    """The reasons of obj's fold, `collect(ladder_of(obj))`; empty inside R."""
-    return set(classify(obj).reasons)
-
-
 def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityBlock:
     """The reasons of obj's fold as a reducibility block, plus the witnesses
     that evidence backs for the flagged mechanisms."""

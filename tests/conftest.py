@@ -44,6 +44,25 @@ def load_probe_jsonl(name: str):
     return [sample_from_row(json.loads(line)) for line in lines if line.strip()]
 
 
+def batch_of(samples):
+    """The PairBatch of samples that carry the same names in each table: one
+    float64 column per name, as gen_dataset builds them."""
+    import numpy as np
+
+    from gkpo.harness import PairBatch
+
+    tables = {}
+    for attr in ("delta_phi", "omega", "delta_ref"):
+        maps = [getattr(s, attr) for s in samples]
+        assert all(m.keys() == maps[0].keys() for m in maps), f"{attr} is ragged"
+        tables[attr] = {name: np.array([m[name] for m in maps], dtype=float) for name in maps[0]}
+    return PairBatch(
+        prompt_ids=tuple(s.prompt_id for s in samples),
+        delta_u=np.array([s.delta_u for s in samples], dtype=float),
+        **tables,
+    )
+
+
 @pytest.fixture
 def dpo_obj() -> GkpoObject:
     return load_fixture("dpo_fixed_reference.json")

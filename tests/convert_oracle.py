@@ -22,7 +22,7 @@ from gkpo.adapters import (
     normalize_config,
 )
 from gkpo.algebra import PairSample
-from gkpo.reducibility import structural_reasons
+from gkpo.reducibility import classify
 from gkpo.schema import METHODS, GkpoObject, require_valid
 
 
@@ -50,7 +50,7 @@ def from_gkpo(
         raise ValueError(f"unknown target method {target!r}")
     require_valid(obj)
 
-    flagged = structural_reasons(obj).union(obj.reducibility.reasons)
+    flagged = set(classify(obj).reasons).union(obj.reducibility.reasons)
     if flagged or not obj.reducibility.inside_R:
         return ConversionResult(BLOCKED, reasons=tuple(sorted(flagged)))
 

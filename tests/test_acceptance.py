@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from gkpo.adapters import MethodConfig, configs_equal, roundtrip, to_gkpo
+from gkpo.adapters import MethodConfig, configs_equal, from_gkpo, to_gkpo
 from gkpo.algebra import (
     AdditivePenalty,
     PairSample,
@@ -24,7 +24,7 @@ from gkpo.algebra import (
     margin,
     object_margin,
 )
-from gkpo.canonical import attach_hash, canonicalize, opal_hash, scale_fix_object
+from gkpo.canonical import canonicalize, opal_hash, scale_fix_object
 from gkpo.engine import (
     kendall_tau,
     link_grad,
@@ -35,7 +35,6 @@ from gkpo.engine import (
 )
 from gkpo.harness import (
     HarnessParams,
-    PairBatch,
     SyntheticDataset,
     gen_dataset,
     run_h1,
@@ -45,7 +44,7 @@ from gkpo.harness import (
 from gkpo.reducibility import PiecewisePsi, probe_gate, probe_score, probe_shift
 from gkpo.schema import PenaltyEntry, WeightSpec, parse
 
-from conftest import load_fixture, load_probe_jsonl, random_object
+from conftest import batch_of, load_fixture, load_probe_jsonl, random_object
 
 
 def test_worked_margin_golden_suite():
@@ -214,7 +213,8 @@ def test_hash_properties_on_fuzzed_objects():
             assert opal_hash(replace(obj, penalties=close)) == h
 
         # embedded hash is excluded from the hashed bytes
-        assert opal_hash(attach_hash(obj)) == h
+        stamped = replace(obj, provenance=replace(obj.provenance, opal_hash=h))
+        assert opal_hash(stamped) == h
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"1000-object fuzz took {elapsed:.2f}s"
@@ -227,8 +227,8 @@ def test_round_trips():
         "RRHF",
         {"beta": 1.0, "penalties": {"rank_margin_1": 0.50, "rank_margin_2": 0.10}},
     )
-    assert configs_equal(roundtrip(dpo_cfg), dpo_cfg)
-    assert configs_equal(roundtrip(rrhf_cfg), rrhf_cfg)
+    for cfg in (dpo_cfg, rrhf_cfg):
+        assert configs_equal(from_gkpo(to_gkpo(cfg), cfg.method).target, cfg)
 
     folded_cfg = MethodConfig(
         "PPO_RM",
@@ -285,7 +285,7 @@ def test_gradient_equivalence():
             penalties=tuple(PenaltyEntry(op.name, op.coeff) for op in ops),
         )
         data = SyntheticDataset(
-            PairBatch.from_samples([sample]), fp[None], fn[None], np.ones(1), {}, trial
+            batch_of([sample]), fp[None], fn[None], np.ones(1), {}, trial
         )
         hp = HarnessParams(steps=1, seeds=(trial,), init_scale=1.0)
         theta0 = np.random.default_rng(trial).standard_normal(dim)

@@ -17,13 +17,11 @@ from gkpo.adapters import (
     CITATIONS,
     METHOD_SHAPES,
     METHODS,
-    BlockedConversionError,
     ConversionResult,
     MethodConfig,
     configs_equal,
     from_gkpo,
     normalize_config,
-    roundtrip,
     to_gkpo,
 )
 from gkpo.algebra import PairSample, object_margin, object_normal_form
@@ -349,7 +347,7 @@ def test_roundtrip_dpo_and_rrhf():
         ),
         MethodConfig("RRHF", {"beta": 0.5, "penalties": {}, "ref": 0.3}),
     ):
-        assert configs_equal(roundtrip(cfg), cfg), cfg.method
+        assert configs_equal(from_gkpo(to_gkpo(cfg), cfg.method).target, cfg), cfg.method
 
 
 def test_roundtrip_remaining_methods():
@@ -363,7 +361,7 @@ def test_roundtrip_remaining_methods():
         ),
         MethodConfig("KTO_GRPO", {"beta": 1.0, "ref": 0.0, "weight_mode": "constant"}),
     ):
-        assert configs_equal(roundtrip(cfg), cfg), cfg.method
+        assert configs_equal(from_gkpo(to_gkpo(cfg), cfg.method).target, cfg), cfg.method
 
 
 def test_roundtrip_blocked_for_flagged_configs():
@@ -372,9 +370,9 @@ def test_roundtrip_blocked_for_flagged_configs():
         {"beta": 1.0, "offset_mode": "per_prompt",
          "shift_evidence": {"raw_gap": 0.2, "offsets": [0.5, -0.5]}},
     )
-    with pytest.raises(BlockedConversionError) as err:
-        roundtrip(cfg)
-    assert "reference_shift" in err.value.reasons
+    result = from_gkpo(to_gkpo(cfg), cfg.method)
+    assert result.blocked and result.target is None
+    assert "reference_shift" in result.reasons
 
 
 def test_cross_conversion_rrhf_to_dpo_keeps_margins():

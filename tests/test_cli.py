@@ -498,6 +498,20 @@ def test_harness_h2_small_config_with_out_dir(capsys, tmp_path):
     assert "H2" in text
 
 
+def test_harness_out_naming_a_file_is_usage_error_before_training(capsys, tmp_path):
+    cfg = tmp_path / "h1.json"
+    cfg.write_text(json.dumps(H1_CONFIG))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code, out, err = run_cli(capsys, "harness", "h1", "--config", str(cfg), "--out", str(afile))
+    assert (code, out) == (EXIT_USAGE, "")
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    payload = json.loads(lines[0])
+    assert payload["code"] == EXIT_USAGE and str(afile) in payload["error"]
+    assert afile.read_text() == "kept\n"
+
+
 def test_harness_unknown_config_key_is_usage_error(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"size": 40, "momentum": 0.9}))
@@ -574,6 +588,20 @@ def test_probe_row_errors_name_path_and_line(capsys, tmp_path):
     assert code == EXIT_FAILURE
     assert_error_line(err, EXIT_FAILURE)
     assert f"{probe}:2:" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"prompt_id": "b", "delta_u": 1%s}' % ("0" * 400), "[" * 100_000 + "]" * 100_000],
+    ids=["int_beyond_float", "row_nested_too_deep"],
+)
+def test_probe_line_python_cannot_hold_names_path_and_line(capsys, tmp_path, line):
+    probe = tmp_path / "probe.jsonl"
+    probe.write_text('{"prompt_id": "a", "delta_u": 1.0}\n' + line + "\n")
+    code, out, err = run_cli(capsys, "hash", SCALE_HALF, "--scale-fix", "--probe", str(probe))
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert_single_error_line(err, EXIT_FAILURE)
+    assert f"{probe}:2: bad probe sample: " in json.loads(err)["error"]
 
 
 # --- nonzero exits never leak a traceback ----------------------------------------

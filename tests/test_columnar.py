@@ -5,7 +5,6 @@ fail with the same message; the columnar gen_dataset must equal the per-pair
 generator kept here as its oracle.
 """
 
-import json
 import math
 import random
 from dataclasses import replace
@@ -27,7 +26,6 @@ from gkpo.algebra import (
     object_margin,
     object_margins_and_weights,
     object_weight,
-    sample_from_row,
 )
 from gkpo.harness import (
     BACKGROUND_KEY,
@@ -36,16 +34,13 @@ from gkpo.harness import (
     SHIFT_PROFILES,
     SLICE_KEY,
     HarnessParams,
-    PairBatch,
     gen_dataset,
-    load_jsonl,
     run_h1,
     run_h2,
-    save_jsonl,
 )
 from gkpo.schema import GkpoObject, ReferenceSpec
 
-from conftest import random_object
+from conftest import batch_of, random_object
 from test_harness import (
     _bits,
     assert_batch_holds,
@@ -64,15 +59,17 @@ _REFERENCES = (
 
 def _fuzzed_case(seed: int):
     """A fuzzed object with a random reference form, and samples carrying every
-    name it reads; the dataset offset is present in only some samples."""
+    name it reads; the dataset offset is present in all samples or in none,
+    read as 0 where absent."""
     rng = random.Random(seed)
     obj = replace(random_object(rng), reference=rng.choice(_REFERENCES))
     factors = obj.weight.factors if obj.weight.form == "product" else ()
     scale = 10.0 ** rng.randint(-3, 3)
+    dataset_offset = rng.random() < 0.5
     samples = []
     for i in range(rng.randint(1, 12)):
         ref = {PROMPT_OFFSET_KEY: rng.uniform(-2, 2)}
-        if rng.random() < 0.5:
+        if dataset_offset:
             ref[DATASET_OFFSET_KEY] = rng.uniform(-2, 2)
         samples.append(
             PairSample(
@@ -90,7 +87,7 @@ def _fuzzed_case(seed: int):
 @given(st.integers(0, 2**32 - 1))
 def test_batch_evaluator_equals_per_sample_bit_for_bit(seed):
     _, obj, samples = _fuzzed_case(seed)
-    margins, weights = object_margins_and_weights(obj, PairBatch.from_samples(samples))
+    margins, weights = object_margins_and_weights(obj, batch_of(samples))
     weights = np.broadcast_to(weights, margins.shape)
     assert _bits(margins) == _bits([object_margin(obj, s) for s in samples])
     assert _bits(weights) == _bits([object_weight(obj, s) for s in samples])
@@ -107,7 +104,7 @@ def test_object_margins_are_the_margins_of_its_ladder(seed):
     nf = collect(ladder)
     if nf.reasons:  # a per-prompt reference or a gated penalty
         return
-    batch = PairBatch.from_samples(samples)
+    batch = batch_of(samples)
     margins, weights = object_margins_and_weights(obj, batch)
     assert _bits(margins) == _bits(margin(nf, batch))
     assert _bits(weights) == _bits(weight(nf, batch))
@@ -141,12 +138,12 @@ def test_batch_evaluator_names_the_same_missing_name_and_sample(seed):
     if not used:
         return
     table, name = rng.choice(used)
-    holes = rng.sample(range(len(samples)), rng.randint(1, len(samples)))
-    for i in holes:
-        kept = {k: v for k, v in getattr(samples[i], table).items() if k != name}
-        samples[i] = replace(samples[i], **{table: kept})
+    # a batch's columns are whole, so a name it lacks is missing from every row
+    for i, sample in enumerate(samples):
+        kept = {k: v for k, v in getattr(sample, table).items() if k != name}
+        samples[i] = replace(sample, **{table: kept})
     with pytest.raises(KeyError) as err:
-        object_margins_and_weights(obj, PairBatch.from_samples(samples))
+        object_margins_and_weights(obj, batch_of(samples))
     assert str(err.value) == _first_error(obj, samples)
 
 
@@ -159,16 +156,10 @@ def test_missing_prompt_offset_names_the_sample_that_lacks_it():
     with pytest.raises(KeyError) as err:
         object_margin(obj, PairSample("p7", 1.0))
     assert err.value.args[0] == message("p7")
-    offset = {PROMPT_OFFSET_KEY: 0.5}
-    batches = {
-        "p7": [PairSample("p1", 1.0, delta_ref=offset), PairSample("p7", 1.0),
-               PairSample("p8", 1.0)],
-        "p2": [PairSample("p2", 1.0), PairSample("p3", 1.0)],  # no row carries it
-    }
-    for first, samples in batches.items():
-        with pytest.raises(KeyError) as err:
-            object_margins_and_weights(obj, PairBatch.from_samples(samples))
-        assert err.value.args[0] == message(first)
+    # no row of a batch carries it: the first row is named
+    with pytest.raises(KeyError) as err:
+        object_margins_and_weights(obj, batch_of([PairSample("p2", 1.0), PairSample("p3", 1.0)]))
+    assert err.value.args[0] == message("p2")
 
 
 # --- gen_dataset against the per-pair generator ------------------------------------
@@ -283,64 +274,3 @@ def test_harness_path_constructs_no_per_pair_objects(monkeypatch):
     hp = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100)
     run_h1(dpo_spec(0.10), folded_ppo_spec(), gen_dataset(60, 4, "none", 1), hp)
     run_h2(dpo_spec(0.0), orpo_shift_spec(), gen_dataset(60, 4, "witness_slice", 1), hp)
-
-
-# --- files whose rows carry different names ------------------------------------------
-
-
-def _write_rows(path, rows) -> list[PairSample]:
-    """Write a file of pairs with the given tables; the rows' samples."""
-    lines = [json.dumps({"format": "gkpo-pairs-1", "seed": 0})]
-    samples = []
-    for i, extra in enumerate(rows):
-        row = {
-            "prompt_id": f"r{i}",
-            "delta_u": 0.25 * (i + 1),
-            "features_pos": [1.0, 0.0],
-            "features_neg": [0.0, 0.5],
-            "label": 1,
-            "slice": BACKGROUND_KEY,
-            "delta_phi": {},
-            "omega": {},
-            "delta_ref": {},
-        }
-        for key, table in extra.items():
-            row[key] = table
-        lines.append(json.dumps(row))
-        samples.append(sample_from_row(row))
-    path.write_text("\n".join(lines) + "\n")
-    return samples
-
-
-def test_loaded_ragged_names_evaluate_like_the_rows(tmp_path, orpo_shift_obj):
-    path = tmp_path / "ragged.jsonl"
-    samples = _write_rows(
-        path,
-        [
-            {"delta_ref": {PROMPT_OFFSET_KEY: 0.5, DATASET_OFFSET_KEY: 0.125}},
-            {"delta_ref": {PROMPT_OFFSET_KEY: -0.5}},
-            {"delta_ref": {DATASET_OFFSET_KEY: -0.25}},
-        ],
-    )
-    data = load_jsonl(path)
-    assert_batch_holds(data.batch, samples)
-
-    per_dataset = replace(orpo_shift_obj, reference=_REFERENCES[3])
-    margins, _ = object_margins_and_weights(per_dataset, data.batch)
-    assert _bits(margins) == _bits([object_margin(per_dataset, s) for s in samples])
-
-    with pytest.raises(KeyError) as err:
-        object_margins_and_weights(orpo_shift_obj, data.batch)
-    assert str(err.value) == _first_error(orpo_shift_obj, samples)
-
-    resaved = tmp_path / "again.jsonl"
-    save_jsonl(data, resaved)
-    assert_batch_holds(load_jsonl(resaved).batch, samples)
-    assert resaved.read_bytes() == path.read_bytes()
-
-
-def test_load_rejects_rows_of_another_feature_length(tmp_path):
-    path = tmp_path / "short.jsonl"
-    _write_rows(path, [{}, {"features_neg": [0.0]}])
-    with pytest.raises(ValueError, match=rf"{path.name}:3: .*features"):
-        load_jsonl(path)

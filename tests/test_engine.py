@@ -25,7 +25,6 @@ from gkpo.engine import (
     STRICT_LINKS,
     bootstrap_ci,
     bootstrap_diff_ci,
-    decision,
     kendall_tau,
     link_grad,
     link_value,
@@ -187,12 +186,6 @@ def test_unknown_link_and_loss_names_raise():
         link_value("softplus", 1.0)
     with pytest.raises(ValueError):
         loss_value("huber", 1.0)
-
-
-def test_decision_signs():
-    assert decision(0.3) == 1
-    assert decision(-0.3) == -1
-    assert decision(0.0) == 0
 
 
 def test_link_and_loss_names_cover_schema_enums():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gkpo.adapters import MethodConfig, to_gkpo
-from gkpo.algebra import PROMPT_OFFSET_KEY, PairSample, object_margin, sample_from_row
+from gkpo.algebra import PROMPT_OFFSET_KEY, PairSample, object_margin
 from gkpo.canonical import opal_hash
 from gkpo.engine import objective
 from gkpo.harness import (
@@ -19,13 +19,14 @@ from gkpo.harness import (
     PairBatch,
     SyntheticDataset,
     gen_dataset,
-    load_jsonl,
     run_h1,
     run_h2,
-    save_jsonl,
     train_run,
 )
 from gkpo.schema import PenaltyEntry, WeightSpec
+
+from conftest import batch_of
+from test_harness_pins import pairs_jsonl
 
 
 def dpo_spec(ref: float = 0.10):
@@ -68,7 +69,7 @@ def assert_batch_holds(batch: PairBatch, samples) -> None:
     assert _bits(batch.delta_u) == _bits([s.delta_u for s in samples])
     for attr in ("delta_phi", "omega", "delta_ref"):
         table = getattr(batch, attr)
-        assert table.rows(len(samples)) == [getattr(s, attr) for s in samples]
+        assert all(getattr(s, attr).keys() == table.keys() for s in samples)
         for name, col in table.items():
             assert _bits(col) == _bits([getattr(s, attr)[name] for s in samples])
 
@@ -79,17 +80,10 @@ SMALL = HarnessParams(steps=30, seeds=(0, 1), eval_every=10, bootstrap_resamples
 # --- dataset generation -------------------------------------------------------
 
 
-def test_gen_dataset_is_deterministic(tmp_path):
-    a = gen_dataset(40, 5, "witness_slice", seed=3)
-    b = gen_dataset(40, 5, "witness_slice", seed=3)
-    pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_jsonl(a, pa)
-    save_jsonl(b, pb)
-    assert pa.read_bytes() == pb.read_bytes()
-    c = gen_dataset(40, 5, "witness_slice", seed=4)
-    pc = tmp_path / "c.jsonl"
-    save_jsonl(c, pc)
-    assert pa.read_bytes() != pc.read_bytes()
+def test_gen_dataset_is_deterministic():
+    a = pairs_jsonl(gen_dataset(40, 5, "witness_slice", seed=3))
+    assert pairs_jsonl(gen_dataset(40, 5, "witness_slice", seed=3)) == a
+    assert pairs_jsonl(gen_dataset(40, 5, "witness_slice", seed=4)) != a
 
 
 def test_gen_dataset_shapes_and_partition():
@@ -135,61 +129,6 @@ def test_gen_dataset_input_guards():
         gen_dataset(10, 4, "mystery")
     with pytest.raises(ValueError):
         gen_dataset(3, 4, "witness_slice")
-
-
-def _rewrite_row(path, lineno: int, **fields) -> None:
-    """Set fields of the pair row on line lineno (the header is line 1)."""
-    lines = path.read_text().splitlines()
-    row = json.loads(lines[lineno - 1])
-    row.update(fields)
-    lines[lineno - 1] = json.dumps(row)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_jsonl_rejects_labels_other_than_plus_or_minus_one(tmp_path):
-    path = tmp_path / "d.jsonl"
-    for label in (0, 2):
-        save_jsonl(gen_dataset(4, 2, "none", seed=0), path)
-        _rewrite_row(path, 3, label=label)
-        with pytest.raises(ValueError, match=rf"{path.name}:3: .*label"):
-            load_jsonl(path)
-
-
-# --- JSONL round-trip -----------------------------------------------------------
-
-
-def test_jsonl_header_line(tmp_path):
-    data = gen_dataset(6, 2, "none", seed=9)
-    path = tmp_path / "d.jsonl"
-    save_jsonl(data, path)
-    first = json.loads(path.read_text().splitlines()[0])
-    assert first == {"format": "gkpo-pairs-1", "seed": 9}
-
-
-def test_jsonl_round_trip_preserves_everything(tmp_path):
-    data = gen_dataset(24, 3, "witness_slice", seed=11)
-    path = tmp_path / "d.jsonl"
-    save_jsonl(data, path)
-    back = load_jsonl(path)
-    assert back.seed == data.seed
-    assert back.slices == data.slices
-    assert np.array_equal(back.labels, data.labels)
-    assert np.array_equal(back.delta_feature_matrix, data.delta_feature_matrix)
-    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
-    samples = [sample_from_row(row) for row in rows]
-    assert_batch_holds(data.batch, samples)
-    assert_batch_holds(back.batch, samples)
-    # resaving reproduces the file byte for byte
-    path2 = tmp_path / "e.jsonl"
-    save_jsonl(back, path2)
-    assert path2.read_bytes() == path.read_bytes()
-
-
-def test_jsonl_rejects_foreign_files(tmp_path):
-    path = tmp_path / "x.jsonl"
-    path.write_text('{"format": "other", "seed": 0}\n')
-    with pytest.raises(ValueError):
-        load_jsonl(path)
 
 
 # --- training ----------------------------------------------------------------------
@@ -248,7 +187,7 @@ def weighted_dataset(
         for i in range(n)
     ]
     fp, fn = rng.normal(size=(2, n, dim))
-    data = SyntheticDataset(PairBatch.from_samples(samples), fp, fn, np.ones(n), {}, seed)
+    data = SyntheticDataset(batch_of(samples), fp, fn, np.ones(n), {}, seed)
     return data, samples
 
 
@@ -405,75 +344,6 @@ def test_h2_report_serialization():
     json.dumps(d)
     text = report.to_text()
     assert "discord" in text and "flip agreement" in text
-
-
-def test_jsonl_malformed_row_names_path_and_line(tmp_path):
-    data = gen_dataset(4, 2, "none", seed=3)
-    path = tmp_path / "d.jsonl"
-    save_jsonl(data, path)
-    _rewrite_row(path, 3, delta_u="high")
-    with pytest.raises(ValueError, match=rf"{path.name}:3: .*delta_u"):
-        load_jsonl(path)
-
-
-def test_jsonl_nan_number_names_path_and_line(tmp_path):
-    path = tmp_path / "d.jsonl"
-    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
-    _rewrite_row(path, 3, delta_u=float("nan"))
-    with pytest.raises(ValueError, match=rf"{path.name}:3: .*delta_u must be a finite number"):
-        load_jsonl(path)
-
-
-@pytest.mark.parametrize("key", ["features_pos", "features_neg"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_jsonl_non_finite_feature_names_path_and_line(tmp_path, key, bad):
-    path = tmp_path / "d.jsonl"
-    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
-    _rewrite_row(path, 3, **{key: [0.5, bad]})
-    with pytest.raises(ValueError, match=rf"{path.name}:3: .*features must be lists of finite numbers"):
-        load_jsonl(path)
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"features_pos": ["1.5", True]}, "features must be lists of finite numbers"),
-        ({"features_neg": [0.5, False]}, "features must be lists of finite numbers"),
-        ({"label": True}, r"label must be \+1 or -1"),
-    ],
-    ids=["string_and_bool_features", "bool_feature", "bool_label"],
-)
-def test_jsonl_non_number_feature_or_label_names_path_and_line(tmp_path, fields, message):
-    """numpy reads "1.5" and true as floats, and true == 1; the loader must not."""
-    path = tmp_path / "d.jsonl"
-    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
-    _rewrite_row(path, 3, **fields)
-    with pytest.raises(ValueError, match=rf"{path.name}:3: .*{message}"):
-        load_jsonl(path)
-
-
-_DEEP = "[" * 100_000 + "]" * 100_000
-
-
-@pytest.mark.parametrize(
-    "lineno, line, cause",
-    [
-        (4, '{"prompt_id": "p", "delta_u": 0.5, "features_pos": [1%s, 0.5]}' % ("0" * 400),
-         OverflowError),
-        (4, _DEEP, RecursionError),
-        (1, _DEEP, RecursionError),
-    ],
-    ids=["int_beyond_float", "row_nested_too_deep", "header_nested_too_deep"],
-)
-def test_jsonl_line_python_cannot_hold_names_path_and_line(tmp_path, lineno, line, cause):
-    path = tmp_path / "d.jsonl"
-    save_jsonl(gen_dataset(4, 2, "none", seed=3), path)
-    lines = path.read_text().splitlines()
-    lines[lineno - 1] = line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"{path.name}:{lineno}: bad ") as err:
-        load_jsonl(path)
-    assert isinstance(err.value.__cause__, cause)
 
 
 # --- scale ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Byte pins on the harness: CLI reports and generated datasets.
 
 The digests were measured on the per-pair implementation of gen_dataset and
-train_run; the columnar ones must reproduce them exactly.
+train_run; the columnar ones must reproduce them exactly. A dataset is pinned
+through `pairs_jsonl`, the line-delimited JSON that the package once wrote
+for it.
 """
 
 import hashlib
@@ -10,7 +12,7 @@ import json
 import pytest
 
 from gkpo.cli import main
-from gkpo.harness import SHIFT_PROFILES, gen_dataset, save_jsonl
+from gkpo.harness import BACKGROUND_KEY, SHIFT_PROFILES, gen_dataset
 
 REPORT_CONFIG = {"size": 400, "seeds": [0, 1], "steps": 40}
 
@@ -27,9 +29,41 @@ DEFAULT_REPORT_DIGESTS = {
     "h2": "6c02e32deb3aced5c8c31c08ba868f738d87dcd9c263566ae5caa41c989dca7f",
 }
 
-# sha256 over the concatenated save_jsonl bytes of gen_dataset(2000, 8,
+# sha256 over the concatenated pairs_jsonl bytes of gen_dataset(2000, 8,
 # profile, seed) for profile in SHIFT_PROFILES, seed in (0, 3), in that order
 DATASET_DIGEST = "cd58fcfa24d44befa3c786d7a69179a15f3d233b146571cd6d3188bb4d75c84f"
+
+
+_PAIR_KEYS = ("prompt_id", "delta_u", "features_pos", "features_neg", "label", "slice",
+              "delta_phi", "omega", "delta_ref")
+
+
+def pairs_jsonl(data) -> bytes:
+    """A header line {"format": "gkpo-pairs-1", "seed": ...}, then one JSON
+    object per pair with _PAIR_KEYS in that order."""
+    n, batch = len(data), data.batch
+    slice_of = [BACKGROUND_KEY] * n
+    for name, idx in data.slices.items():
+        for i in idx:
+            slice_of[i] = name
+    tables = []
+    for table in (batch.delta_phi, batch.omega, batch.delta_ref):
+        columns = {name: col.tolist() for name, col in table.items()}
+        tables.append([{name: col[i] for name, col in columns.items()} for i in range(n)])
+    lines = [{"format": "gkpo-pairs-1", "seed": data.seed}]
+    lines += (
+        dict(zip(_PAIR_KEYS, row))
+        for row in zip(
+            batch.prompt_ids,
+            batch.delta_u.tolist(),
+            data.features_pos.tolist(),
+            data.features_neg.tolist(),
+            data.labels.astype(int).tolist(),
+            slice_of,
+            *tables,
+        )
+    )
+    return "".join(json.dumps(line) + "\n" for line in lines).encode("utf-8")
 
 
 @pytest.mark.parametrize("which", ["h1", "h2"])
@@ -48,11 +82,9 @@ def test_default_harness_report_bytes_pinned(which, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_DIGESTS[which]
 
 
-def test_generated_dataset_bytes_pinned(tmp_path):
+def test_generated_dataset_bytes_pinned():
     digest = hashlib.sha256()
     for profile in SHIFT_PROFILES:
         for seed in (0, 3):
-            path = tmp_path / f"{profile}_{seed}.jsonl"
-            save_jsonl(gen_dataset(2000, 8, profile, seed), path)
-            digest.update(path.read_bytes())
+            digest.update(pairs_jsonl(gen_dataset(2000, 8, profile, seed)))
     assert digest.hexdigest() == DATASET_DIGEST

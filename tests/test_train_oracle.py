@@ -22,7 +22,6 @@ from gkpo.engine import LINKS, LOSSES, link_grad, link_value, loss_grad, objecti
 from gkpo.harness import (
     SHIFT_PROFILES,
     SLICE_KEY,
-    Columns,
     HarnessParams,
     gen_dataset,
     train_run,
@@ -67,7 +66,7 @@ def weighted_data(profile, seed=0, size=64, dim=4):
     rng = np.random.default_rng(seed + 100)
     om_a, om_b = rng.uniform(0.5, 2.0, (2, size))
     om_a[:3] = 0.0
-    batch = replace(data.batch, omega=Columns({"om_a": om_a, "om_b": om_b}))
+    batch = replace(data.batch, omega={"om_a": om_a, "om_b": om_b})
     return replace(data, batch=batch)
 
 
@@ -117,7 +116,7 @@ def test_all_stationary_pairs_leave_theta_at_its_draw(weight):
     if weight == "product":
         batch = data.batch
         om = dict(batch.omega, om_a=np.zeros(len(data)))
-        data = replace(data, batch=replace(batch, omega=Columns(om)))
+        data = replace(data, batch=replace(batch, omega=om))
     else:
         data = replace(data, features_neg=data.features_pos)
     run = train_run(spec_for("logistic", "identity", weight), data, HP, seed=4)

@@ -15,7 +15,7 @@ import pytest
 from gkpo import harness
 from gkpo.algebra import PROMPT_OFFSET_KEY, object_margins_and_weights
 from gkpo.cli import main
-from gkpo.harness import Columns, HarnessParams, gen_dataset, train_run, train_runs
+from gkpo.harness import HarnessParams, gen_dataset, train_run, train_runs
 from gkpo.schema import WeightSpec
 
 from test_harness import dpo_spec, folded_ppo_spec, orpo_shift_spec
@@ -42,7 +42,7 @@ def with_offsets(data, rows, value):
     """data with the per-prompt offset set to value on the given rows."""
     offsets = data.batch.delta_ref[PROMPT_OFFSET_KEY].copy()
     offsets[rows] = value
-    batch = replace(data.batch, delta_ref=Columns({PROMPT_OFFSET_KEY: offsets}))
+    batch = replace(data.batch, delta_ref={PROMPT_OFFSET_KEY: offsets})
     return replace(data, batch=batch)
 
 
