@@ -14,10 +14,11 @@ The decision statistics stay bounded at harness scale (n pairs):
 `kendall_tau` is Knight's O(n log n) merge-sort tau-b. `mcnemar_exact` sums
 the binomial tail down from C(n, k) in 128-bit fixed point, with a bound on
 its rounding error, until the rest cannot change the rounded p-value; only
-if that bound cannot certify the float does it sum the exact integers (one
-math.comb, about sqrt(n) steps). `bootstrap_ci` draws each resample of a
-few-valued sample, such as paired win differences, as counts of its distinct
-values rather than as n indices.
+if that bound cannot certify the float does it sum the exact integers (about
+sqrt(n) steps either way). Once k is large, C(n, k) itself is built from its
+prime powers, as math.comb's time grows roughly quadratically in k.
+`bootstrap_ci` draws each resample of a few-valued sample, such as paired win
+differences, as counts of its distinct values rather than as n indices.
 """
 
 from __future__ import annotations
@@ -189,8 +190,9 @@ def mcnemar_exact(n01: int, n10: int) -> float:
     p = tail / 2**(n-1), tail the sum of C(n, i) for i <= k = min(n01, n10).
     `_mcnemar_tail` sums it on C(n, k) shifted to 128 bits, and again on the
     exact integers only if that pass cannot certify the rounded p. Cost: one
-    math.comb and about sqrt(n) 128-bit steps at near-balanced counts. When
-    2k + 1 >= n the tail holds half the mass or more, and p is 1.
+    `_binomial`, which builds a large-k C(n, k) from its prime powers, and
+    about sqrt(n) 128-bit steps at near-balanced counts. When 2k + 1 >= n the
+    tail holds half the mass or more, and p is 1.
     """
     if isinstance(n01, bool) or isinstance(n10, bool):
         raise TypeError("counts must be integers, not bools")
@@ -201,9 +203,60 @@ def mcnemar_exact(n01: int, n10: int) -> float:
     k = min(n01, n10)
     if 2 * k + 1 >= n:
         return 1.0
-    top = math.comb(n, k)
+    top = _binomial(n, k)
     p = _mcnemar_tail(top, n, k, max(0, top.bit_length() - 128))
     return _mcnemar_tail(top, n, k, 0) if p is None else p  # below 1, as 2k + 1 < n
+
+
+def _binomial(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n, equal to math.comb(n, k).
+
+    Legendre: p divides C(n, k) exactly sum_i (n // p**i - k // p**i
+    - (n - k) // p**i) times, and each term is 0 or 1. Above sqrt(n) only i = 1
+    remains, so one numpy expression over the sieved primes gives those
+    exponents; the primes up to sqrt(n) loop in Python ints, whose powers
+    cannot wrap. The factors multiply pairwise in a balanced tree, with no
+    division. math.comb divides at every level of its recursion, so its time
+    grows roughly quadratically in k; it stays the faster where k is small.
+    """
+    # us per C(n, k), the best of 25 alternating calls (5 where k > 5000) on a
+    # 2-core Xeon, CPython 3.11.7, numpy 2.4.6; * marks the path taken:
+    #          n        k   math.comb   prime powers
+    #      2 000      512          63             79 *
+    #      4 000      512          72            102 *
+    #     16 000      768         186 *          203
+    #     16 000    1 012         255            220 *
+    #    100 000    2 048         734 *          678
+    #    100 000    2 530       1 082            708 *
+    #      3 696    1 846         425             86 *
+    #     20 000    9 900      11 108            771 *
+    #    100 000   49 000     154 812          5 246 *
+    # At the edges of k >= 512 and k * k >= 64 * n either path is at most ~1.4x
+    # slower than the other; beyond them the prime powers win by a widening
+    # margin.
+    if k < 512 or k * k < 64 * n:
+        return math.comb(n, k)
+    root = math.isqrt(n)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)
+    cut = int(np.searchsorted(primes, root, side="right"))
+    large = primes[cut:]
+    factors = large[n // large - k // large - (n - k) // large > 0].tolist()
+    for p in primes[:cut].tolist():
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    while len(factors) > 1:
+        odd = factors[len(factors) & ~1 :]  # the last factor, if unpaired
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
 
 
 def _mcnemar_tail(top: int, n: int, k: int, shift: int) -> float | None:

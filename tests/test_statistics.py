@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gkpo import engine
 from gkpo.engine import (
     _BOOTSTRAP_BLOCK,
+    _binomial,
     _mcnemar_tail,
     bootstrap_ci,
     kendall_tau,
@@ -76,10 +77,30 @@ def test_mcnemar_equals_brute_force_exactly():
             assert mcnemar_exact(n01, n10) == p == mcnemar_exact(n10, n01), (n01, n10)
 
 
-@pytest.mark.parametrize("n01,n10", [(9900, 10100), (10000, 10000)])
+@pytest.mark.parametrize("n01,n10", [(9900, 10100), (10000, 10000), (49000, 51000)])
 def test_mcnemar_matches_scipy_at_scale(n01, n10):
     ref = scipy.stats.binomtest(n01, n01 + n10, 0.5).pvalue
     assert mcnemar_exact(n01, n10) == pytest.approx(ref, rel=1e-9)
+
+
+def test_mcnemar_is_pinned_at_large_n():
+    # the value math.comb gave, bit for bit; the full-tail oracle is too slow here
+    assert mcnemar_exact(49000, 51000) == 2.588716038346898e-10
+
+
+def test_binomial_equals_math_comb():
+    # n prime, a prime square (its prime root sits at the sqrt(n) split) and a
+    # power of two, at the smallest k, near n / 2 and at the largest k
+    ns = [1031, 7919, 65537, 37**2, 101**2, 251**2, 2**11, 2**14, 2**16]
+    pairs = [(n, k) for n in ns for k in (0, 1, 2, n // 2, (n - 1) // 2, n - 1, n)]
+    # each edge of k >= 512 and k * k >= 64 * n, with one k either side of it
+    for n, edge in [(4000, 512), (15_625, 1000), (100_000, 2530)]:
+        pairs += [(n, k) for k in (edge - 1, edge, edge + 1)]
+    rng = np.random.default_rng(2027)
+    n = rng.integers(1, 100_001, size=40)
+    pairs += zip(n.tolist(), rng.integers(0, n + 1).tolist())
+    for n, k in pairs:
+        assert _binomial(n, k) == math.comb(n, k), (n, k)
 
 
 # the six near-balanced count pairs of the bench stats workload at seed 7
