@@ -12,7 +12,8 @@ full-batch gradient descent:
   its witness predicts. The dataset embeds the witness pairs in a named
   "target_slice" whose members carry zero feature vectors, so their margins
   never depend on the trained scorer and the predicted flips are a property
-  of the spec, not of the optimizer.
+  of the spec, not of the optimizer. The prediction for a slice pair is the
+  sign of the shifted spec's own margin, from object_margins_and_weights.
 
 Training runs in z = beta * margin and leaves stationary pairs (an all-zero
 row of weight * feature difference) out of the descent. `train_runs` trains
@@ -27,6 +28,10 @@ Datasets are generated in process and held as columns: a SyntheticDataset
 holds one PairBatch (prompt ids, delta_u and name -> column maps that every
 row carries) plus (n, d) feature blocks and labels, and the spec's margins
 are evaluated once per column, not once per pair.
+
+Both runners return one Report type: a row of REPORTS states a hypothesis's
+summary keys (each a min, max, all or mean over a per-seed field), their text
+and its table columns, and `to_json_dict` and `to_text` read only that row.
 
 `gkpo harness h1|h2` runs one row of HYPOTHESES; `setup` checks a whole
 --config against it, HarnessParams, MAX_HARNESS_CELLS and
@@ -173,8 +178,6 @@ class HarnessParams:
 class TrainRun:
     spec: GkpoObject
     seed: int
-    steps: int
-    learning_rate: float
     theta: np.ndarray
     trace_steps: tuple[int, ...]
     margin_trace: np.ndarray  # (len(trace_steps), n_pairs)
@@ -329,8 +332,6 @@ def _train(
     run = TrainRun(
         spec=obj,
         seed=seed,
-        steps=hp.steps,
-        learning_rate=hp.learning_rate,
         theta=theta,
         trace_steps=trace_steps,
         margin_trace=margin_trace,
@@ -345,23 +346,32 @@ def _descend(obj, zmat, z0, moving, base_margins, trace_steps, hp, seed):
 
     Returns the final theta, the margin trace (base margins, with the moving
     pairs' margins at each traced step) and the moving pairs' loss sum at
-    each traced step.
+    each traced step. Finiteness is checked at the traced steps only: a
+    theta that leaves float range never returns to it, and the last step is
+    traced. A non-finite theta, margin or loss raises ValueError.
     """
     n = base_margins.size
-    theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
     margin_trace = np.tile(base_margins, (len(trace_steps), 1))
     moving_loss = np.empty(len(trace_steps))
     row = 0
-    for step in range(hp.steps + 1):
-        zm = z0 + zmat @ theta
-        if step in trace_steps:
-            m = zm / obj.beta
-            margin_trace[row, moving] = m
-            moving_loss[row] = np.sum(objective(obj.loss, obj.link, obj.beta, m))
-            row += 1
-        if step < hp.steps:
-            slope = z_slope(obj.loss, obj.link, zm)
-            theta = theta - hp.learning_rate * (zmat.T @ slope) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
+        for step in range(hp.steps + 1):
+            zm = z0 + zmat @ theta
+            if step in trace_steps:
+                m = zm / obj.beta
+                margin_trace[row, moving] = m
+                moving_loss[row] = np.sum(objective(obj.loss, obj.link, obj.beta, m))
+                finite = np.isfinite(theta).all() and np.isfinite(m).all()
+                if not (finite and np.isfinite(moving_loss[row])):
+                    raise ValueError(
+                        f"the descent diverged: seed {seed}, step {step} has a "
+                        "non-finite theta, margin or loss"
+                    )
+                row += 1
+            if step < hp.steps:
+                slope = z_slope(obj.loss, obj.link, zm)
+                theta = theta - hp.learning_rate * (zmat.T @ slope) / n
     return theta, margin_trace, moving_loss
 
 
@@ -386,60 +396,12 @@ class H1SeedResult:
     traces_equal: bool
 
 
-@dataclass(frozen=True)
-class H1Report:
-    opal_hash: str
-    results: tuple[H1SeedResult, ...]
-
-    @property
-    def min_tau(self) -> float:
-        return min(r.tau for r in self.results)
-
-    @property
-    def min_decision_match(self) -> float:
-        return min(r.decision_match for r in self.results)
-
-    @property
-    def all_traces_equal(self) -> bool:
-        return all(r.traces_equal for r in self.results)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "hypothesis": "H1",
-            "opal_hash": self.opal_hash,
-            "min_tau": self.min_tau,
-            "min_decision_match": self.min_decision_match,
-            "all_traces_equal": self.all_traces_equal,
-            "per_seed": [asdict(r) for r in self.results],
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"H1 equivalence report (opal_hash {self.opal_hash[:16]})",
-            f"{'seed':>4}  {'tau':>8}  {'match':>7}  {'win_a':>7}  "
-            f"{'win_b':>7}  {'diff_ci':>18}  {'mcnemar':>9}  traces",
-        ]
-        for r in self.results:
-            ci = f"[{r.win_diff_ci[0]:+.4f},{r.win_diff_ci[1]:+.4f}]"
-            lines.append(
-                f"{r.seed:>4}  {r.tau:>8.4f}  {r.decision_match:>7.2%}  "
-                f"{r.win_rate_a:>7.2%}  {r.win_rate_b:>7.2%}  {ci:>18}  "
-                f"{r.mcnemar_p:>9.4f}  {'equal' if r.traces_equal else 'DIFFER'}"
-            )
-        lines.append(
-            f"min tau {self.min_tau:.4f}, min decision match "
-            f"{self.min_decision_match:.2%}, traces "
-            f"{'all equal' if self.all_traces_equal else 'NOT all equal'}"
-        )
-        return "\n".join(lines)
-
-
 def run_h1(
     spec_a: GkpoObject,
     spec_b: GkpoObject,
     data: SyntheticDataset,
     hp: HarnessParams | None = None,
-) -> H1Report:
+) -> Report:
     hp = hp or HarnessParams()
     hash_a = opal_hash(spec_a)
     hash_b = opal_hash(spec_b)
@@ -476,7 +438,7 @@ def run_h1(
                 ),
             )
         )
-    return H1Report(opal_hash=hash_a, results=tuple(results))
+    return Report("H1", tuple(results), opal_hash=hash_a)
 
 
 # ---------------------------------------------------------------------------
@@ -498,66 +460,12 @@ class H2SeedResult:
     direction_consistent: bool
 
 
-@dataclass(frozen=True)
-class H2Report:
-    results: tuple[H2SeedResult, ...]
-
-    @property
-    def min_discordant(self) -> int:
-        return min(r.discordant_slice_pairs for r in self.results)
-
-    @property
-    def max_slice_p(self) -> float:
-        return max(r.slice_mcnemar_p for r in self.results)
-
-    @property
-    def min_flip_agreement(self) -> float:
-        return min(r.flip_agreement for r in self.results)
-
-    @property
-    def direction_consistency(self) -> float:
-        return float(np.mean([r.direction_consistent for r in self.results]))
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "hypothesis": "H2",
-            "min_discordant_slice_pairs": self.min_discordant,
-            "max_slice_mcnemar_p": self.max_slice_p,
-            "min_flip_agreement": self.min_flip_agreement,
-            "direction_consistency": self.direction_consistency,
-            "per_seed": [asdict(r) for r in self.results],
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            "H2 divergence report",
-            f"{'seed':>4}  {'glob_b':>7}  {'glob_s':>7}  {'slice_b':>8}  "
-            f"{'slice_s':>8}  {'flips':>9}  {'discord':>7}  {'mcnemar_p':>11}  dir",
-        ]
-        for r in self.results:
-            flips = f"{r.observed_flips}/{r.predicted_flips}"
-            lines.append(
-                f"{r.seed:>4}  {r.global_win_base:>7.2%}  "
-                f"{r.global_win_shifted:>7.2%}  {r.slice_win_base:>8.2%}  "
-                f"{r.slice_win_shifted:>8.2%}  {flips:>9}  "
-                f"{r.discordant_slice_pairs:>7}  {r.slice_mcnemar_p:>11.3e}  "
-                f"{'ok' if r.direction_consistent else 'WRONG'}"
-            )
-        lines.append(
-            f"min discordant {self.min_discordant}, max slice p "
-            f"{self.max_slice_p:.3e}, min flip agreement "
-            f"{self.min_flip_agreement:.2%}, direction consistency "
-            f"{self.direction_consistency:.2%}"
-        )
-        return "\n".join(lines)
-
-
 def run_h2(
     base: GkpoObject,
     shifted: GkpoObject,
     data: SyntheticDataset,
     hp: HarnessParams | None = None,
-) -> H2Report:
+) -> Report:
     hp = hp or HarnessParams()
     if "reference_shift" not in shifted.reducibility.reasons:
         raise ValueError("H2 precondition failed: shifted spec lacks reference_shift")
@@ -570,12 +478,9 @@ def run_h2(
         raise ValueError(f"H2 needs a nonempty {SLICE_KEY!r} slice")
 
     labels = data.labels
-    # witness prediction per slice pair: shifted margin sign is the sign of
-    # the frozen gap minus that prompt's offset
-    batch = data.batch
-    pred_sign = np.sign(
-        batch.delta_u[slice_idx] - batch.delta_ref[PROMPT_OFFSET_KEY][slice_idx]
-    )
+    # witness prediction per slice pair: the sign of the shifted spec's own margin
+    pred_sign = np.sign(object_margins_and_weights(shifted, data.batch)[0][slice_idx])
+    pred_wins = _wins(pred_sign, labels[slice_idx])
     results = []
     for seed in hp.seeds:
         # copies of the final margins, not the runs: this seed's traces are
@@ -596,7 +501,6 @@ def run_h2(
 
         slice_wins_base = wins_base[slice_idx]
         slice_wins_shift = wins_shift[slice_idx]
-        pred_wins = (labels[slice_idx] * pred_sign) > 0
         observed_dir = np.sign(np.mean(slice_wins_shift) - np.mean(slice_wins_base))
         predicted_dir = np.sign(np.mean(pred_wins) - np.mean(slice_wins_base))
         n01 = int(np.sum(slice_wins_base & ~slice_wins_shift))
@@ -616,7 +520,86 @@ def run_h2(
                 direction_consistent=bool(observed_dir == predicted_dir),
             )
         )
-    return H2Report(results=tuple(results))
+    return Report("H2", tuple(results))
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+# Per hypothesis: the text report's title; the summary keys, each a JSON key,
+# the reduction over a per-seed field and the text summary's item; and the
+# table's columns (header, width, cell), where width 0 leaves a column unpadded
+REPORTS: dict[str, tuple[str, tuple, tuple]] = {
+    "H1": ("H1 equivalence report", (
+        ("min_tau", min, "tau", lambda v: f"min tau {v:.4f}"),
+        ("min_decision_match", min, "decision_match",
+         lambda v: f"min decision match {v:.2%}"),
+        ("all_traces_equal", all, "traces_equal",
+         lambda v: f"traces {'all equal' if v else 'NOT all equal'}"),
+    ), (
+        ("seed", 4, lambda r: r.seed),
+        ("tau", 8, lambda r: f"{r.tau:.4f}"),
+        ("match", 7, lambda r: f"{r.decision_match:.2%}"),
+        ("win_a", 7, lambda r: f"{r.win_rate_a:.2%}"),
+        ("win_b", 7, lambda r: f"{r.win_rate_b:.2%}"),
+        ("diff_ci", 18, lambda r: "[{:+.4f},{:+.4f}]".format(*r.win_diff_ci)),
+        ("mcnemar", 9, lambda r: f"{r.mcnemar_p:.4f}"),
+        ("traces", 0, lambda r: "equal" if r.traces_equal else "DIFFER"),
+    )),
+    "H2": ("H2 divergence report", (
+        ("min_discordant_slice_pairs", min, "discordant_slice_pairs",
+         lambda v: f"min discordant {v}"),
+        ("max_slice_mcnemar_p", max, "slice_mcnemar_p",
+         lambda v: f"max slice p {v:.3e}"),
+        ("min_flip_agreement", min, "flip_agreement",
+         lambda v: f"min flip agreement {v:.2%}"),
+        ("direction_consistency", lambda v: float(np.mean(v)), "direction_consistent",
+         lambda v: f"direction consistency {v:.2%}"),
+    ), (
+        ("seed", 4, lambda r: r.seed),
+        ("glob_b", 7, lambda r: f"{r.global_win_base:.2%}"),
+        ("glob_s", 7, lambda r: f"{r.global_win_shifted:.2%}"),
+        ("slice_b", 8, lambda r: f"{r.slice_win_base:.2%}"),
+        ("slice_s", 8, lambda r: f"{r.slice_win_shifted:.2%}"),
+        ("flips", 9, lambda r: f"{r.observed_flips}/{r.predicted_flips}"),
+        ("discord", 7, lambda r: r.discordant_slice_pairs),
+        ("mcnemar_p", 11, lambda r: f"{r.slice_mcnemar_p:.3e}"),
+        ("dir", 0, lambda r: "ok" if r.direction_consistent else "WRONG"),
+    )),
+}
+
+
+@dataclass(frozen=True)
+class Report:
+    """One hypothesis's per-seed results, laid out by its row of REPORTS."""
+
+    hypothesis: str
+    results: tuple
+    opal_hash: str | None = None
+
+    def summary(self) -> dict[str, Any]:
+        return {
+            key: reduce([getattr(r, name) for r in self.results])
+            for key, reduce, name, _ in REPORTS[self.hypothesis][1]
+        }
+
+    def to_json_dict(self) -> dict[str, Any]:
+        head = {"hypothesis": self.hypothesis}
+        if self.opal_hash is not None:
+            head["opal_hash"] = self.opal_hash
+        return {**head, **self.summary(), "per_seed": [asdict(r) for r in self.results]}
+
+    def to_text(self) -> str:
+        title, summary, columns = REPORTS[self.hypothesis]
+        if self.opal_hash is not None:
+            title += f" (opal_hash {self.opal_hash[:16]})"
+        lines = [title, "  ".join(f"{head:>{width}}" for head, width, _ in columns)]
+        for r in self.results:
+            lines.append("  ".join(f"{cell(r):>{width}}" for _, width, cell in columns))
+        values = self.summary()
+        lines.append(", ".join(text(values[key]) for key, _, _, text in summary))
+        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -340,10 +340,10 @@ def test_harness_h1_h2():
         )
     )
     h1_data = gen_dataset(300, 6, "none", seed=0)
-    h1 = run_h1(spec_a, spec_b, h1_data, hp)
-    assert h1.min_tau == 1.0
-    assert h1.min_decision_match == 1.0
-    assert h1.all_traces_equal
+    h1 = run_h1(spec_a, spec_b, h1_data, hp).summary()
+    assert h1["min_tau"] == 1.0
+    assert h1["min_decision_match"] == 1.0
+    assert h1["all_traces_equal"]
 
     base = to_gkpo(MethodConfig("DPO", {"beta": 1.0, "ref": 0.0}))
     shifted = to_gkpo(
@@ -357,16 +357,17 @@ def test_harness_h1_h2():
         )
     )
     h2_data = gen_dataset(1000, 8, "witness_slice", seed=0)
-    h2 = run_h2(base, shifted, h2_data, hp)
-    assert h2.min_discordant >= 200
-    assert h2.max_slice_p < 0.01
-    assert h2.min_flip_agreement == 1.0
-    assert h2.direction_consistency == 1.0
+    h2 = run_h2(base, shifted, h2_data, hp).summary()
+    assert h2["min_discordant_slice_pairs"] >= 200
+    assert h2["max_slice_mcnemar_p"] < 0.01
+    assert h2["min_flip_agreement"] == 1.0
+    assert h2["direction_consistency"] == 1.0
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"harness took {elapsed:.1f}s"
     print(
-        f"PASS: harness (H1 tau=1.0, 100% match; H2 {h2.min_discordant} discordant, "
+        f"PASS: harness (H1 tau=1.0, 100% match; H2 "
+        f"{h2['min_discordant_slice_pairs']} discordant, "
         f"p<0.01, 100% flips; {elapsed:.1f}s < 60s)"
     )
 

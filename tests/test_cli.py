@@ -747,6 +747,19 @@ def test_harness_config_of_wrong_type_is_usage_error(capsys, tmp_path, override)
     assert code == EXIT_USAGE
     assert_single_error_line(err, EXIT_USAGE)
 
+
+@pytest.mark.parametrize("which", ["h1", "h2"])
+@pytest.mark.parametrize("override", [{"learning_rate": 1e308}, {"init_scale": 1e308}],
+                         ids=repr)
+def test_harness_diverging_descent_is_one_failure_line(capsys, tmp_path, which, override):
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({"size": 40, "seeds": [0], "steps": 3, **override}))
+    code, out, err = run_cli(capsys, "harness", which, "--config", str(cfg))
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert_single_error_line(err, EXIT_FAILURE)
+    assert "seed 0, step" in json.loads(err)["error"]
+
+
 def test_malformed_orpo_shift_evidence_is_failure(capsys, tmp_path):
     path = tmp_path / "orpo.json"
     for evidence in ({"raw_gap": 1}, [1, 2]):

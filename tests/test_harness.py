@@ -270,9 +270,10 @@ def test_run_h1_requires_matching_hashes():
 def test_run_h1_hash_equal_specs_agree_perfectly():
     data = gen_dataset(60, 5, "none", seed=1)
     report = run_h1(dpo_spec(0.10), folded_ppo_spec(), data, SMALL)
-    assert report.min_tau == 1.0
-    assert report.min_decision_match == 1.0
-    assert report.all_traces_equal
+    summary = report.summary()
+    assert summary["min_tau"] == 1.0
+    assert summary["min_decision_match"] == 1.0
+    assert summary["all_traces_equal"]
     for seed_result in report.results:
         assert seed_result.mcnemar_p == 1.0
         assert seed_result.win_diff_ci == (0.0, 0.0)
@@ -324,10 +325,11 @@ def test_run_h2_flips_every_positive_offset_pair():
     n_slice = len(data.slices[SLICE_KEY])
     # the +offset pair of each witness instance flips sign (0.2 - 0.5 < 0);
     # the -offset pair stays positive, so exactly half the slice is discordant
-    assert report.min_discordant == n_slice // 2
-    assert report.min_flip_agreement == 1.0
-    assert report.direction_consistency == 1.0
-    assert report.max_slice_p < 0.01
+    summary = report.summary()
+    assert summary["min_discordant_slice_pairs"] == n_slice // 2
+    assert summary["min_flip_agreement"] == 1.0
+    assert summary["direction_consistency"] == 1.0
+    assert summary["max_slice_mcnemar_p"] < 0.01
     for seed_result in report.results:
         assert seed_result.predicted_flips == n_slice // 2
         assert seed_result.observed_flips == n_slice // 2
@@ -354,12 +356,12 @@ SCALE = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100
 def test_run_h1_at_twenty_thousand_pairs():
     # all-pairs rank statistics would need gigabytes at this size
     data = gen_dataset(20_000, 4, "none", seed=5)
-    report = run_h1(dpo_spec(0.10), folded_ppo_spec(), data, SCALE)
-    assert report.min_tau == 1.0
-    assert report.all_traces_equal
+    summary = run_h1(dpo_spec(0.10), folded_ppo_spec(), data, SCALE).summary()
+    assert summary["min_tau"] == 1.0
+    assert summary["all_traces_equal"]
 
 
 def test_run_h2_at_twenty_thousand_pairs():
     data = gen_dataset(20_000, 4, "witness_slice", seed=5)
-    report = run_h2(dpo_spec(0.0), orpo_shift_spec(), data, SCALE)
-    assert report.min_flip_agreement == 1.0
+    summary = run_h2(dpo_spec(0.0), orpo_shift_spec(), data, SCALE).summary()
+    assert summary["min_flip_agreement"] == 1.0

@@ -22,6 +22,13 @@ REPORT_DIGESTS = {
     "h2": "281230a26a580b2eb0f32e621ea6cf751d6c994c3217c264cba2ed81d6991cd2",
 }
 
+# sha256 of the `--out` text report (`report.to_text() + "\n"`) under
+# REPORT_CONFIG
+TEXT_REPORT_DIGESTS = {
+    "h1": "640409e8a1da18b5ae6a7fd6a501ab6afbb071e08a5e9ce195b47d646238600a",
+    "h2": "feda3566d7adb1124140a48f9161a0ad790cebf8c0aa984b2702c830cfc1ca8d",
+}
+
 # sha256 of `gkpo harness h1|h2` stdout with no --config: each hypothesis's
 # default data, method configs and HarnessParams
 DEFAULT_REPORT_DIGESTS = {
@@ -73,6 +80,17 @@ def test_harness_report_bytes_pinned(which, capsys, tmp_path):
     assert main(["harness", which, "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[which]
+
+
+@pytest.mark.parametrize("which", ["h1", "h2"])
+def test_harness_text_report_bytes_pinned(which, capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(REPORT_CONFIG))
+    out = tmp_path / "out"
+    assert main(["harness", which, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / f"{which}_report.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == TEXT_REPORT_DIGESTS[which]
 
 
 @pytest.mark.parametrize("which", ["h1", "h2"])
