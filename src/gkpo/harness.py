@@ -21,8 +21,10 @@ several specs on one dataset and seed, and specs whose moving problems are
 byte-equal (loss, link, beta, moving pairs, beta * weights and z0) share one
 descent; each run is bit for bit what `train_run` gives for its spec alone.
 H2's shifted spec differs from its base only on the stationary witness pairs,
-so run_h2 descends once per seed. run_h1 trains its two specs separately, so
-that its trace equality is checked on two runs, not assumed.
+so run_h2 descends once per seed. Its report reads final margins only, so it
+traces step 0 and the last step: eval_every shapes H1's trace alone. run_h1
+trains its two specs separately, so that its trace equality is checked on two
+runs, not assumed.
 
 Datasets are generated in process and held as columns: a SyntheticDataset
 holds one PairBatch (prompt ids, delta_u and name -> column maps that every
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -128,9 +130,9 @@ def require_int(name: str, value: Any) -> None:
 # 1000 times the default; bootstrap_ci holds one float per resample
 MAX_BOOTSTRAP_RESAMPLES = 1_000_000
 # Largest array a harness run may hold, in floats: the dataset's feature cells
-# (size * feature_dim) and a run's margin trace (trace rows * size). It is 10
-# times the benchmark's h2 dataset of 50 000 pairs x 8 features and 5 times
-# its 16-row trace, so a larger config is a usage error, not an allocation.
+# (size * feature_dim) and an H1 run's margin trace (trace rows * size; setup
+# checks h2 by the same rows, though H2 traces 2). It is 10 times the benchmark's
+# h2 dataset of 50 000 x 8, so a larger config is a usage error, not an allocation.
 MAX_HARNESS_CELLS = 4_000_000
 # Most descent work a report may ask for, in pair-steps (steps * size * seeds).
 # It is 10 times the benchmark's h2 report of 150 steps x 50 000 pairs x 2
@@ -239,8 +241,15 @@ def gen_dataset(
         score[i] = du[i] + float(theta_star @ (fp[i] - fn[i]))
     flip = score < 0
     flip_rows = flip[:, None]
+    del delta, score, bound
 
-    zeros = np.zeros((n_slice, feature_dim))
+    # written in place, so no block is copied while the draws live; slice rows stay 0
+    features_pos = np.zeros((size, feature_dim))
+    features_neg = np.zeros((size, feature_dim))
+    features_pos[:n_global], features_neg[:n_global] = fp, fn
+    np.copyto(features_pos[:n_global], fn, where=flip_rows)
+    np.copyto(features_neg[:n_global], fp, where=flip_rows)
+    del draws, fp, fn
     offsets = np.tile([FLIP_OFFSET, -FLIP_OFFSET], instances)
     batch = PairBatch(
         prompt_ids=tuple(f"p{i}" for i in range(n_global))
@@ -256,8 +265,8 @@ def gen_dataset(
     }
     return SyntheticDataset(
         batch=batch,
-        features_pos=np.concatenate([np.where(flip_rows, fn, fp), zeros]),
-        features_neg=np.concatenate([np.where(flip_rows, fp, fn), zeros]),
+        features_pos=features_pos,
+        features_neg=features_neg,
         labels=np.ones(size),
         slices=slices,
         seed=seed,
@@ -481,11 +490,13 @@ def run_h2(
     # witness prediction per slice pair: the sign of the shifted spec's own margin
     pred_sign = np.sign(object_margins_and_weights(shifted, data.batch)[0][slice_idx])
     pred_wins = _wins(pred_sign, labels[slice_idx])
+    # the report reads only final margins: trace step 0 and the last step
+    final_only = replace(hp, eval_every=hp.steps)
     results = []
     for seed in hp.seeds:
         # copies of the final margins, not the runs: this seed's traces are
         # freed before the next seed trains
-        runs = train_runs([base, shifted], data, hp, seed)
+        runs = train_runs([base, shifted], data, final_only, seed)
         mb, ms = (run.final_margins.copy() for run in runs)
         del runs
         wins_base = _wins(mb, labels)
@@ -647,7 +658,7 @@ def setup(which: str, config: Any) -> tuple[Callable, tuple, SyntheticDataset, H
             f"{MAX_HARNESS_CELLS} feature cells"
         )
     hp = HarnessParams(**{k: v for k, v in config.items() if k not in data_keys})
-    rows = -(-hp.steps // hp.eval_every) + 1  # len(trace_steps) in _train
+    rows = -(-hp.steps // hp.eval_every) + 1  # an H1 run's len(trace_steps)
     if rows * size > MAX_HARNESS_CELLS:
         raise ValueError(
             f"the margin trace, {rows} rows x {size} pairs, is over the limit "

@@ -1,6 +1,7 @@
 """Synthetic data generation, training determinism, and the H1/H2 runners."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -365,3 +366,37 @@ def test_run_h2_at_twenty_thousand_pairs():
     data = gen_dataset(20_000, 4, "witness_slice", seed=5)
     summary = run_h2(dpo_spec(0.0), orpo_shift_spec(), data, SCALE).summary()
     assert summary["min_flip_agreement"] == 1.0
+
+
+def traced(call):
+    """call()'s result, and the traced bytes it keeps and its traced peak, both
+    above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - start, peak - start
+
+
+@pytest.mark.parametrize("profile", ["none", "witness_slice"])
+def test_gen_dataset_peak_is_near_the_bytes_it_keeps(profile):
+    # each feature block is written into its final array, and the draws are
+    # freed before the batch is built
+    gen_dataset(100, 8, profile)  # the generator's one-time allocations
+    _, kept, peak = traced(lambda: gen_dataset(20_000, 8, profile))
+    assert peak <= 1.25 * kept
+
+
+def test_run_h2_memory_does_not_grow_with_eval_every():
+    # run_h2 reads final margins only, so it traces step 0 and its last step
+    data = gen_dataset(20_000, 8, "witness_slice", seed=5)
+    specs = (dpo_spec(0.0), orpo_shift_spec())
+    dense, sparse = (HarnessParams(steps=40, seeds=(0,), eval_every=e) for e in (1, 40))
+    run_h2(*specs, data, sparse)  # caches data.delta_feature_matrix
+    dense_report, _, dense_peak = traced(lambda: run_h2(*specs, data, dense))
+    sparse_report, _, sparse_peak = traced(lambda: run_h2(*specs, data, sparse))
+    assert dense_report == sparse_report
+    assert dense_peak <= 1.1 * sparse_peak

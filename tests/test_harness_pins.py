@@ -100,6 +100,18 @@ def test_default_harness_report_bytes_pinned(which, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_REPORT_DIGESTS[which]
 
 
+def test_h2_report_bytes_do_not_depend_on_eval_every(capsys, tmp_path):
+    # H2's verdict reads final margins only, so it traces step 0 and its last
+    # step whatever eval_every says; eval_every shapes H1's trace alone
+    digests = set()
+    for every in (1, 10, 40):
+        cfg = tmp_path / f"config_{every}.json"
+        cfg.write_text(json.dumps({**REPORT_CONFIG, "eval_every": every}))
+        assert main(["harness", "h2", "--config", str(cfg)]) == 0
+        digests.add(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+    assert digests == {REPORT_DIGESTS["h2"]}
+
+
 def test_generated_dataset_bytes_pinned():
     digest = hashlib.sha256()
     for profile in SHIFT_PROFILES:
