@@ -360,6 +360,8 @@ def from_gkpo(
     beta = float(obj.beta * scale)
     if not beta > 0:  # an absorbed product can underflow to 0
         raise ValueError(f"{target} config beta must be positive")
+    if not math.isfinite(beta):  # or overflow past float range
+        raise ValueError(f"{target} config beta must be a finite number")
     # params are written as normalize_config writes them, in the table's order
     written: dict[str, Any] = {"beta": beta, shape.ref: float(nf.ref_values[0])}
     if shape.penalty_names is None:  # a map takes every penalty

@@ -17,8 +17,10 @@ The evaluators use only `-`, `*` and `/` on the sample's attributes
 `delta_u`, `delta_phi`, `omega` and `delta_ref`, so they run unchanged on one
 `PairSample` of floats and on a columnar batch whose attributes are arrays
 (`harness.PairBatch`). They never update in place (`gap = gap - x`, not
-`gap -= x`), which on a batch would write into its columns. This module does
-not import numpy.
+`gap -= x`), which on a batch would write into its columns. Their identities
+are the ints 0 and 1, so a sample and normal form of `fractions.Fraction`s
+give an exact margin, and floats and arrays the bits a 0.0 and 1.0 start
+gives. This module does not import numpy.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ def sample_from_row(row: Any) -> PairSample:
 
     prompt_id (string) and delta_u (number) are required; delta_phi, omega and
     delta_ref are optional name -> number maps. Other keys are the caller's.
-    Every number must be finite as a float. Raises ValueError naming the
+    Every number must be finite as a float; omega values are read as floats,
+    so a probe's weight is the float product. Raises ValueError naming the
     first bad field.
     """
     if not isinstance(row, dict):
@@ -136,6 +139,7 @@ def sample_from_row(row: Any) -> PairSample:
         if not isinstance(table, dict) or not all(map(is_finite_number, table.values())):
             raise ValueError(f"{key} must map names to finite numbers")
         tables[key] = table
+    tables["omega"] = {name: float(value) for name, value in tables["omega"].items()}
     return PairSample(row["prompt_id"], row["delta_u"], **tables)
 
 
@@ -254,7 +258,7 @@ def _value(table: Mapping[str, Any], name: str, kind: str, sample: Any) -> Any:
 
 def _reference_term(sample: Any, name: str) -> Any:
     if name == DATASET_OFFSET_KEY:  # 0 in a sample that carries none
-        return sample.delta_ref.get(name, 0.0)
+        return sample.delta_ref.get(name, 0)
     return _value(sample.delta_ref, name, "reference term", sample)
 
 
@@ -274,7 +278,7 @@ def weight(nf: NormalForm, sample: PairSample) -> float:
     """prod(weight_constants) * prod(omega); an unvalued form is a ValueError."""
     if nf.unvalued:
         raise ValueError(f"{nf.unvalued[0]} has no sample-level numeric value")
-    w, omega = 1.0, sample.omega
+    w, omega = 1, sample.omega
     for value in nf.weight_constants:
         w = w * value
     try:
@@ -304,7 +308,7 @@ def ladder_margin(ladder: Iterable[Any], sample: PairSample) -> float:
     """Evaluate a ladder left to right without collecting it as a whole: each
     operator is read as collect reads it alone, and an unvalued form raises
     where it stands."""
-    gap, ref, w = sample.delta_u, 0.0, 1.0
+    gap, ref, w = sample.delta_u, 0, 1
     for op in ladder:
         one = collect((op,))
         for name, coeff in one.penalty_coeffs.items():

@@ -8,6 +8,14 @@ writes one machine-parsable JSON line to stderr; `main` is the one place that
 turns a library error into that line. Primary output is JSON on stdout;
 --pretty indents it for reading.
 
+Each command returns (output, failure) and prints nothing: output is a JSON
+value, or the text that canonicalize, `convert --to gkpo` and demo write, and
+failure is None or the error to exit with after the output. So a command's
+whole output is computed before anything prints, and `main` alone prints.
+Three runs print a payload and then exit nonzero: validate with violations,
+a blocked convert, and harness whose --out report files cannot be written
+(the reports are written before the payload prints).
+
 Each command imports the modules it runs inside its own body, so a cold
 `gkpo validate` loads only gkpo.schema and `gkpo hash` adds gkpo.canonical.
 `gkpo harness` reads its config and leaves every decision about it to
@@ -69,10 +77,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _print_json(payload: Any, pretty: bool = False) -> None:
-    """Print payload as strict JSON; a NaN or infinity in it is a ValueError."""
-    layout: dict[str, Any] = {"indent": 2} if pretty else {"separators": (",", ":")}
-    print(json.dumps(payload, ensure_ascii=False, allow_nan=False, **layout))
+# a command's (output, failure): see the module docstring
+_Result = tuple[Any, Exception | None]
 
 
 def _read_text(path: str) -> str:
@@ -123,23 +129,18 @@ def _load_probe(path: str) -> list[PairSample]:
 # Commands
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> _Result:
     try:
         violations = validate(parse(_read_text(args.path)))
         summary = f"{len(violations)} violation(s)"
     except ParseError as exc:  # the parse error is the one violation
         violations, summary = [Violation(exc.path, str(exc))], str(exc)
-    _print_json(
-        {
-            "path": args.path,
-            "valid": not violations,
-            "violations": [{"path": v.path, "message": v.message} for v in violations],
-        },
-        args.pretty,
-    )
-    if violations:
-        raise _Failure(f"{args.path}: {summary}")
-    return EXIT_OK
+    payload = {
+        "path": args.path,
+        "valid": not violations,
+        "violations": [{"path": v.path, "message": v.message} for v in violations],
+    }
+    return payload, _Failure(f"{args.path}: {summary}") if violations else None
 
 
 def _canonical_bytes(args) -> bytes:
@@ -156,23 +157,21 @@ def _canonical_bytes(args) -> bytes:
     return canonicalize(obj, probe=probe)
 
 
-def cmd_canonicalize(args) -> int:
-    sys.stdout.write(_canonical_bytes(args).decode("utf-8") + "\n")
-    return EXIT_OK
+def cmd_canonicalize(args) -> _Result:
+    return _canonical_bytes(args).decode("utf-8"), None
 
 
-def cmd_hash(args) -> int:
+def cmd_hash(args) -> _Result:
     import hashlib
 
     blob = _canonical_bytes(args)
     payload: dict[str, Any] = {"opal_hash": hashlib.sha256(blob).hexdigest()}
     if args.emit_canonical:
         payload["canonical"] = blob.decode("utf-8")
-    _print_json(payload, args.pretty)
-    return EXIT_OK
+    return payload, None
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> _Result:
     from .adapters import MethodConfig, from_gkpo, to_gkpo
 
     raw = _read_json(args.path)
@@ -183,9 +182,7 @@ def cmd_convert(args) -> int:
         if args.to not in (None, "gkpo"):
             raise _UsageError("config input converts to GKPO; drop --to or use --to gkpo")
         params = {k: v for k, v in raw.items() if k != "method"}
-        obj = to_gkpo(MethodConfig(raw["method"], params))
-        sys.stdout.write(serialize(obj) + "\n")
-        return EXIT_OK
+        return serialize(to_gkpo(MethodConfig(raw["method"], params))), None
 
     if args.to in (None, "gkpo"):
         raise _UsageError("GKPO input needs --to with a method name")
@@ -200,10 +197,9 @@ def cmd_convert(args) -> int:
     }
     if result.target is not None:
         payload["target"] = {"method": result.target.method, **result.target.params}
-    _print_json(payload, args.pretty)
     if result.blocked:
-        raise _Failure(f"conversion blocked: {', '.join(result.reasons)}")
-    return EXIT_OK
+        return payload, _Failure(f"conversion blocked: {', '.join(result.reasons)}")
+    return payload, None
 
 
 # Each probe's row width and its input as argv shows it; --file holds the
@@ -269,7 +265,7 @@ def _probe_rows(args) -> list[tuple[Any, ...]]:
     return [tuple(row) for row in rows]
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> _Result:
     from .reducibility import PiecewisePsi, probe_gate, probe_score, probe_shift
 
     rows = _probe_rows(args)
@@ -300,8 +296,7 @@ def cmd_probe(args) -> int:
     if not _finite_numbers(payload):
         # an all-int score file computes in exact ints, which can pass any float
         raise _Failure(f"{args.kind} probe result is not a finite float")
-    _print_json(payload, args.pretty)
-    return EXIT_OK
+    return payload, None
 
 
 def _finite_numbers(value: Any) -> bool:
@@ -315,49 +310,28 @@ def _finite_numbers(value: Any) -> bool:
     )
 
 
-def _demo_lines() -> list[str]:
+def cmd_demo(args) -> _Result:
     from .adapters import MethodConfig, to_gkpo
     from .algebra import PairSample, object_margin
     from .canonical import opal_hash, scale_fix_object
     from .reducibility import PiecewisePsi, probe_gate, probe_score, probe_shift
 
-    sample_a = PairSample(prompt_id="demo", delta_u=0.50)
-    sample_b = PairSample(
-        prompt_id="demo",
-        delta_u=0.50,
-        delta_phi={"rank_margin_1": 0.20, "rank_margin_2": -0.10},
-    )
-    sample_c = PairSample(
-        prompt_id="demo",
-        delta_u=0.50,
-        delta_phi={"rank_margin_1": 0.10, "rank_margin_2": -0.05},
-    )
-
-    dpo = to_gkpo(MethodConfig("DPO", {"beta": 1.0, "ref": 0.10}))
-    rrhf = to_gkpo(
-        MethodConfig(
-            "RRHF",
-            {"beta": 1.0, "penalties": {"rank_margin_1": 0.50, "rank_margin_2": 0.10}},
-        )
-    )
-    dpo_alt = to_gkpo(MethodConfig("DPO", {"beta": 1.0, "ref": 0.15}))
-    rrhf_alt = to_gkpo(
-        MethodConfig(
-            "RRHF",
-            {"beta": 1.0, "penalties": {"rank_margin_1": 0.4, "rank_margin_2": 0.2}},
-        )
-    )
-
-    lines = [
-        f"DPO fixed reference: margin {object_margin(dpo, sample_a):.2f}, "
-        f"opal_hash {opal_hash(dpo)}",
-        f"RRHF rank penalties: margin {object_margin(rrhf, sample_b):.2f}, "
-        f"opal_hash {opal_hash(rrhf)}",
-        f"DPO alternate reference: margin {object_margin(dpo_alt, sample_a):.2f}, "
-        f"opal_hash {opal_hash(dpo_alt)}",
-        f"RRHF folded penalties: margin {object_margin(rrhf_alt, sample_c):.2f}, "
-        f"opal_hash {opal_hash(rrhf_alt)}",
-    ]
+    lines, dpo = [], None
+    for title, method, params, delta_phi in (
+        ("DPO fixed reference", "DPO", {"beta": 1.0, "ref": 0.10}, {}),
+        ("RRHF rank penalties", "RRHF",
+         {"beta": 1.0, "penalties": {"rank_margin_1": 0.50, "rank_margin_2": 0.10}},
+         {"rank_margin_1": 0.20, "rank_margin_2": -0.10}),
+        ("DPO alternate reference", "DPO", {"beta": 1.0, "ref": 0.15}, {}),
+        ("RRHF folded penalties", "RRHF",
+         {"beta": 1.0, "penalties": {"rank_margin_1": 0.4, "rank_margin_2": 0.2}},
+         {"rank_margin_1": 0.10, "rank_margin_2": -0.05}),
+    ):
+        obj = to_gkpo(MethodConfig(method, params))
+        dpo = dpo or obj  # the first row
+        sample = PairSample(prompt_id="demo", delta_u=0.50, delta_phi=delta_phi)
+        lines.append(f"{title}: margin {object_margin(obj, sample):.2f}, "
+                     f"opal_hash {opal_hash(obj)}")
 
     shift = probe_shift([(0.20, 0.50), (0.20, -0.50)])
     m1, m2 = shift.witness.margins
@@ -378,38 +352,22 @@ def _demo_lines() -> list[str]:
         f"{score.order_penalty_first:.2f}, flipped {score.flipped}"
     )
 
-    half = GkpoObject(
-        weight=WeightSpec(form="constant", constant=0.5),
-        reference=dpo.reference,
-        beta=1.0,
-        provenance=dpo.provenance,
-    )
-    probe = [
-        PairSample(prompt_id="probe1", delta_u=2.0),
-        PairSample(prompt_id="probe2", delta_u=2.0),
-    ]
-    fixed, c = scale_fix_object(half, probe)
-    twin = GkpoObject(
-        weight=WeightSpec(form="constant", constant=1.0),
-        reference=dpo.reference,
-        beta=0.5,
-        provenance=dpo.provenance,
-    )
+    def fixed_dpo(constant, beta):  # the first DPO row with a constant weight
+        return GkpoObject(weight=WeightSpec(form="constant", constant=constant),
+                          reference=dpo.reference, beta=beta, provenance=dpo.provenance)
+
+    probe = [PairSample(prompt_id=f"probe{i}", delta_u=2.0) for i in (1, 2)]
+    fixed, c = scale_fix_object(fixed_dpo(0.5, 1.0), probe)
+    twin = fixed_dpo(1.0, 0.5)
     lines.append(
         f"SCALE fix: c {c:g}, weight 0.5 -> {fixed.weight.constant:g}, "
         f"beta multiplier {c:g}, "
         f"hash equals pre-scaled twin {opal_hash(fixed) == opal_hash(twin)}"
     )
-    return lines
+    return "\n".join(lines), None
 
 
-def cmd_demo(args) -> int:
-    for line in _demo_lines():
-        print(line)
-    return EXIT_OK
-
-
-def cmd_harness(args) -> int:
+def cmd_harness(args) -> _Result:
     from . import harness  # numpy; the document commands never load it
 
     try:
@@ -423,28 +381,27 @@ def cmd_harness(args) -> int:
         raise _UsageError(f"cannot write reports to {args.out}: {exc}") from exc
     report = run(*specs, data, hp)
     payload = report.to_json_dict()
-    _print_json(payload, args.pretty)
     if args.out:
         stem = os.path.join(args.out, f"{args.which}_report")
+        # a report that stdout would refuse as JSON (NaN) writes no files either
+        text = json.dumps(payload, indent=2, allow_nan=False)
         try:
             with open(stem + ".json", "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
             with open(stem + ".txt", "w", encoding="utf-8") as fh:
                 fh.write(report.to_text() + "\n")
         except OSError as exc:
-            raise _UsageError(f"cannot write reports to {args.out}: {exc}") from exc
-    return EXIT_OK
+            return payload, _UsageError(f"cannot write reports to {args.out}: {exc}")
+    return payload, None
 
 
-def cmd_diff(args) -> int:
+def cmd_diff(args) -> _Result:
     from .canonical import diff
 
     a = _load_object(args.path_a)
     b = _load_object(args.path_b)
-    payload = [{"path": p, "a": va, "b": vb} for p, va, vb in diff(a, b)]
-    _print_json(payload, args.pretty)
-    return EXIT_OK  # a nonempty delta is an answer, not an error
+    # a nonempty delta is an answer, not an error
+    return [{"path": p, "a": va, "b": vb} for p, va, vb in diff(a, b)], None
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +468,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             # argparse fills a positional list from one run of tokens; the
             # values after an interleaved option such as --pretty are extras
             args.values += extras
-        return args.fn(args)
+        output, failure = args.fn(args)
+        if not isinstance(output, str):  # strict JSON: NaN or infinity is a ValueError
+            layout: dict[str, Any] = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+            output = json.dumps(output, ensure_ascii=False, allow_nan=False, **layout)
+        print(output)
+        if failure is None:
+            return EXIT_OK
+        raise failure
     except _UsageError as exc:
         code, message = EXIT_USAGE, str(exc)
     # ValueError covers ParseError and a non-finite result; TypeError is a

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,33 @@ def load_probe_jsonl(name: str):
 
     lines = fixture_text(name).splitlines()
     return [sample_from_row(json.loads(line)) for line in lines if line.strip()]
+
+
+def exact_normal_form(nf):
+    """nf with every number it stores lifted to a Fraction. Fraction(float)
+    is the float's own value, so algebra's evaluators then give the exact
+    margin of the float inputs."""
+    from fractions import Fraction
+
+    return replace(
+        nf,
+        penalty_coeffs={name: Fraction(c) for name, c in nf.penalty_coeffs.items()},
+        ref_values=tuple(map(Fraction, nf.ref_values)),
+        weight_constants=tuple(map(Fraction, nf.weight_constants)),
+    )
+
+
+def exact_sample(sample):
+    """sample with delta_u and every table value lifted to a Fraction."""
+    from fractions import Fraction
+
+    from gkpo.algebra import PairSample
+
+    def lift(table):
+        return {name: Fraction(value) for name, value in table.items()}
+
+    return PairSample(sample.prompt_id, Fraction(sample.delta_u), lift(sample.delta_phi),
+                      lift(sample.omega), lift(sample.delta_ref))
 
 
 def batch_of(samples):

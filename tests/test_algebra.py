@@ -5,6 +5,7 @@ import math
 import random
 import struct
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +29,13 @@ from gkpo.algebra import (
     ladder_of,
     margin,
     object_normal_form,
+    sample_from_row,
     scale_fix,
+    weight,
 )
 from gkpo.schema import REFERENCE_FORMS, WEIGHT_FORMS, PenaltyEntry
 
-from conftest import random_object
+from conftest import FIXTURES, exact_normal_form, exact_sample, load_fixture, random_object
 
 PHI_NAMES = ("phi_a", "phi_b", "phi_c")
 OMEGA_NAMES = ("om_a", "om_b")
@@ -359,3 +362,110 @@ def test_margin_formula_matches_direct_arithmetic(du, coeff, phi, om, ref):
     assert margin(collect(ops), sample) == pytest.approx(
         expected, abs=1e-12, rel=1e-12
     )
+
+
+# --- number-generic evaluators -----------------------------------------------------
+
+U = Fraction(1, 2**53)  # the unit roundoff of a float64
+
+
+def _samples_for(nf, rng):
+    """Samples carrying every name nf reads. In one call the dataset offset is
+    present in every sample or in none (then read as 0), and gaps and offsets
+    include signed zeros."""
+    has_offset = rng.random() < 0.5
+    samples = []
+    for i in range(rng.randint(1, 6)):
+        ref = {name: rng.choice((rng.uniform(-2, 2), -0.0)) for name in nf.ref_terms
+               if name != DATASET_OFFSET_KEY or has_offset}
+        samples.append(PairSample(
+            f"s{i}", rng.choice((rng.gauss(0, 1) * 10.0 ** rng.randint(-3, 3), 0.0, -0.0)),
+            delta_phi={name: rng.gauss(0, 3) for name in nf.penalty_coeffs},
+            omega={name: rng.uniform(0.01, 5.0) for name in nf.weight_factors},
+            delta_ref=ref,
+        ))
+    return samples
+
+
+def _float_start(nf, s):
+    """margin and weight as the evaluators computed them from float starts:
+    the weight from 1.0, and a missing dataset offset read as 0.0."""
+    gap = s.delta_u
+    for name, coeff in nf.penalty_coeffs.items():
+        gap = gap - coeff * s.delta_phi[name]
+    for value in nf.ref_values:
+        gap = gap - value
+    for name in nf.ref_terms:
+        gap = gap - s.delta_ref.get(name, 0.0)
+    w = 1.0
+    for value in (*nf.weight_constants, *(s.omega[name] for name in nf.weight_factors)):
+        w = w * value
+    return gap * w, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_float_margins_keep_the_float_start_types_and_bits(seed):
+    """On float samples and on batches of float64 columns, margin and weight
+    have the types and bytes of the float-start evaluator, for the fixtures
+    that have a value and fuzzed objects; no batch result is, or shares
+    memory with, one of the batch's own columns. A probe row of ints reads
+    as the float weight that 1.0 times the ints gives."""
+    import numpy as np
+
+    from conftest import batch_of
+
+    rng = random.Random(seed)
+    forms = [object_normal_form(random_object(rng))]
+    if seed % 10 == 0:  # every fixture whose forms all have a sample-level value
+        fixtures = [load_fixture(p.name) for p in sorted(FIXTURES.glob("*.json"))]
+        forms += [nf for nf in map(object_normal_form, fixtures) if not nf.unvalued]
+    for nf in forms:
+        samples = _samples_for(nf, rng)
+        batch = batch_of(samples)
+        for s in [*samples, batch]:
+            for got, want in zip((margin(nf, s), weight(nf, s)), _float_start(nf, s)):
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        columns = [batch.delta_u, *batch.delta_phi.values(), *batch.omega.values(),
+                   *batch.delta_ref.values()]
+        for result in (margin(nf, batch), weight(nf, batch)):
+            assert not any(np.shares_memory(result, column) for column in columns)
+        row = {"prompt_id": "i", "delta_u": 1, "delta_phi": samples[0].delta_phi,
+               "omega": {name: rng.randint(1, 9) for name in nf.weight_factors},
+               "delta_ref": samples[0].delta_ref}
+        got, want = weight(nf, sample_from_row(row)), _float_start(nf, PairSample(**row))[1]
+        assert (type(got), got) == (float, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_margin_bounds_the_float_margin(seed):
+    """On a fuzzed inside-R normal form and samples lifted to Fractions,
+    margin and weight are exact Fractions M and w. The float margin M^ of the
+    same inputs has k = (penalties + reference values + reference terms) +
+    (weight values) + 1 roundings: the gap is a recursive sum whose penalty
+    terms are products, the weight a product started exactly from 1, then
+    one multiply. With gamma_k = k*u / (1 - k*u) and u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1 and
+    Lemma 3.3),
+        |M^ - M| <= gamma_k * (|du| + sum |coeff * dphi| + sum |ref|) * |w|,
+    and float(M) is within that bound plus u*|M| of M^."""
+    rng = random.Random(seed)
+    nf = object_normal_form(random_object(rng))
+    while nf.reasons:  # a gated penalty
+        nf = object_normal_form(random_object(rng))
+    exact_nf = exact_normal_form(nf)
+    k = (len(nf.penalty_coeffs) + len(nf.ref_values) + len(nf.ref_terms)
+         + len(nf.weight_constants) + len(nf.weight_factors) + 1)
+    for s in _samples_for(nf, rng):
+        e = exact_sample(s)
+        exact, w = margin(exact_nf, e), weight(exact_nf, e)
+        assert type(exact) is type(w) is Fraction
+        size = abs(e.delta_u) + sum(map(abs, exact_nf.ref_values)) + sum(
+            abs(c * e.delta_phi[name]) for name, c in exact_nf.penalty_coeffs.items()
+        ) + sum(map(abs, e.delta_ref.values()))
+        bound = k * U / (1 - k * U) * size * abs(w)
+        float_margin = Fraction(margin(nf, s))
+        assert abs(float_margin - exact) <= bound
+        assert abs(Fraction(float(exact)) - float_margin) <= bound + U * abs(exact)

@@ -1237,3 +1237,75 @@ def test_normalize_config_writes_table_order_for_every_key_order(config):
     for order in itertools.permutations(params):
         got = normalize_config(MethodConfig(method, {key: params[key] for key in order}))
         assert json.dumps(got.params) == json.dumps(want), order  # nested order too
+
+
+# --- pinned bytes --------------------------------------------------------------------
+
+# sha256 of the JSON list of [argv, exit code, stdout, stderr] over pinned_calls();
+# a change to any byte the CLI writes for these runs moves it
+CLI_DIGEST = "b4723fafaebdc4f8c06c0969bb99f6b096ceff667f334bf51a94a0570abc79c6"
+
+
+def pinned_calls():
+    """Every fixture and tests/data document through each document command,
+    diffs, scale fixing, the three probes, demo and usage errors; paths are
+    relative to the repo root."""
+    root = FIXTURES.parent
+    docs = [
+        path.relative_to(root).as_posix()
+        for folder in (FIXTURES, DATA)
+        for path in sorted(folder.glob("*.json"))
+    ]
+    calls = []
+    for doc in docs:
+        calls += [["validate", doc], ["hash", doc],
+                  ["hash", doc, "--emit-canonical", "--pretty"], ["canonicalize", doc],
+                  ["convert", doc]]
+        calls += [["convert", doc, "--to", to] for to in [*sorted(METHODS), "gkpo"]]
+    fx = "fixtures/"
+    probe = ["--probe", fx + "scale_probe.jsonl"]
+    calls += [
+        ["diff", fx + "dpo_fixed_reference.json", fx + "dpo_alternate_reference.json"],
+        ["diff", fx + "rrhf_rank_penalties.json", fx + "rrhf_rank_penalties_reordered.json"],
+        ["diff", fx + "rrhf_rank_penalties.json", fx + "rrhf_folded_penalties.json", "--pretty"],
+        ["diff", fx + "dpo_fixed_reference.json", "tests/data/bad_beta.json"],
+        ["hash", fx + "scale_half_weight.json", "--scale-fix", *probe],
+        ["canonicalize", fx + "scale_half_weight.json", "--scale-fix", *probe],
+        ["hash", fx + "rrhf_rank_penalties.json", "--scale-fix", *probe],
+        ["probe", "shift", "0.20", "0.50", "-0.50"],
+        ["probe", "shift", "--pretty", "0.2", "-1e-05", "0.5"],
+        ["probe", "gate", "1,10,1", "0,1,1"],
+        ["probe", "gate", "1,0,1"],
+        ["probe", "score", "0.40", "-0.80", "2.0", "0.5"],
+        ["probe", "score", "1e308", "0", "1e308", "1e308"],
+        ["demo"],
+        [],
+        ["validate"],
+        ["validate", "nonexistent.json"],
+        ["validate", fx + "dpo_fixed_reference.json", "extra"],
+        ["hash", fx + "scale_half_weight.json", "--scale-fix"],
+        ["hash", fx + "scale_half_weight.json", *probe],
+        ["convert", "tests/data/rrhf_config.json", "--to", "DPO"],
+        ["convert", "tests/data/rrhf_config.json", "--to"],
+        ["probe", "shift", "0.2"],
+        ["probe", "score", "0.4", "x", "1", "1"],
+    ]
+    return calls
+
+
+def test_cli_bytes_are_pinned(monkeypatch):
+    """stdout, stderr and the exit code of each pinned call, byte for byte."""
+    import contextlib
+    import hashlib
+    import io
+
+    monkeypatch.chdir(FIXTURES.parent)
+    runs = []
+    for argv in pinned_calls():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        runs.append([argv, code, out.getvalue(), err.getvalue()])
+    assert len(runs) >= 200
+    blob = json.dumps(runs, ensure_ascii=False).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == CLI_DIGEST

@@ -49,6 +49,7 @@ PROBES = {
     "varying": lambda: _samples([1.0, 2.0, 3.0]),
     "lacking": lambda: [PairSample("p", 1.0, omega={"clip_snr": 1.0})],
     "tiny": lambda: _samples([1e-200, 1e-200]),  # two factors underflow beta to 0
+    "huge": lambda: _samples([1e200, 1e200]),  # two factors overflow beta to inf
     "one_shot": lambda: iter(_samples([0.5, 0.5])),
     "growing": lambda: _samples([2.0]),
 }
