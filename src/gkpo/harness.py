@@ -21,15 +21,14 @@ several specs on one dataset and seed, and specs whose moving problems are
 byte-equal (loss, link, beta, moving pairs, beta * weights and z0) share one
 descent; each run is bit for bit what `train_run` gives for its spec alone.
 H2's shifted spec differs from its base only on the stationary witness pairs,
-so run_h2 descends once per seed. Its report reads final margins only, so it
-traces step 0 and the last step: eval_every shapes H1's trace alone. run_h1
-trains its two specs separately, so that its trace equality is checked on two
-runs, not assumed.
+so run_h2 descends once per seed. Every run traces step 0 and its last step,
+which is all either report reads. run_h1 trains its two specs separately, so
+that its trace equality is checked on two runs, not assumed.
 
 Datasets are generated in process and held as columns: a SyntheticDataset
 holds one PairBatch (prompt ids, delta_u and name -> column maps that every
-row carries) plus (n, d) feature blocks and labels, and the spec's margins
-are evaluated once per column, not once per pair.
+row carries) plus one (n, d) block of feature differences, and the spec's
+margins are evaluated once per column, not once per pair.
 
 Both runners return one Report type: a row of REPORTS states a hypothesis's
 summary keys (each a min, max, all or mean over a per-seed field), their text
@@ -44,8 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -102,23 +100,16 @@ class PairBatch:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
-    """Pairs held as columns: a PairBatch, (n, d) feature blocks for the pos
-    and neg sides, and labels[n] as floats (+1: pos side preferred, -1: neg).
+    """Pairs held as columns: a PairBatch and the (n, d) block of pos - neg
+    feature differences. The pos side is the preferred one on every row.
     """
 
     batch: PairBatch
-    features_pos: np.ndarray
-    features_neg: np.ndarray
-    labels: np.ndarray
+    delta_feature_matrix: np.ndarray
     slices: dict[str, tuple[int, ...]]
-    seed: int
 
     def __len__(self) -> int:
         return len(self.batch)
-
-    @cached_property
-    def delta_feature_matrix(self) -> np.ndarray:
-        return self.features_pos - self.features_neg
 
 
 def require_int(name: str, value: Any) -> None:
@@ -130,9 +121,9 @@ def require_int(name: str, value: Any) -> None:
 # 1000 times the default; bootstrap_ci holds one float per resample
 MAX_BOOTSTRAP_RESAMPLES = 1_000_000
 # Largest array a harness run may hold, in floats: the dataset's feature cells
-# (size * feature_dim) and an H1 run's margin trace (trace rows * size; setup
-# checks h2 by the same rows, though H2 traces 2). It is 10 times the benchmark's
-# h2 dataset of 50 000 x 8, so a larger config is a usage error, not an allocation.
+# (size * feature_dim) and a run's margin trace (2 rows * size). It is 10 times
+# the benchmark's h2 dataset of 50 000 x 8, so a larger config is a usage error,
+# not an allocation.
 MAX_HARNESS_CELLS = 4_000_000
 # Most descent work a report may ask for, in pair-steps (steps * size * seeds).
 # It is 10 times the benchmark's h2 report of 150 steps x 50 000 pairs x 2
@@ -145,13 +136,12 @@ class HarnessParams:
     steps: int = 150
     learning_rate: float = 0.5
     seeds: tuple[int, ...] = tuple(range(10))
-    eval_every: int = 10
     init_scale: float = 0.1
     bootstrap_resamples: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        for name in ("steps", "eval_every", "bootstrap_resamples"):
+        for name in ("steps", "bootstrap_resamples"):
             require_int(name, getattr(self, name))
         for seed in self.seeds:
             require_int("seeds", seed)
@@ -163,8 +153,8 @@ class HarnessParams:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.steps < 1 or self.learning_rate <= 0 or self.eval_every < 1:
-            raise ValueError("steps, learning_rate, eval_every must be positive")
+        if self.steps < 1 or self.learning_rate <= 0:
+            raise ValueError("steps and learning_rate must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
         # bootstrap_ci's floor and this module's ceiling, checked here so a bad
@@ -181,9 +171,8 @@ class TrainRun:
     spec: GkpoObject
     seed: int
     theta: np.ndarray
-    trace_steps: tuple[int, ...]
-    margin_trace: np.ndarray  # (len(trace_steps), n_pairs)
-    loss_trace: np.ndarray
+    margin_trace: np.ndarray  # (2, n_pairs): step 0 and the last step
+    loss_trace: np.ndarray  # (2,): likewise
 
     @property
     def final_margins(self) -> np.ndarray:
@@ -202,8 +191,8 @@ def gen_dataset(
     Profiles: "none" is a plain random pool; "two_prompt_flip" ends with the
     single two-prompt flip pattern (gap 0.20, offsets +/-0.50); "witness_slice"
     devotes half the pairs to repeated copies of that pattern. Flip-pattern
-    pairs carry zero features; everything else gets standard-normal features,
-    a hidden scoring direction, and labels from the resulting true margin.
+    pairs carry zero features; everything else gets standard-normal features
+    and is oriented so that a hidden scoring direction prefers its pos side.
     """
     if size < 2:
         raise ValueError("size must be at least 2")
@@ -227,34 +216,34 @@ def gen_dataset(
     theta_star = rng.standard_normal(feature_dim)
     # row i is what per-pair draws of fp(d), fn(d), du would give
     draws = rng.standard_normal((n_global, 2 * feature_dim + 1))
-    fp, fn = draws[:, :feature_dim], draws[:, feature_dim:-1]
-    du = 0.5 * draws[:, -1]
+    fp, fn, du = draws[:, :feature_dim], draws[:, feature_dim:-1], draws[:, -1]
+    du *= 0.5
+    # the one feature block, written in place while the draws live; slice rows stay 0
+    delta_features = np.zeros((size, feature_dim))
+    delta = np.subtract(fp, fn, out=delta_features[:n_global])
+    # how far the matrix product below may round from a per-row dot product
+    bound = np.abs(delta, out=delta) @ np.abs(theta_star)
+    bound += np.abs(du)
+    bound *= 2 * (feature_dim + 1) * np.finfo(float).eps
+    np.subtract(fp, fn, out=delta)
     # orient each pair so the side a hidden scorer prefers sits on pos;
     # the trainer's loss presumes that layout, as collected data would
-    delta = fp - fn
-    score = du + delta @ theta_star
-    # the matrix product rounds differently from a per-row dot product; where
-    # that could move the sign, decide with the per-row product
-    bound = 2 * (feature_dim + 1) * np.finfo(float).eps
-    bound *= np.abs(du) + np.abs(delta) @ np.abs(theta_star)
-    for i in np.flatnonzero(np.abs(score) <= bound):
-        score[i] = du[i] + float(theta_star @ (fp[i] - fn[i]))
+    score = delta @ theta_star
+    score += du
     flip = score < 0
-    flip_rows = flip[:, None]
-    del delta, score, bound
-
-    # written in place, so no block is copied while the draws live; slice rows stay 0
-    features_pos = np.zeros((size, feature_dim))
-    features_neg = np.zeros((size, feature_dim))
-    features_pos[:n_global], features_neg[:n_global] = fp, fn
-    np.copyto(features_pos[:n_global], fn, where=flip_rows)
-    np.copyto(features_neg[:n_global], fp, where=flip_rows)
-    del draws, fp, fn
+    # where the rounding could move the sign, decide with the per-row product
+    for i in np.flatnonzero(np.abs(score, out=score) <= bound):
+        flip[i] = du[i] + float(theta_star @ (fp[i] - fn[i])) < 0
+    del score, bound
+    # fn - fp on flipped rows, as the swapped pair gives: -(fp - fn) is -0.0 where they share
+    np.subtract(fn, fp, out=delta, where=flip[:, None])
+    delta_u = np.concatenate([np.negative(du, out=du, where=flip), np.full(n_slice, FLIP_GAP)])
+    del draws, fp, fn, du, delta
     offsets = np.tile([FLIP_OFFSET, -FLIP_OFFSET], instances)
     batch = PairBatch(
         prompt_ids=tuple(f"p{i}" for i in range(n_global))
         + tuple(f"w{k}{tag}" for k in range(instances) for tag in "ab"),
-        delta_u=np.concatenate([np.where(flip, -du, du), np.full(n_slice, FLIP_GAP)]),
+        delta_u=delta_u,
         delta_phi={},
         omega={},
         delta_ref={PROMPT_OFFSET_KEY: np.concatenate([np.zeros(n_global), offsets])},
@@ -263,14 +252,7 @@ def gen_dataset(
         SLICE_KEY: tuple(range(n_global, size)),
         BACKGROUND_KEY: tuple(range(n_global)),
     }
-    return SyntheticDataset(
-        batch=batch,
-        features_pos=features_pos,
-        features_neg=features_neg,
-        labels=np.ones(size),
-        slices=slices,
-        seed=seed,
-    )
+    return SyntheticDataset(batch=batch, delta_feature_matrix=delta_features, slices=slices)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +308,6 @@ def _train(
     # bytes, not values: -0.0 and 0.0, or two NaNs, never share
     key = (obj.loss, obj.link, obj.beta)
     key += (moving.tobytes(), beta_weights.tobytes(), z0.tobytes())
-    trace_steps = (*range(0, hp.steps, hp.eval_every), hp.steps)
     if key in descents:
         del zmat  # solved already; freed before the trace copy
         first, moving_loss = descents[key]
@@ -336,13 +317,12 @@ def _train(
     else:
         zmat = np.asfortranarray(zmat[moving])
         theta, margin_trace, moving_loss = _descend(
-            obj, zmat, z0, moving, base_margins, trace_steps, hp, seed
+            obj, zmat, z0, moving, base_margins, hp, seed
         )
     run = TrainRun(
         spec=obj,
         seed=seed,
         theta=theta,
-        trace_steps=trace_steps,
         margin_trace=margin_trace,
         loss_trace=(still_loss + moving_loss) / n,
     )
@@ -350,24 +330,24 @@ def _train(
     return run
 
 
-def _descend(obj, zmat, z0, moving, base_margins, trace_steps, hp, seed):
+def _descend(obj, zmat, z0, moving, base_margins, hp, seed):
     """Full-batch gradient descent on the moving pairs, in z.
 
     Returns the final theta, the margin trace (base margins, with the moving
-    pairs' margins at each traced step) and the moving pairs' loss sum at
-    each traced step. Finiteness is checked at the traced steps only: a
-    theta that leaves float range never returns to it, and the last step is
-    traced. A non-finite theta, margin or loss raises ValueError.
+    pairs' margins at step 0 and at the last step) and the moving pairs' loss
+    sum at those two steps. Finiteness is checked there only: a theta that
+    leaves float range never returns to it. A non-finite theta, margin or
+    loss raises ValueError.
     """
     n = base_margins.size
-    margin_trace = np.tile(base_margins, (len(trace_steps), 1))
-    moving_loss = np.empty(len(trace_steps))
-    row = 0
+    margin_trace = np.tile(base_margins, (2, 1))
+    moving_loss = np.empty(2)
     with np.errstate(over="ignore", invalid="ignore"):
         theta = hp.init_scale * np.random.default_rng(seed).standard_normal(zmat.shape[1])
         for step in range(hp.steps + 1):
             zm = z0 + zmat @ theta
-            if step in trace_steps:
+            if step in (0, hp.steps):
+                row = min(step, 1)
                 m = zm / obj.beta
                 margin_trace[row, moving] = m
                 moving_loss[row] = np.sum(objective(obj.loss, obj.link, obj.beta, m))
@@ -377,16 +357,10 @@ def _descend(obj, zmat, z0, moving, base_margins, trace_steps, hp, seed):
                         f"the descent diverged: seed {seed}, step {step} has a "
                         "non-finite theta, margin or loss"
                     )
-                row += 1
             if step < hp.steps:
                 slope = z_slope(obj.loss, obj.link, zm)
                 theta = theta - hp.learning_rate * (zmat.T @ slope) / n
     return theta, margin_trace, moving_loss
-
-
-def _wins(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    # zero margin is an abstention and counts as a loss
-    return (labels * margins) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +392,13 @@ def run_h1(
         raise ValueError(
             f"H1 precondition failed: opal_hash mismatch ({hash_a} vs {hash_b})"
         )
-    labels = data.labels
     results = []
     for seed in hp.seeds:
         run_a = train_run(spec_a, data, hp, seed)
         run_b = train_run(spec_b, data, hp, seed)
         ma, mb = run_a.final_margins, run_b.final_margins
-        wins_a = _wins(ma, labels)
-        wins_b = _wins(mb, labels)
+        # every pos side is the preferred one; a zero margin abstains, a loss
+        wins_a, wins_b = ma > 0, mb > 0
         results.append(
             H1SeedResult(
                 seed=seed,
@@ -486,21 +459,17 @@ def run_h2(
     if slice_idx.size == 0:
         raise ValueError(f"H2 needs a nonempty {SLICE_KEY!r} slice")
 
-    labels = data.labels
     # witness prediction per slice pair: the sign of the shifted spec's own margin
     pred_sign = np.sign(object_margins_and_weights(shifted, data.batch)[0][slice_idx])
-    pred_wins = _wins(pred_sign, labels[slice_idx])
-    # the report reads only final margins: trace step 0 and the last step
-    final_only = replace(hp, eval_every=hp.steps)
+    pred_wins = pred_sign > 0
     results = []
     for seed in hp.seeds:
         # copies of the final margins, not the runs: this seed's traces are
         # freed before the next seed trains
-        runs = train_runs([base, shifted], data, final_only, seed)
+        runs = train_runs([base, shifted], data, hp, seed)
         mb, ms = (run.final_margins.copy() for run in runs)
         del runs
-        wins_base = _wins(mb, labels)
-        wins_shift = _wins(ms, labels)
+        wins_base, wins_shift = mb > 0, ms > 0
 
         sb = np.sign(mb[slice_idx])
         ss = np.sign(ms[slice_idx])
@@ -637,10 +606,10 @@ def setup(which: str, config: Any) -> tuple[Callable, tuple, SyntheticDataset, H
     """The runner, specs, dataset and params of HYPOTHESES[which] under config.
 
     config is a JSON object of data keys and HarnessParams fields. Any other
-    key, a data key that is not an integer, a dataset or margin trace over
-    MAX_HARNESS_CELLS, a descent over MAX_DESCENT_PAIR_STEPS, or a bad
-    HarnessParams value is a ValueError or TypeError, raised before the
-    dataset exists.
+    key, a data key that is not an integer or is below gen_dataset's floor for
+    it, a dataset or margin trace over MAX_HARNESS_CELLS, a descent over
+    MAX_DESCENT_PAIR_STEPS, or a bad HarnessParams value is a ValueError or
+    TypeError, raised before the dataset exists.
     """
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
@@ -648,22 +617,18 @@ def setup(which: str, config: Any) -> tuple[Callable, tuple, SyntheticDataset, H
     unknown = config.keys() - data_keys.keys() - {f.name for f in fields(HarnessParams)}
     if unknown:
         raise ValueError(f"unknown keys: {sorted(unknown)}")
-    for key in data_keys:
-        if key in config:
-            require_int(key, config[key])
-    size, dim, data_seed = (config.get(key, value) for key, value in data_keys.items())
-    if size * dim > MAX_HARNESS_CELLS:
-        raise ValueError(
-            f"size * feature_dim is {size * dim}, over the limit of "
-            f"{MAX_HARNESS_CELLS} feature cells"
-        )
+    # gen_dataset's floors, checked here so that a refusal names the config key
+    values = {key: config.get(key, value) for key, value in data_keys.items()}
+    for key, least in zip(values, (4 if profile == "witness_slice" else 2, 1, 0)):
+        require_int(key, values[key])
+        if values[key] < least:
+            raise ValueError(f"{key} must be at least {least}, got {values[key]}")
+    size, dim, data_seed = values.values()
+    limits = (("size * feature_dim", size * dim), ("the margin trace, 2 * size,", 2 * size))
+    for what, cells in limits:
+        if cells > MAX_HARNESS_CELLS:
+            raise ValueError(f"{what} is {cells}, over the limit of {MAX_HARNESS_CELLS} cells")
     hp = HarnessParams(**{k: v for k, v in config.items() if k not in data_keys})
-    rows = -(-hp.steps // hp.eval_every) + 1  # an H1 run's len(trace_steps)
-    if rows * size > MAX_HARNESS_CELLS:
-        raise ValueError(
-            f"the margin trace, {rows} rows x {size} pairs, is over the limit "
-            f"of {MAX_HARNESS_CELLS} cells"
-        )
     if hp.steps * size * len(hp.seeds) > MAX_DESCENT_PAIR_STEPS:
         raise ValueError(
             f"the descent, {hp.steps} steps x {size} pairs x {len(hp.seeds)} seeds, "

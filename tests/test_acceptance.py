@@ -284,9 +284,7 @@ def test_gradient_equivalence():
             weight=WeightSpec(form="constant", constant=w),
             penalties=tuple(PenaltyEntry(op.name, op.coeff) for op in ops),
         )
-        data = SyntheticDataset(
-            batch_of([sample]), fp[None], fn[None], np.ones(1), {}, trial
-        )
+        data = SyntheticDataset(batch_of([sample]), fp[None] - fn[None], {})
         hp = HarnessParams(steps=1, seeds=(trial,), init_scale=1.0)
         theta0 = np.random.default_rng(trial).standard_normal(dim)
         grad = (theta0 - train_run(spec, data, hp, seed=trial).theta) / hp.learning_rate

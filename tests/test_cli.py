@@ -726,7 +726,6 @@ def test_harness_too_many_resamples_is_usage_error(capsys, tmp_path, monkeypatch
         {"seeds": [-1]},
         {"steps": 2.5},
         {"steps": True},
-        {"eval_every": 1.5},
         {"bootstrap_resamples": 100.0},
         {"learning_rate": "a"},
         {"learning_rate": True},
@@ -746,6 +745,39 @@ def test_harness_config_of_wrong_type_is_usage_error(capsys, tmp_path, override)
     code, _, err = run_cli(capsys, "harness", "h1", "--config", str(cfg))
     assert code == EXIT_USAGE
     assert_single_error_line(err, EXIT_USAGE)
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [({"data_seed": -1}, "data_seed"), ({"size": -3000, "feature_dim": -3000}, "size")],
+    ids=["data_seed", "size"],
+)
+def test_harness_data_key_out_of_range_is_named(capsys, tmp_path, monkeypatch, config, key):
+    """An out-of-range data key is refused by name, before the size products
+    are checked and before the dataset exists."""
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("an out-of-range data key must be refused before the dataset")
+
+    monkeypatch.setattr("gkpo.harness.gen_dataset", no_dataset)
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps(config))
+    for which in ("h1", "h2"):
+        code, out, err = run_cli(capsys, "harness", which, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert_single_error_line(err, EXIT_USAGE)
+        assert f"{key} must be at least" in json.loads(err)["error"]
+
+
+def test_harness_config_naming_eval_every_is_an_unknown_key(capsys, tmp_path):
+    # every run traces step 0 and its last step; no key sets the interval
+    cfg = tmp_path / "every.json"
+    cfg.write_text(json.dumps({"size": 40, "seeds": [0], "steps": 5, "eval_every": 1}))
+    for which in ("h1", "h2"):
+        code, out, err = run_cli(capsys, "harness", which, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert_single_error_line(err, EXIT_USAGE)
+        assert "unknown keys: ['eval_every']" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("which", ["h1", "h2"])
@@ -912,8 +944,9 @@ def test_oversized_harness_dataset_is_usage_error(capsys, tmp_path, monkeypatch,
 
 
 def test_oversized_margin_trace_is_usage_error(capsys, tmp_path, monkeypatch):
-    """A run holds its margin trace, one row per traced step by one column per
-    pair; over MAX_HARNESS_CELLS it is refused before the dataset exists."""
+    """A run holds its margin trace, 2 rows (step 0 and the last step) by one
+    column per pair; over MAX_HARNESS_CELLS it is refused before the dataset
+    exists."""
     from gkpo.harness import MAX_HARNESS_CELLS
 
     def no_dataset(*args, **kwargs):
@@ -921,8 +954,8 @@ def test_oversized_margin_trace_is_usage_error(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr("gkpo.harness.gen_dataset", no_dataset)
     path = tmp_path / "long.json"
-    # exactly at the feature-cell limit, with 10**9 + 1 trace rows
-    config = {"steps": 10**9, "eval_every": 1, "size": 4000, "feature_dim": 1000}
+    # half the feature-cell limit, with a trace one row longer than it
+    config = {"size": 2_000_001, "feature_dim": 1}
     path.write_text(json.dumps(config))
     for which in ("h1", "h2"):
         code, out, err = run_cli(capsys, "harness", which, "--config", str(path))
@@ -943,8 +976,7 @@ def test_overlong_descent_is_usage_error(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr("gkpo.harness.gen_dataset", no_dataset)
     path = tmp_path / "long.json"
-    config = {"size": 20, "steps": 10**12, "eval_every": 10**12, "seeds": [0],
-              "bootstrap_resamples": 100}
+    config = {"size": 20, "steps": 10**12, "seeds": [0], "bootstrap_resamples": 100}
     path.write_text(json.dumps(config))
     for which in ("h1", "h2"):
         code, out, err = run_cli(capsys, "harness", which, "--config", str(path))
@@ -969,7 +1001,7 @@ def test_descent_limit_admits_the_benchmark_ci_and_default_configs(monkeypatch):
     for which, config in admitted:
         assert harness.setup(which, config)[2] == "dataset"
     # exactly at the limit passes, one pair-step over it does not
-    at = {"size": 1000, "seeds": [0], "eval_every": 10**6}
+    at = {"size": 1000, "seeds": [0]}
     steps = harness.MAX_DESCENT_PAIR_STEPS // 1000
     assert harness.setup("h1", {**at, "steps": steps})[2] == "dataset"
     with pytest.raises(ValueError, match="pair-steps"):

@@ -167,7 +167,7 @@ def test_missing_prompt_offset_names_the_sample_that_lacks_it():
 
 def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
     """The per-pair generator the columnar gen_dataset replaced: pairs as
-    (sample, features_pos, features_neg, label) tuples, and slices."""
+    (sample, features_pos, features_neg) tuples, and slices."""
     if shift_profile == "none":
         instances = 0
     elif shift_profile == "two_prompt_flip":
@@ -187,14 +187,14 @@ def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
         if du + float(theta_star @ (fp - fn)) < 0:
             fp, fn, du = fn, fp, -du
         sample = PairSample(f"p{i}", du, delta_ref={PROMPT_OFFSET_KEY: 0.0})
-        pairs.append((sample, fp, fn, 1))
+        pairs.append((sample, fp, fn))
     zeros = np.zeros(feature_dim)
     for k in range(instances):
         for tag, offset in (("a", FLIP_OFFSET), ("b", -FLIP_OFFSET)):
             sample = PairSample(
                 f"w{k}{tag}", FLIP_GAP, delta_ref={PROMPT_OFFSET_KEY: offset}
             )
-            pairs.append((sample, zeros, zeros, 1))
+            pairs.append((sample, zeros, zeros))
     slices = {
         SLICE_KEY: tuple(range(n_global, size)),
         BACKGROUND_KEY: tuple(range(n_global)),
@@ -203,15 +203,12 @@ def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
 
 
 def assert_matches_oracle(data, pairs, slices):
-    samples, fps, fns, labels = zip(*pairs)
+    samples, fps, fns = zip(*pairs)
     assert data.slices == slices
     assert len(data) == len(pairs)
     assert_batch_holds(data.batch, samples)
-    assert _bits(data.features_pos) == _bits(np.stack(fps))
-    assert _bits(data.features_neg) == _bits(np.stack(fns))
     want_delta = np.stack([fp - fn for fp, fn in zip(fps, fns)])
     assert _bits(data.delta_feature_matrix) == _bits(want_delta)
-    assert _bits(data.labels) == _bits(labels)
 
 
 @pytest.mark.parametrize("profile", SHIFT_PROFILES)
@@ -255,12 +252,21 @@ def test_gen_dataset_orients_near_zero_rows_like_the_per_pair_dot(monkeypatch):
         du = rng.choice([-s, np.nextafter(-s, np.inf), np.nextafter(-s, -np.inf)])
         values += [*fp, *fn, 2.0 * du]  # gen_dataset halves the drawn value
         drawn_du.append(du)
+    # and a row that flips with fp and fn sharing every other element: the
+    # swapped pair's difference is +0.0 there, where -(fp - fn) is -0.0
+    fn = rng.standard_normal(dim)
+    fp = np.where(np.arange(dim) % 2 == 0, fn, rng.standard_normal(dim))
+    du = -1.0 - abs(float(theta @ (fp - fn)))
+    values += [*fp, *fn, 2.0 * du]
+    drawn_du.append(du)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _Stream(values))
-    data = gen_dataset(60, dim, "none", seed=0)
-    pairs, slices = per_pair_gen_dataset(60, dim, "none", seed=0)
+    data = gen_dataset(61, dim, "none", seed=0)
+    pairs, slices = per_pair_gen_dataset(61, dim, "none", seed=0)
     assert_matches_oracle(data, pairs, slices)
-    flipped = sum(sample.delta_u != du for (sample, *_), du in zip(pairs, drawn_du))
-    assert 0 < flipped < 60
+    flipped = [sample.delta_u != du for (sample, *_), du in zip(pairs, drawn_du)]
+    assert 0 < sum(flipped) < 61 and flipped[-1]
+    shared = data.delta_feature_matrix[-1, ::2]
+    assert not shared.any() and not np.signbit(shared).any()
 
 
 # --- the h1/h2 path is columnar --------------------------------------------------
@@ -271,6 +277,6 @@ def test_harness_path_constructs_no_per_pair_objects(monkeypatch):
         raise AssertionError(f"{type(self).__name__} constructed")
 
     monkeypatch.setattr(PairSample, "__init__", refuse)
-    hp = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100)
+    hp = HarnessParams(steps=5, seeds=(0,), bootstrap_resamples=100)
     run_h1(dpo_spec(0.10), folded_ppo_spec(), gen_dataset(60, 4, "none", 1), hp)
     run_h2(dpo_spec(0.0), orpo_shift_spec(), gen_dataset(60, 4, "witness_slice", 1), hp)

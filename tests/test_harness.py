@@ -75,7 +75,7 @@ def assert_batch_holds(batch: PairBatch, samples) -> None:
             assert _bits(col) == _bits([getattr(s, attr)[name] for s in samples])
 
 
-SMALL = HarnessParams(steps=30, seeds=(0, 1), eval_every=10, bootstrap_resamples=200)
+SMALL = HarnessParams(steps=30, seeds=(0, 1), bootstrap_resamples=200)
 
 
 # --- dataset generation -------------------------------------------------------
@@ -91,7 +91,6 @@ def test_gen_dataset_shapes_and_partition():
     data = gen_dataset(30, 4, "none", seed=0)
     assert len(data) == 30
     assert data.delta_feature_matrix.shape == (30, 4)
-    assert data.labels.shape == (30,)
     assert data.slices[SLICE_KEY] == ()
     assert data.slices[BACKGROUND_KEY] == tuple(range(30))
 
@@ -104,8 +103,7 @@ def test_gen_dataset_two_prompt_flip_tail():
     assert data.batch.delta_u[tail].tolist() == [FLIP_GAP, FLIP_GAP]
     offsets = data.batch.delta_ref[PROMPT_OFFSET_KEY][tail].tolist()
     assert offsets == [FLIP_OFFSET, -FLIP_OFFSET]
-    assert not data.features_pos[tail].any() and not data.features_neg[tail].any()
-    assert data.labels[tail].tolist() == [1, 1]
+    assert not data.delta_feature_matrix[tail].any()
 
 
 def test_gen_dataset_witness_slice_is_half_the_data():
@@ -116,9 +114,11 @@ def test_gen_dataset_witness_slice_is_half_the_data():
     assert joined == list(range(100))
 
 
-def test_gen_dataset_oriented_labels_all_positive():
+def test_gen_dataset_orients_every_pair_to_the_hidden_scorer():
+    # the hidden scorer, gen_dataset's first draw, prefers every pos side
     data = gen_dataset(64, 5, "none", seed=5)
-    assert set(data.labels.tolist()) == {1}
+    theta_star = np.random.default_rng(5).standard_normal(5)
+    assert (data.batch.delta_u + data.delta_feature_matrix @ theta_star >= 0).all()
 
 
 def test_gen_dataset_input_guards():
@@ -148,12 +148,15 @@ def test_train_run_is_bitwise_deterministic():
 
 
 def test_train_run_trace_includes_final_step():
+    # the trace holds step 0 and the last step
     data = gen_dataset(20, 3, "none", seed=1)
     run = train_run(dpo_spec(), data, SMALL, seed=0)
-    assert run.trace_steps[0] == 0
-    assert run.trace_steps[-1] == SMALL.steps
-    assert run.margin_trace.shape == (len(run.trace_steps), 20)
+    assert run.margin_trace.shape == (2, 20) and run.loss_trace.shape == (2,)
     assert np.array_equal(run.final_margins, run.margin_trace[-1])
+    base = data.batch.delta_u - 0.10  # DPO, beta 1, weight 1, reference 0.10
+    theta0 = SMALL.init_scale * np.random.default_rng(0).standard_normal(3)
+    for row, theta in zip(run.margin_trace, (theta0, run.theta)):
+        np.testing.assert_allclose(row, base + data.delta_feature_matrix @ theta, rtol=1e-12)
 
 
 def test_train_run_hash_equal_specs_trace_identically():
@@ -188,7 +191,7 @@ def weighted_dataset(
         for i in range(n)
     ]
     fp, fn = rng.normal(size=(2, n, dim))
-    data = SyntheticDataset(batch_of(samples), fp, fn, np.ones(n), {}, seed)
+    data = SyntheticDataset(batch_of(samples), fp - fn, {})
     return data, samples
 
 
@@ -216,8 +219,8 @@ def test_train_run_step_is_minus_rate_times_mean_loss_gradient(weighting, loss, 
     # per pair, through the PairSample evaluator: the scorer's gap joins delta_u
     def mean_loss(theta):
         losses = []
-        for sample, fp, fn in zip(samples, data.features_pos, data.features_neg):
-            gap = float(theta @ (fp - fn))
+        for sample, delta in zip(samples, data.delta_feature_matrix):
+            gap = float(theta @ delta)
             scored = replace(sample, delta_u=sample.delta_u + gap)
             losses.append(objective(obj.loss, obj.link, obj.beta, object_margin(obj, scored)))
         return np.mean(losses)
@@ -229,7 +232,7 @@ def test_train_run_step_is_minus_rate_times_mean_loss_gradient(weighting, loss, 
     ])
     step = (theta0 - run.theta) / hp.learning_rate
     np.testing.assert_allclose(step, fd, rtol=1e-6, atol=1e-10)
-    assert run.trace_steps == (0, 1)
+    assert run.loss_trace.shape == (2,)
     assert run.loss_trace[0] == pytest.approx(mean_loss(theta0), rel=1e-12)
 
 
@@ -254,8 +257,6 @@ def test_harness_params_guards():
         HarnessParams(steps=0)
     with pytest.raises(ValueError):
         HarnessParams(seeds=())
-    with pytest.raises(ValueError):
-        HarnessParams(eval_every=0)
 
 
 # --- H1 ------------------------------------------------------------------------------
@@ -351,7 +352,7 @@ def test_h2_report_serialization():
 
 # --- scale ---------------------------------------------------------------------------
 
-SCALE = HarnessParams(steps=5, seeds=(0,), eval_every=5, bootstrap_resamples=100)
+SCALE = HarnessParams(steps=5, seeds=(0,), bootstrap_resamples=100)
 
 
 def test_run_h1_at_twenty_thousand_pairs():
@@ -390,13 +391,8 @@ def test_gen_dataset_peak_is_near_the_bytes_it_keeps(profile):
     assert peak <= 1.25 * kept
 
 
-def test_run_h2_memory_does_not_grow_with_eval_every():
-    # run_h2 reads final margins only, so it traces step 0 and its last step
-    data = gen_dataset(20_000, 8, "witness_slice", seed=5)
-    specs = (dpo_spec(0.0), orpo_shift_spec())
-    dense, sparse = (HarnessParams(steps=40, seeds=(0,), eval_every=e) for e in (1, 40))
-    run_h2(*specs, data, sparse)  # caches data.delta_feature_matrix
-    dense_report, _, dense_peak = traced(lambda: run_h2(*specs, data, dense))
-    sparse_report, _, sparse_peak = traced(lambda: run_h2(*specs, data, sparse))
-    assert dense_report == sparse_report
-    assert dense_peak <= 1.1 * sparse_peak
+def test_gen_dataset_keeps_one_feature_block():
+    # the pairs' features are held once, as pos - neg differences
+    gen_dataset(100, 64, "none")  # the generator's one-time allocations
+    _, kept, _ = traced(lambda: gen_dataset(20_000, 64, "none", 1))
+    assert kept <= 1.5 * (20_000 * 64 * 8)

@@ -30,7 +30,7 @@ from gkpo.schema import WeightSpec, parse
 
 # a rate at which no case's descent amplifies rounding: at 0.4, hinge-link mse
 # with product weights grows a last-bit difference to 1e-5 in 30 steps
-HP = HarnessParams(steps=30, learning_rate=0.2, seeds=(0,), eval_every=7)
+HP = HarnessParams(steps=30, learning_rate=0.2, seeds=(0,))
 RTOL = 1e-12
 
 WEIGHTS = {
@@ -49,7 +49,7 @@ def dense_train_run(spec, data, hp, seed):
     margins, losses = [], []
     for step in range(hp.steps + 1):
         m = base_margins + (dmat @ theta) * weights
-        if step % hp.eval_every == 0 or step == hp.steps:
+        if step in (0, hp.steps):
             margins.append(m)
             losses.append(float(np.mean(objective(obj.loss, obj.link, obj.beta, m))))
         if step < hp.steps:
@@ -90,7 +90,6 @@ def test_train_run_matches_dense_margin_loop(link, loss, weight, profile):
             train_run(spec, data, HP, seed=3)
         return
     run = train_run(spec, data, HP, seed=3)
-    assert run.trace_steps == (0, 7, 14, 21, 28, 30)
     np.testing.assert_allclose(run.theta, theta, rtol=RTOL, atol=0)
     floor = RTOL * np.max(np.abs(margins))
     np.testing.assert_allclose(run.margin_trace, margins, rtol=RTOL, atol=floor)
@@ -118,7 +117,7 @@ def test_all_stationary_pairs_leave_theta_at_its_draw(weight):
         om = dict(batch.omega, om_a=np.zeros(len(data)))
         data = replace(data, batch=replace(batch, omega=om))
     else:
-        data = replace(data, features_neg=data.features_pos)
+        data = replace(data, delta_feature_matrix=np.zeros_like(data.delta_feature_matrix))
     run = train_run(spec_for("logistic", "identity", weight), data, HP, seed=4)
     draw = HP.init_scale * np.random.default_rng(4).standard_normal(4)
     assert np.array_equal(run.theta, draw)
