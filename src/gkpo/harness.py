@@ -26,9 +26,12 @@ which is all either report reads. run_h1 trains its two specs separately, so
 that its trace equality is checked on two runs, not assumed.
 
 Datasets are generated in process and held as columns: a SyntheticDataset
-holds one PairBatch (prompt ids, delta_u and name -> column maps that every
-row carries) plus one (n, d) block of feature differences, and the spec's
-margins are evaluated once per column, not once per pair.
+holds one PairBatch (prompt ids formatted from the row index on access,
+delta_u and name -> column maps that every row carries), one (n, d) block of
+feature differences and range slices. Draws live one row block at a time and
+training holds only its moving block, so h2 at MAX_HARNESS_CELLS peaks near
+117 MB RSS (x86-64 Linux, numpy 2.4.6). The spec's margins are evaluated once
+per column, not once per pair.
 
 Both runners return one Report type: a row of REPORTS states a hypothesis's
 summary keys (each a min, max, all or mean over a per-seed field), their text
@@ -73,6 +76,28 @@ SHIFT_PROFILES = ("none", "two_prompt_flip", "witness_slice")
 FLIP_GAP = 0.20
 FLIP_OFFSET = 0.50
 
+# floats drawn, or multiplied, per row block in gen_dataset and _train
+_ROW_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class _PromptIds(Sequence[str]):
+    """gen_dataset's prompt ids, formatted from the row index on access: p{i}
+    for the n_global pool rows, then w{k}a and w{k}b for witness instance k."""
+
+    n_global: int
+    rows: range
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        i = self.rows[index]  # range's IndexError, negative and slice rules
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
+        k, tag = divmod(i - self.n_global, 2)
+        return f"p{i}" if k < 0 else f"w{k}{'ab'[tag]}"
+
 
 @dataclass(frozen=True, eq=False)
 class PairBatch:
@@ -83,7 +108,7 @@ class PairBatch:
     carries.
     """
 
-    prompt_ids: tuple[str, ...]
+    prompt_ids: Sequence[str]
     delta_u: np.ndarray
     delta_phi: dict[str, np.ndarray]
     omega: dict[str, np.ndarray]
@@ -106,7 +131,7 @@ class SyntheticDataset:
 
     batch: PairBatch
     delta_feature_matrix: np.ndarray
-    slices: dict[str, tuple[int, ...]]
+    slices: dict[str, Sequence[int]]
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -209,49 +234,46 @@ def gen_dataset(
         instances = size // 4  # half the pairs, two per instance
         if instances == 0:
             raise ValueError("witness_slice needs size >= 4")
-    n_slice = 2 * instances
-    n_global = size - n_slice
+    n_global = size - 2 * instances
 
     rng = np.random.default_rng(seed)
     theta_star = rng.standard_normal(feature_dim)
-    # row i is what per-pair draws of fp(d), fn(d), du would give
-    draws = rng.standard_normal((n_global, 2 * feature_dim + 1))
-    fp, fn, du = draws[:, :feature_dim], draws[:, feature_dim:-1], draws[:, -1]
-    du *= 0.5
-    # the one feature block, written in place while the draws live; slice rows stay 0
+    # the one feature block and the columns, written in place; slice rows stay 0
     delta_features = np.zeros((size, feature_dim))
-    delta = np.subtract(fp, fn, out=delta_features[:n_global])
-    # how far the matrix product below may round from a per-row dot product
-    bound = np.abs(delta, out=delta) @ np.abs(theta_star)
-    bound += np.abs(du)
-    bound *= 2 * (feature_dim + 1) * np.finfo(float).eps
-    np.subtract(fp, fn, out=delta)
-    # orient each pair so the side a hidden scorer prefers sits on pos;
-    # the trainer's loss presumes that layout, as collected data would
-    score = delta @ theta_star
-    score += du
-    flip = score < 0
-    # where the rounding could move the sign, decide with the per-row product
-    for i in np.flatnonzero(np.abs(score, out=score) <= bound):
-        flip[i] = du[i] + float(theta_star @ (fp[i] - fn[i])) < 0
-    del score, bound
-    # fn - fp on flipped rows, as the swapped pair gives: -(fp - fn) is -0.0 where they share
-    np.subtract(fn, fp, out=delta, where=flip[:, None])
-    delta_u = np.concatenate([np.negative(du, out=du, where=flip), np.full(n_slice, FLIP_GAP)])
-    del draws, fp, fn, du, delta
-    offsets = np.tile([FLIP_OFFSET, -FLIP_OFFSET], instances)
+    delta_u = np.full(size, FLIP_GAP)
+    offsets = np.zeros(size)
+    offsets[n_global:].reshape(instances, 2)[:] = FLIP_OFFSET, -FLIP_OFFSET
+    # row i is what per-pair draws of fp(d), fn(d), du give, in row blocks or not
+    rows = max(1, _ROW_BLOCK // (2 * feature_dim + 1))
+    for start in range(0, n_global, rows):
+        draws = rng.standard_normal((min(rows, n_global - start), 2 * feature_dim + 1))
+        fp, fn, du = draws[:, :feature_dim], draws[:, feature_dim:-1], draws[:, -1]
+        du *= 0.5
+        delta = np.subtract(fp, fn, out=delta_features[start : start + len(du)])
+        # how far the matrix product below may round from a per-row dot product
+        bound = np.abs(delta, out=delta) @ np.abs(theta_star)
+        bound += np.abs(du)
+        bound *= 2 * (feature_dim + 1) * np.finfo(float).eps
+        np.subtract(fp, fn, out=delta)
+        # orient each pair so the side a hidden scorer prefers sits on pos;
+        # the trainer's loss presumes that layout, as collected data would
+        score = delta @ theta_star
+        score += du
+        flip = score < 0
+        # where the rounding could move the sign, decide with the per-row product
+        for i in np.flatnonzero(np.abs(score, out=score) <= bound):
+            flip[i] = du[i] + float(theta_star @ (fp[i] - fn[i])) < 0
+        # fn - fp on flipped rows, as the swapped pair gives: -(fp - fn) is -0.0 where they share
+        np.subtract(fn, fp, out=delta, where=flip[:, None])
+        delta_u[start : start + len(du)] = np.negative(du, out=du, where=flip)
     batch = PairBatch(
-        prompt_ids=tuple(f"p{i}" for i in range(n_global))
-        + tuple(f"w{k}{tag}" for k in range(instances) for tag in "ab"),
+        prompt_ids=_PromptIds(n_global, range(size)),
         delta_u=delta_u,
         delta_phi={},
         omega={},
-        delta_ref={PROMPT_OFFSET_KEY: np.concatenate([np.zeros(n_global), offsets])},
+        delta_ref={PROMPT_OFFSET_KEY: offsets},
     )
-    slices = {
-        SLICE_KEY: tuple(range(n_global, size)),
-        BACKGROUND_KEY: tuple(range(n_global)),
-    }
+    slices = {SLICE_KEY: range(n_global, size), BACKGROUND_KEY: range(n_global)}
     return SyntheticDataset(batch=batch, delta_feature_matrix=delta_features, slices=slices)
 
 
@@ -294,14 +316,18 @@ def _train(
     if n == 0:
         raise ValueError("dataset is empty")
     base_margins, weights = object_margins_and_weights(obj, data.batch)
-    # z = beta * margin = z0 + zmat @ theta. A pair whose zmat row is all zero
-    # (no feature difference, or a zero weight) is stationary: it keeps its
-    # base margin and is left out of both products (faster column-major). Its
-    # loss is taken once, here, so a stationary pair outside its domain raises
-    # before the first step.
+    # z = beta * margin = z0 + zmat @ theta, zmat = features * beta * weights
+    # by row. A pair whose zmat row is all zero (no feature difference, or a
+    # zero weight) is stationary: it keeps its base margin and is left out of
+    # both products (faster column-major). Its loss is taken once, here, so a
+    # stationary pair outside its domain raises before the first step.
     beta_weights = np.asarray(obj.beta * weights, dtype=float)
-    zmat = data.delta_feature_matrix * beta_weights[..., None]
-    is_moving = zmat.any(axis=1)
+    features, row_weights = data.delta_feature_matrix, np.broadcast_to(beta_weights, n)
+    rows = max(1, _ROW_BLOCK // features.shape[1])
+    is_moving = np.concatenate([  # zmat's rows, one block at a time
+        (features[i : i + rows] * row_weights[i : i + rows, None]).any(axis=1)
+        for i in range(0, n, rows)
+    ])
     moving = np.flatnonzero(is_moving)
     still_loss = np.sum(objective(obj.loss, obj.link, obj.beta, base_margins[~is_moving]))
     z0 = obj.beta * base_margins[moving]
@@ -309,13 +335,15 @@ def _train(
     key = (obj.loss, obj.link, obj.beta)
     key += (moving.tobytes(), beta_weights.tobytes(), z0.tobytes())
     if key in descents:
-        del zmat  # solved already; freed before the trace copy
         first, moving_loss = descents[key]
         theta = first.theta.copy()
         margin_trace = first.margin_trace.copy()
         np.copyto(margin_trace, base_margins, where=~is_moving)
     else:
-        zmat = np.asfortranarray(zmat[moving])
+        zmat = np.empty((moving.size, features.shape[1]), order="F")
+        moving_weights = row_weights[moving]
+        for j, column in enumerate(zmat.T):
+            np.multiply(features[moving, j], moving_weights, out=column)
         theta, margin_trace, moving_loss = _descend(
             obj, zmat, z0, moving, base_margins, hp, seed
         )
@@ -455,7 +483,7 @@ def run_h2(
         raise ValueError("H2 precondition failed: shifted spec carries no witness")
     if not base.reducibility.inside_R:
         raise ValueError("H2 precondition failed: base spec is not inside R")
-    slice_idx = np.array(data.slices.get(SLICE_KEY, ()), dtype=int)
+    slice_idx = np.fromiter(data.slices.get(SLICE_KEY, ()), dtype=int)
     if slice_idx.size == 0:
         raise ValueError(f"H2 needs a nonempty {SLICE_KEY!r} slice")
 

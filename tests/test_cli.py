@@ -1048,6 +1048,39 @@ def test_document_commands_leave_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_harness_h1_leaves_numpy_ma_unloaded(tmp_path):
+    """bootstrap_ci takes its percentiles without np.percentile, whose first
+    call imports numpy.ma (through np.unique), about 13 ms of a cold h1."""
+    import os
+    import subprocess
+    import sys
+
+    import gkpo
+
+    config = tmp_path / "h1.json"
+    config.write_text(
+        json.dumps({"size": 40, "seeds": [0], "steps": 5, "bootstrap_resamples": 100})
+    )
+    script = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "from gkpo.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert main(['harness', 'h1', '--config', {str(config)!r}]) == 0",
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)",
+        ]
+    )
+    src = str(Path(gkpo.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert result.stdout.strip() == "True False"
+
+
 # command -> (argv, gkpo modules it loads, which of LAZY_STDLIB it loads)
 LAZY_STDLIB = ("hashlib", "statistics")
 DOCUMENT_COMMANDS = {

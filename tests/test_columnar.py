@@ -33,6 +33,7 @@ from gkpo.harness import (
     FLIP_OFFSET,
     SHIFT_PROFILES,
     SLICE_KEY,
+    _ROW_BLOCK,
     HarnessParams,
     gen_dataset,
     run_h1,
@@ -204,7 +205,7 @@ def per_pair_gen_dataset(size, feature_dim, shift_profile="none", seed=0):
 
 def assert_matches_oracle(data, pairs, slices):
     samples, fps, fns = zip(*pairs)
-    assert data.slices == slices
+    assert {name: tuple(idx) for name, idx in data.slices.items()} == slices
     assert len(data) == len(pairs)
     assert_batch_holds(data.batch, samples)
     want_delta = np.stack([fp - fn for fp, fn in zip(fps, fns)])
@@ -213,13 +214,20 @@ def assert_matches_oracle(data, pairs, slices):
 
 @pytest.mark.parametrize("profile", SHIFT_PROFILES)
 @pytest.mark.parametrize("size", [2, 5, 37, 1000])
-@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("dim", [1, 3, 8, 64])
 def test_gen_dataset_equals_per_pair_generator(profile, size, dim):
     if profile == "witness_slice" and size < 4:
         return
     for seed in (0, 1, 7):
         data = gen_dataset(size, dim, profile, seed)
         assert_matches_oracle(data, *per_pair_gen_dataset(size, dim, profile, seed))
+
+
+def test_gen_dataset_oracle_cases_span_several_row_blocks():
+    # at 1000 pairs and dim 64, the 500, 998 or 1000 pool rows are drawn in
+    # several row blocks and a partial one
+    rows = _ROW_BLOCK // (2 * 64 + 1)
+    assert all(n > rows and n % rows for n in (500, 998, 1000))
 
 
 class _Stream:

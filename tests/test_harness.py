@@ -23,6 +23,7 @@ from gkpo.harness import (
     run_h1,
     run_h2,
     train_run,
+    train_runs,
 )
 from gkpo.schema import PenaltyEntry, WeightSpec
 
@@ -66,7 +67,7 @@ def _bits(values) -> bytes:
 
 def assert_batch_holds(batch: PairBatch, samples) -> None:
     """batch holds exactly the samples' fields, floats bit for bit."""
-    assert batch.prompt_ids == tuple(s.prompt_id for s in samples)
+    assert tuple(batch.prompt_ids) == tuple(s.prompt_id for s in samples)
     assert _bits(batch.delta_u) == _bits([s.delta_u for s in samples])
     for attr in ("delta_phi", "omega", "delta_ref"):
         table = getattr(batch, attr)
@@ -91,13 +92,13 @@ def test_gen_dataset_shapes_and_partition():
     data = gen_dataset(30, 4, "none", seed=0)
     assert len(data) == 30
     assert data.delta_feature_matrix.shape == (30, 4)
-    assert data.slices[SLICE_KEY] == ()
-    assert data.slices[BACKGROUND_KEY] == tuple(range(30))
+    assert tuple(data.slices[SLICE_KEY]) == ()
+    assert tuple(data.slices[BACKGROUND_KEY]) == tuple(range(30))
 
 
 def test_gen_dataset_two_prompt_flip_tail():
     data = gen_dataset(10, 3, "two_prompt_flip", seed=1)
-    assert data.slices[SLICE_KEY] == (8, 9)
+    assert tuple(data.slices[SLICE_KEY]) == (8, 9)
     tail = slice(8, 10)
     assert data.batch.prompt_ids[tail] == ("w0a", "w0b")
     assert data.batch.delta_u[tail].tolist() == [FLIP_GAP, FLIP_GAP]
@@ -110,7 +111,7 @@ def test_gen_dataset_witness_slice_is_half_the_data():
     data = gen_dataset(100, 6, "witness_slice", seed=2)
     assert len(data.slices[SLICE_KEY]) == 50
     assert len(data.slices[BACKGROUND_KEY]) == 50
-    joined = sorted(data.slices[SLICE_KEY] + data.slices[BACKGROUND_KEY])
+    joined = sorted(tuple(data.slices[SLICE_KEY]) + tuple(data.slices[BACKGROUND_KEY]))
     assert joined == list(range(100))
 
 
@@ -382,13 +383,40 @@ def traced(call):
     return result, kept - start, peak - start
 
 
-@pytest.mark.parametrize("profile", ["none", "witness_slice"])
-def test_gen_dataset_peak_is_near_the_bytes_it_keeps(profile):
+@pytest.mark.parametrize(
+    "profile,dim",
+    [
+        pytest.param("none", 8, id="none"),
+        pytest.param("witness_slice", 8, id="witness_slice"),
+        pytest.param("none", 64, id="none-64"),
+        pytest.param("witness_slice", 64, id="witness_slice-64"),
+    ],
+)
+def test_gen_dataset_peak_is_near_the_bytes_it_keeps(profile, dim):
     # each feature block is written into its final array, and the draws are
-    # freed before the batch is built
-    gen_dataset(100, 8, profile)  # the generator's one-time allocations
-    _, kept, peak = traced(lambda: gen_dataset(20_000, 8, profile))
+    # held one row block at a time, so their share does not grow with dim
+    gen_dataset(100, dim, profile)  # the generator's one-time allocations
+    _, kept, peak = traced(lambda: gen_dataset(20_000, dim, profile))
     assert peak <= 1.25 * kept
+
+
+def test_gen_dataset_keeps_only_float_columns():
+    # the feature block, delta_u and the prompt-offset column: prompt ids are
+    # formatted on demand and slices are ranges, so no per-pair object is kept
+    size, dim = 20_000, 8
+    gen_dataset(100, dim, "witness_slice")  # the generator's one-time allocations
+    _, kept, _ = traced(lambda: gen_dataset(size, dim, "witness_slice", 1))
+    assert kept <= 1.1 * size * (dim + 2) * 8
+
+
+def test_train_runs_hold_only_the_moving_block():
+    # h2's two specs share one descent; the moving rows (half the pairs) are
+    # held once, column-major, with no (n, d) product or row-major copy beside
+    data = gen_dataset(20_000, 8, "witness_slice", 0)
+    specs = [dpo_spec(0.0), orpo_shift_spec()]
+    train_runs(specs, gen_dataset(100, 8, "witness_slice"), SCALE, 0)  # one-time allocations
+    _, _, peak = traced(lambda: train_runs(specs, data, SCALE, 0))
+    assert peak <= 1.9 * data.delta_feature_matrix.nbytes
 
 
 def test_gen_dataset_keeps_one_feature_block():

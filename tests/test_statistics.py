@@ -16,6 +16,7 @@ from gkpo.engine import (
     _BOOTSTRAP_BLOCK,
     _binomial,
     _mcnemar_tail,
+    _percentiles,
     bootstrap_ci,
     kendall_tau,
     mcnemar_exact,
@@ -242,6 +243,23 @@ BOOTSTRAP_CASES = [
     # k = 10 levels at n = 320: counts, drawn in several blocks and a partial one
     pytest.param(np.arange(320) % 10 - 4.0, 60_000, unblocked_count_ci, id="counts"),
 ]
+
+
+_PERCENTILE_VALUES = st.one_of(
+    st.floats(),  # every float: subnormals, +-0, +-inf and NaNs
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]),
+    st.integers(-3, 3).map(float),  # ties
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_PERCENTILE_VALUES, min_size=2, max_size=300))
+def test_percentiles_equal_np_percentile_bit_for_bit(values):
+    values = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
+        want = np.percentile(values, [2.5, 97.5])
+        got = _percentiles(values.copy(), (2.5, 97.5))
+    assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize("values,resamples,oracle", BOOTSTRAP_CASES)
