@@ -33,9 +33,6 @@ from .algebra import object_weight  # noqa: F401  bench/tracing.py patches it he
 
 LINKS = ("identity", "logistic", "tanh", "hinge")
 LOSSES = ("logistic", "bce", "hinge", "mse")
-# hinge is only weakly increasing; it is evaluatable but excluded from
-# strict-monotonicity (order-preservation) claims.
-STRICT_LINKS = frozenset({"identity", "logistic", "tanh"})
 
 
 def link_value(kind: str, x):

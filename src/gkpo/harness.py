@@ -165,6 +165,9 @@ class HarnessParams:
     bootstrap_resamples: int = 1000
 
     def __post_init__(self):
+        # a JSON array; a string or a number is not read as a run of seeds
+        if not isinstance(self.seeds, (list, tuple)):
+            raise TypeError(f"seeds must be a list of integers, got {self.seeds!r}")
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for name in ("steps", "bootstrap_resamples"):
             require_int(name, getattr(self, name))
@@ -176,7 +179,11 @@ class HarnessParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(f"{name} must be finite, got an int beyond float range") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.steps < 1 or self.learning_rate <= 0:
             raise ValueError("steps and learning_rate must be positive")

@@ -11,33 +11,38 @@ surrogate or returns a small witness showing no surrogate exists:
   per-prompt references? (interval intersection over the gap constraints)
 * probe_gate: can nonnegative plain coefficients reproduce gated penalty
   totals? (exact elimination for the two unknowns)
-* probe_score: do the two operator orders of a score-dependent weight and an
-  additive penalty decide differently on the same pair?
+* probe_score: do the two operator orders of a score-dependent weight, which
+  steps at a gap of 0, and an additive penalty decide differently on the same
+  pair? (the pair is the witness when they do)
+
+Each probe returns its own typed witness, so `classify` attaches the witness
+of every flagged mechanism that evidence backs in the same way. GATE_TOL sets
+the gate probe's tie rule: |det| == GATE_TOL counts as dependent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from itertools import combinations
+from typing import Any, Iterable
 
 from .schema import GkpoObject, ReducibilityBlock
 
 
 @dataclass(frozen=True)
 class PiecewisePsi:
-    """Two-valued score-dependent weight: value_below for gaps < threshold,
+    """Two-valued score-dependent weight: value_below for gaps < 0,
     value_at_or_above otherwise. Both values must be positive."""
 
     value_below: float
     value_at_or_above: float
-    threshold: float = 0.0
 
     def __post_init__(self):
         if not (self.value_below > 0 and self.value_at_or_above > 0):
             raise ValueError("psi values must be positive")
 
     def __call__(self, gap: float) -> float:
-        return self.value_below if gap < self.threshold else self.value_at_or_above
+        return self.value_below if gap < 0 else self.value_at_or_above
 
     @property
     def constant(self) -> bool:
@@ -156,65 +161,59 @@ class GateProbeResult:
     witness: GateWitness | None = None
 
 
-def _solve_rank1(rows, tol):
+# probe_gate counts a determinant, residual or coefficient within GATE_TOL of 0 as 0
+GATE_TOL = 1e-9
+
+
+def _solve_rank1(rows):
     """Feasibility of a*l1 + b*l2 = c over l1, l2 >= 0 for parallel rows."""
-    a, b, c = next(row for row in rows if abs(row[0]) > tol or abs(row[1]) > tol)
+    a, b, c = next(row for row in rows if abs(row[0]) > GATE_TOL or abs(row[1]) > GATE_TOL)
     for a2, b2, c2 in rows:
         # parallel rows must scale consistently with (a, b, c)
-        if abs(a * c2 - a2 * c) > tol or abs(b * c2 - b2 * c) > tol:
+        if abs(a * c2 - a2 * c) > GATE_TOL or abs(b * c2 - b2 * c) > GATE_TOL:
             return None
     # each axis alone reaches either [0, inf) or (-inf, 0]; try both
-    if abs(a) > tol and (c / a) >= -tol:
+    if abs(a) > GATE_TOL and (c / a) >= -GATE_TOL:
         return (max(0.0, c / a), 0.0)
-    if abs(b) > tol and (c / b) >= -tol:
+    if abs(b) > GATE_TOL and (c / b) >= -GATE_TOL:
         return (0.0, max(0.0, c / b))
     return None
 
 
-def probe_gate(
-    items: Iterable[tuple[float, float, float]], tol: float = 1e-9
-) -> GateProbeResult:
+def probe_gate(items: Iterable[tuple[float, float, float]]) -> GateProbeResult:
     """Exact elimination for lambda1*phi1 + lambda2*phi2 = total, lambdas >= 0.
 
-    Two rows are independent only when |det| > tol; |det| == tol counts as
-    dependent."""
+    Two rows are independent only when |det| > GATE_TOL; |det| == GATE_TOL
+    counts as dependent."""
     rows = [(float(p1), float(p2), float(t)) for p1, p2, t in items]
     if not rows:
         raise ValueError("need at least one item")
     witness_items = tuple(rows)
 
-    if all(abs(a) <= tol and abs(b) <= tol for a, b, _ in rows):
-        if all(abs(c) <= tol for _, _, c in rows):
+    if all(abs(a) <= GATE_TOL and abs(b) <= GATE_TOL for a, b, _ in rows):
+        if all(abs(c) <= GATE_TOL for _, _, c in rows):
             return GateProbeResult(True, coefficients=(0.0, 0.0))
         return GateProbeResult(False, witness=GateWitness(witness_items))
 
     # look for two independent rows (rank 2)
     pivot = None
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            a1, b1, c1 = rows[i]
-            a2, b2, c2 = rows[j]
-            det = a1 * b2 - a2 * b1
-            if abs(det) > tol:
-                pivot = (
-                    (c1 * b2 - c2 * b1) / det,
-                    (a1 * c2 - a2 * c1) / det,
-                )
-                break
-        if pivot:
+    for (a1, b1, c1), (a2, b2, c2) in combinations(rows, 2):
+        det = a1 * b2 - a2 * b1
+        if abs(det) > GATE_TOL:
+            pivot = ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
             break
 
     if pivot is None:
-        point = _solve_rank1(rows, tol)
+        point = _solve_rank1(rows)
         if point is None:
             return GateProbeResult(False, witness=GateWitness(witness_items))
         return GateProbeResult(True, coefficients=point)
 
     l1, l2 = pivot
-    consistent = all(abs(a * l1 + b * l2 - c) <= tol for a, b, c in rows)
+    consistent = all(abs(a * l1 + b * l2 - c) <= GATE_TOL for a, b, c in rows)
     if not consistent:
         return GateProbeResult(False, witness=GateWitness(witness_items))
-    if l1 >= -tol and l2 >= -tol:
+    if l1 >= -GATE_TOL and l2 >= -GATE_TOL:
         return GateProbeResult(True, coefficients=(max(0.0, l1), max(0.0, l2)))
     return GateProbeResult(
         False, witness=GateWitness(witness_items, forced_coefficients=(l1, l2))
@@ -250,32 +249,28 @@ class ScoreProbeResult:
     order_weight_first: float
     order_penalty_first: float
     flipped: bool
-
-
-def interleaving_margins(
-    delta_u: float, penalty_shift: float, psi: PiecewisePsi
-) -> tuple[float, float]:
-    """Margins of the two operator orders on one pair.
-
-    Weight first: the weight samples the pre-penalty gap, margin
-    delta_u * psi(delta_u). Penalty first: the weight samples the shifted gap,
-    margin (delta_u + shift) * psi(delta_u + shift).
-    """
-    weight_first = delta_u * psi(delta_u)
-    shifted = delta_u + penalty_shift
-    penalty_first = shifted * psi(shifted)
-    return weight_first, penalty_first
+    witness: ScoreWitness | None = None
 
 
 def probe_score(
     delta_u: float, penalty_shift: float, psi: PiecewisePsi
 ) -> ScoreProbeResult:
+    """Margins of the two operator orders on one pair, and the case itself as
+    the witness when their signs differ.
+
+    Weight first: the weight samples the pre-penalty gap, margin
+    delta_u * psi(delta_u). Penalty first: the weight samples the shifted gap,
+    margin (delta_u + shift) * psi(delta_u + shift).
+    """
     if psi.constant:
         raise ValueError("psi must be nonconstant for a score-dependence probe")
-    m1, m2 = interleaving_margins(delta_u, penalty_shift, psi)
-    s1 = (m1 > 0) - (m1 < 0)
-    s2 = (m2 > 0) - (m2 < 0)
-    return ScoreProbeResult(m1, m2, flipped=s1 != s2)
+    m1 = delta_u * psi(delta_u)
+    shifted = delta_u + penalty_shift
+    m2 = shifted * psi(shifted)
+    if (m1 > 0) - (m1 < 0) == (m2 > 0) - (m2 < 0):
+        return ScoreProbeResult(m1, m2, flipped=False)
+    witness = ScoreWitness(delta_u, penalty_shift, psi.value_below, psi.value_at_or_above)
+    return ScoreProbeResult(m1, m2, flipped=True, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -298,29 +293,16 @@ def classify(obj: GkpoObject, evidence: Evidence | None = None) -> ReducibilityB
 
     reasons = algebra.object_normal_form(obj).reasons
     witness: dict[str, Any] = {}
-
     if evidence is not None:
-        if evidence.shift_pairs and "reference_shift" in reasons:
-            outcome = probe_shift(evidence.shift_pairs)
-            if outcome.witness is not None:
-                witness.update(outcome.witness.as_witness_map())
-        if evidence.gate_items and "non_additive_gate" in reasons:
-            outcome = probe_gate(evidence.gate_items)
-            if outcome.witness is not None:
-                witness.update(outcome.witness.as_witness_map())
-        if evidence.score_case and "score_dependent_weight" in reasons:
-            delta_u, shift, psi = evidence.score_case
-            outcome = probe_score(delta_u, shift, psi)
-            if outcome.flipped:
-                witness.update(
-                    ScoreWitness(
-                        delta_u=delta_u,
-                        penalty_shift=shift,
-                        psi_neg=psi.value_below,
-                        psi_pos=psi.value_at_or_above,
-                    ).as_witness_map()
-                )
-
+        for reason, data, probe in (
+            ("reference_shift", evidence.shift_pairs, probe_shift),
+            ("non_additive_gate", evidence.gate_items, probe_gate),
+            ("score_dependent_weight", evidence.score_case, lambda case: probe_score(*case)),
+        ):
+            if data and reason in reasons:
+                found = probe(data).witness
+                if found is not None:
+                    witness.update(found.as_witness_map())
     return ReducibilityBlock(
         inside_R=not reasons, reasons=tuple(sorted(reasons)), witness=witness
     )

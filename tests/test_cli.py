@@ -769,6 +769,27 @@ def test_harness_data_key_out_of_range_is_named(capsys, tmp_path, monkeypatch, c
         assert f"{key} must be at least" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ({"learning_rate": 10**400}, "learning_rate must be finite"),
+        ({"init_scale": -(10**400)}, "init_scale must be finite"),
+        ({"seeds": 5}, "seeds must be a list of integers, got 5"),
+        ({"seeds": "ab"}, "seeds must be a list of integers, got 'ab'"),
+    ],
+    ids=["learning_rate_401_digits", "init_scale_401_digits", "seeds_int", "seeds_string"],
+)
+def test_harness_config_number_or_seeds_is_refused_by_name(capsys, tmp_path, override, message):
+    """A 401-digit int is not finite as a float, and seeds is an array, never
+    a number or a string read character by character."""
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps({"size": 20, "seeds": [0], "steps": 5, **override}))
+    code, out, err = run_cli(capsys, "harness", "h1", "--config", str(cfg))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert_single_error_line(err, EXIT_USAGE)
+    assert message in json.loads(err)["error"]
+
+
 def test_harness_config_naming_eval_every_is_an_unknown_key(capsys, tmp_path):
     # every run traces step 0 and its last step; no key sets the interval
     cfg = tmp_path / "every.json"

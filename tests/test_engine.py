@@ -22,7 +22,6 @@ from gkpo.algebra import (
 from gkpo.engine import (
     LINKS,
     LOSSES,
-    STRICT_LINKS,
     bootstrap_ci,
     bootstrap_diff_ci,
     kendall_tau,
@@ -33,10 +32,15 @@ from gkpo.engine import (
     mcnemar_exact,
     objective,
 )
+from gkpo.schema import LINK_NAMES, LOSS_NAMES
 
 from conftest import load_fixture
 
 mpmath.mp.dps = 50
+
+# hinge is only weakly increasing; it is evaluatable but excluded from
+# strict-monotonicity (order-preservation) claims.
+STRICT_LINKS = frozenset({"identity", "logistic", "tanh"})
 
 
 # --- links and losses ---------------------------------------------------------
@@ -193,6 +197,12 @@ def test_link_and_loss_names_cover_schema_enums():
         link_value(kind, 0.5)
     for kind in LOSSES:
         loss_value(kind, 0.5)
+
+
+def test_link_and_loss_names_are_the_schema_enums_without_custom():
+    assert len(LINKS) == len(set(LINKS)) and len(LOSSES) == len(set(LOSSES))
+    assert set(LINKS) == LINK_NAMES - {"custom"}
+    assert set(LOSSES) == LOSS_NAMES - {"custom"}
 
 
 # --- object evaluation -----------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Every public top-level function and class in the package has a reader.
+"""Every public top-level function, class and constant in the package has a
+reader.
 
-A public definition (a `def` or `class` at module level whose name does not
-start with an underscore) must be referenced somewhere other than its own
-definition:
+A public definition (a `def`, a `class` or an UPPER_CASE assignment at module
+level whose name does not start with an underscore) must be referenced
+somewhere other than its own definition:
 
 * in a `src/gkpo` module, as a name, an attribute or an imported name;
 * in `bench/*.py`, likewise, or as the last part of a "gkpo.module.name"
@@ -50,6 +51,18 @@ def _outside_src() -> set[str]:
     return names
 
 
+def _defined(stmt: ast.stmt) -> list[str]:
+    """The public names stmt defines: a def, a class or UPPER_CASE targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_definition_has_a_reader():
     statements = [  # (module, top-level statement, the names it reads)
         (path.stem, stmt, _names(stmt))
@@ -58,11 +71,10 @@ def test_every_public_definition_has_a_reader():
     ]
     outside = _outside_src()
     unread = [
-        f"{module}.{stmt.name}"
+        f"{module}.{name}"
         for module, stmt, _ in statements
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and stmt.name not in outside
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        for name in _defined(stmt)
+        if name not in outside
+        and not any(name in names for _, other, names in statements if other is not stmt)
     ]
     assert unread == [], f"public names nothing reads: {unread}"

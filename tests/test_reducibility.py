@@ -7,17 +7,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkpo.reducibility import (
+    GATE_TOL,
     Evidence,
     GateWitness,
     PiecewisePsi,
     ScoreWitness,
     ShiftWitness,
     classify,
-    interleaving_margins,
     probe_gate,
     probe_score,
     probe_shift,
@@ -28,6 +28,7 @@ from gkpo.schema import (
     WEIGHT_FORMS,
     GkpoObject,
     PenaltyEntry,
+    ReducibilityBlock,
     ReferenceSpec,
     WeightSpec,
     parse,
@@ -189,9 +190,10 @@ def test_gate_rank2_feasible_solution():
 
 
 def test_gate_determinant_equal_to_tol_counts_as_dependent():
-    # det = 1 * 0.5 = tol, so the rows are treated as parallel, and parallel
-    # rows with these totals are inconsistent
-    result = probe_gate([(1, 0, 1), (0, 0.5, 1)], tol=0.5)
+    # det = 1 * 1e-9 = GATE_TOL, so the rows are treated as parallel, and
+    # parallel rows with these totals are inconsistent
+    assert 1 * 1e-9 == GATE_TOL
+    result = probe_gate([(1, 0, 1), (0, 1e-9, 1)])
     assert not result.feasible
     assert result.coefficients is None
 
@@ -286,9 +288,9 @@ def test_score_golden_flip():
 
 def test_score_orders_spelled_out():
     psi = PiecewisePsi(2.0, 0.5)
-    m_weight_first, m_penalty_first = interleaving_margins(0.40, -0.80, psi)
-    assert m_weight_first == 0.40 * psi(0.40)
-    assert m_penalty_first == (0.40 - 0.80) * psi(0.40 - 0.80)
+    result = probe_score(0.40, -0.80, psi)
+    assert result.order_weight_first == 0.40 * psi(0.40)
+    assert result.order_penalty_first == (0.40 - 0.80) * psi(0.40 - 0.80)
 
 
 def test_score_small_shift_does_not_flip():
@@ -296,6 +298,18 @@ def test_score_small_shift_does_not_flip():
     assert not result.flipped
     assert result.order_weight_first > 0
     assert result.order_penalty_first > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0.1, 1), st.floats(2, 5))
+@example(0.40, -0.80, 2.0, 0.5)  # the golden flip
+@example(0.40, -0.30, 2.0, 0.5)  # the golden small shift
+def test_score_witness_is_the_case_exactly_when_flipped(delta_u, shift, below, above):
+    result = probe_score(delta_u, shift, PiecewisePsi(below, above))
+    if result.flipped:
+        assert result.witness == ScoreWitness(delta_u, shift, below, above)
+    else:
+        assert result.witness is None
 
 
 def test_score_constant_psi_rejected():
@@ -361,6 +375,21 @@ def test_classify_reason_union_is_sorted():
         "reference_shift",
         "score_dependent_weight",
     )
+    # evidence for all three: each attached witness is its own probe's
+    evidence = Evidence(
+        shift_pairs=((0.20, 0.50), (0.20, -0.50)),
+        gate_items=tuple(GOLDEN_GATE),
+        score_case=(0.40, -0.80, PiecewisePsi(2.0, 0.5)),
+    )
+    expected = {}
+    for found in (
+        probe_shift(evidence.shift_pairs).witness,
+        probe_gate(evidence.gate_items).witness,
+        probe_score(*evidence.score_case).witness,
+    ):
+        expected.update(found.as_witness_map())
+    assert len(expected) == 3 + 2 + 4  # the three maps share no key
+    assert classify(obj, evidence).witness == ReducibilityBlock(witness=expected).witness
 
 
 def test_classify_attaches_shift_witness_from_evidence(orpo_shift_obj):
