@@ -1,16 +1,16 @@
-"""Ladders of margin operators and their collected normal form.
+"""Ladders of GKPO nodes and their collected normal form.
 
-An objective is an ordered ladder of operators on the base pair (score gap,
-weight 1): penalties subtract coefficient-weighted penalty gaps, weights
-multiply in named positive factors or a constant, and references subtract
-named terms or a fixed value. Three operators break the paper's reduction
-law and carry its reason code: a gated penalty, a per-prompt reference
-shift, and a form with no sample-level value (a score-dependent or custom
-weight, a custom reference). `collect`, the one fold, takes any ladder to a
-normal form that carries the reasons; `ladder_margin` evaluates it in order
-instead. A GKPO document's ladder is its own nodes (`ladder_of`), which
-`collect` reads by form and gate. `object_normal_form(obj)` records the fold
-on the object, and margins, classification, conversion and scale fixing
+An objective is an ordered ladder of a document's own nodes on the base pair
+(score gap, weight 1): a penalty subtracts its coefficient times a named
+penalty gap, the weight multiplies in named positive factors or a constant,
+and the reference subtracts a fixed value or a dataset or prompt offset term.
+Three nodes break the paper's reduction law and carry its reason code: a
+gated penalty, a per-prompt reference, and a form with no sample-level value
+(a score-dependent or custom weight, a custom reference). `collect`, the one
+fold, reads each node by form and gate and takes any ladder to a normal form
+that carries the reasons; `ladder_margin` evaluates it in order instead. A
+document's ladder is `ladder_of(obj)`. `object_normal_form(obj)` records the
+fold on the object, and margins, classification, conversion and scale fixing
 read that record, so each object is folded once.
 
 The evaluators use only `-`, `*` and `/` on the sample's attributes
@@ -34,58 +34,6 @@ from .schema import GkpoObject, PenaltyEntry, ReferenceSpec, WeightSpec, is_fini
 # Keys of the per-prompt / per-dataset reference values in PairSample.delta_ref
 PROMPT_OFFSET_KEY = "prompt_offset"
 DATASET_OFFSET_KEY = "dataset_offset"
-
-
-class _Named:
-    reason = None  # the law an operator breaks; None inside the class
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError(f"{type(self).__name__} name must be nonempty")
-
-
-@dataclass(frozen=True)
-class AdditivePenalty(_Named):  # read as a document's PenaltyEntry is
-    coeff: float
-    name: str
-    meta_gate = False
-
-
-class GatedPenalty(AdditivePenalty):  # evaluates as its plain term
-    reason = "non_additive_gate"
-    meta_gate = True
-
-
-@dataclass(frozen=True)
-class MultiplicativeWeight(_Named):
-    name: str
-
-
-@dataclass(frozen=True)
-class ConstantWeight:
-    value: float
-    reason = None
-
-
-@dataclass(frozen=True)
-class ReferenceAdjust(_Named):
-    name: str
-
-
-class ReferenceShift(ReferenceAdjust):  # a term that differs per prompt
-    reason = "reference_shift"
-
-
-@dataclass(frozen=True)
-class FixedReference:
-    value: float
-    reason = None
-
-
-@dataclass(frozen=True)
-class Unvalued:  # such as "weight form 'custom'"; evaluating it is a ValueError
-    reason: str
-    form: str
 
 
 @dataclass(frozen=True)
@@ -163,61 +111,50 @@ class NormalForm:
         object.__setattr__(self, "ref_terms", tuple(self.ref_terms))
 
 
-# the operators of the reference forms that read a term: fixed within its dataset, or per prompt
-_REFERENCE_OPS = {"per_dataset": ReferenceAdjust(DATASET_OFFSET_KEY),
-                  "per_prompt": ReferenceShift(PROMPT_OFFSET_KEY)}
-
-
 def collect(ladder: Iterable[Any]) -> NormalForm:
-    """Fold a ladder into normal form in one pass, whatever its order. Its
-    operators are the classes above or a document's nodes (see ladder_of). A
-    coefficient is kept as a float; a repeated name's coefficients sum with
-    math.fsum, or exactly and then rounded (+-inf past float range) when fsum
-    overflows. Every other side is a sorted multiset of values only stored,
-    so every document that parse accepts folds. Each operator that breaks the
-    law adds its reason."""
+    """Fold a ladder of document nodes (see ladder_of) into normal form in one
+    pass, whatever its order. A penalty's coefficient is kept as a float; a
+    repeated name's coefficients sum with math.fsum, or exactly and then
+    rounded (+-inf past float range) when fsum overflows. A reference or
+    weight is read by its form; every other side is a sorted multiset of
+    values only stored, so every document that parse accepts folds. A gated
+    penalty, a per-prompt or custom reference, and a weight form other than
+    constant or product add their reason; an unvalued form is named in
+    unvalued. Anything else is a TypeError."""
     coeffs: dict[str, float] = {}
     repeated: dict[str, list[float]] = {}
     factors, constants, terms, values, unvalued, reasons = [], [], [], [], [], set()
     for op in ladder:
         kind = type(op)  # one dispatch; a document's penalties come first
-        if kind is PenaltyEntry or isinstance(op, AdditivePenalty):
+        if kind is PenaltyEntry:
             name, coeff = op.name, op.coeff + 0.0  # a float, as math.fsum gives
             if name in coeffs:
                 repeated.setdefault(name, [coeffs[name]]).append(coeff)
             else:
                 coeffs[name] = coeff
             if op.meta_gate:
-                reasons.add(GatedPenalty.reason)
-            continue
-        if kind is ReferenceSpec:  # a fixed value, or the operator of its form
+                reasons.add("non_additive_gate")
+        elif kind is ReferenceSpec:  # a value, an offset term, or no value
             if op.form == "fixed_zero" or op.form == "fixed_scalar":
                 values.append(op.value)
-                continue
-            op = _REFERENCE_OPS.get(op.form) or Unvalued(
-                "reference_shift", f"reference form {op.form!r}")
+            elif op.form == "per_dataset":
+                terms.append(DATASET_OFFSET_KEY)
+            elif op.form == "per_prompt":  # a term that differs per prompt
+                terms.append(PROMPT_OFFSET_KEY)
+                reasons.add("reference_shift")
+            else:
+                unvalued.append(f"reference form {op.form!r}")
+                reasons.add("reference_shift")
         elif kind is WeightSpec:  # a constant, factors, or no sample-level value
             if op.form == "constant":
                 constants.append(op.constant)
-                continue
-            if op.form == "product":
+            elif op.form == "product":
                 factors += op.factors
-                continue
-            op = Unvalued("score_dependent_weight", f"weight form {op.form!r}")
-        if isinstance(op, FixedReference):
-            values.append(op.value)
-        elif isinstance(op, ConstantWeight):
-            constants.append(op.value)
-        elif isinstance(op, MultiplicativeWeight):
-            factors.append(op.name)
-        elif isinstance(op, ReferenceAdjust):
-            terms.append(op.name)
-        elif isinstance(op, Unvalued):
-            unvalued.append(op.form)
+            else:
+                unvalued.append(f"weight form {op.form!r}")
+                reasons.add("score_dependent_weight")
         else:
             raise TypeError(f"not a ladder operator: {op!r}")
-        if op.reason:
-            reasons.add(op.reason)
     for name, addends in repeated.items():
         try:
             coeffs[name] = math.fsum(addends)
@@ -306,8 +243,8 @@ def margin(nf: NormalForm, sample: PairSample) -> float:
 
 def ladder_margin(ladder: Iterable[Any], sample: PairSample) -> float:
     """Evaluate a ladder left to right without collecting it as a whole: each
-    operator is read as collect reads it alone, and an unvalued form raises
-    where it stands."""
+    node is read as collect reads it alone, and an unvalued form raises where
+    it stands."""
     gap, ref, w = sample.delta_u, 0, 1
     for op in ladder:
         one = collect((op,))

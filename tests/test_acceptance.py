@@ -17,7 +17,6 @@ import numpy as np
 
 from gkpo.adapters import MethodConfig, configs_equal, from_gkpo, to_gkpo
 from gkpo.algebra import (
-    AdditivePenalty,
     PairSample,
     collect,
     ladder_margin,
@@ -264,7 +263,7 @@ def test_gradient_equivalence():
         beta = round(float(rng.uniform(0.2, 2.0)), 6)
         w = round(float(rng.uniform(0.2, 2.0)), 6)
         names = [f"pen_{k}" for k in range(int(rng.integers(0, 4)))]
-        ops = [AdditivePenalty(round(float(rng.uniform(-1, 1)), 6), n) for n in names]
+        ops = [PenaltyEntry(n, round(float(rng.uniform(-1, 1)), 6)) for n in names]
         rng.shuffle(ops)
         ladder = tuple(ops)
         sample = PairSample(
@@ -282,7 +281,7 @@ def test_gradient_equivalence():
             link=link,
             beta=beta,
             weight=WeightSpec(form="constant", constant=w),
-            penalties=tuple(PenaltyEntry(op.name, op.coeff) for op in ops),
+            penalties=ladder,
         )
         data = SyntheticDataset(batch_of([sample]), fp[None] - fn[None], {})
         hp = HarnessParams(steps=1, seeds=(trial,), init_scale=1.0)
@@ -293,7 +292,7 @@ def test_gradient_equivalence():
             return replace(sample, delta_u=sample.delta_u + float(theta @ (fp - fn)))
 
         # ladder-route oracle: chain rule with the margin evaluated through
-        # the raw operator ladder, never through the normal form
+        # the raw ladder of penalty nodes, never through the normal form
         m = ladder_margin(ladder, scored(theta0)) * w
         z = beta * m
         coeff = (

@@ -1,9 +1,10 @@
-"""Operator-ladder laws: order insensitivity, single-pass collection, scale
-fixing."""
+"""Ladder laws over GKPO nodes: order insensitivity, single-pass collection,
+scale fixing."""
 
 import math
 import random
 import struct
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,16 +15,8 @@ from hypothesis import strategies as st
 from gkpo.algebra import (
     DATASET_OFFSET_KEY,
     PROMPT_OFFSET_KEY,
-    AdditivePenalty,
-    ConstantWeight,
-    FixedReference,
-    GatedPenalty,
-    MultiplicativeWeight,
     NormalForm,
     PairSample,
-    ReferenceAdjust,
-    ReferenceShift,
-    Unvalued,
     collect,
     ladder_margin,
     ladder_of,
@@ -33,13 +26,12 @@ from gkpo.algebra import (
     scale_fix,
     weight,
 )
-from gkpo.schema import REFERENCE_FORMS, WEIGHT_FORMS, PenaltyEntry
+from gkpo.schema import REFERENCE_FORMS, WEIGHT_FORMS, PenaltyEntry, ReferenceSpec, WeightSpec
 
 from conftest import FIXTURES, exact_normal_form, exact_sample, load_fixture, random_object
 
 PHI_NAMES = ("phi_a", "phi_b", "phi_c")
 OMEGA_NAMES = ("om_a", "om_b")
-REF_NAMES = ("ref_a", "ref_b")
 
 
 def dyadic(rng: random.Random, denom: int = 64, span: int = 64) -> float:
@@ -51,16 +43,22 @@ def dyadic_pos(rng: random.Random, denom: int = 16, span: int = 32) -> float:
     return rng.randint(1, span) / denom
 
 
+def factor(name: str) -> WeightSpec:
+    return WeightSpec("product", None, (name,))
+
+
 def random_ladder(rng: random.Random) -> list:
     ops = []
     for _ in range(rng.randint(1, 8)):
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         if kind == 0:
-            ops.append(AdditivePenalty(dyadic(rng), rng.choice(PHI_NAMES)))
+            ops.append(PenaltyEntry(rng.choice(PHI_NAMES), dyadic(rng)))
         elif kind == 1:
-            ops.append(MultiplicativeWeight(rng.choice(OMEGA_NAMES)))
+            ops.append(factor(rng.choice(OMEGA_NAMES)))
+        elif kind == 2:
+            ops.append(ReferenceSpec("fixed_scalar", dyadic(rng)))
         else:
-            ops.append(ReferenceAdjust(rng.choice(REF_NAMES)))
+            ops.append(ReferenceSpec("per_dataset", None))
     return ops
 
 
@@ -70,7 +68,7 @@ def random_sample(rng: random.Random) -> PairSample:
         delta_u=dyadic(rng),
         delta_phi={n: dyadic(rng) for n in PHI_NAMES},
         omega={n: dyadic_pos(rng) for n in OMEGA_NAMES},
-        delta_ref={n: dyadic(rng) for n in REF_NAMES},
+        delta_ref={n: dyadic(rng) for n in (DATASET_OFFSET_KEY, PROMPT_OFFSET_KEY)},
     )
 
 
@@ -91,7 +89,7 @@ def test_permuted_ladders_collect_identically_and_agree_bitwise():
 
 def test_repeated_penalty_names_sum_alike_in_any_order():
     # non-dyadic coefficients: a left-to-right float sum depends on the order
-    forward = [AdditivePenalty(c, "x") for c in (0.1, 0.2, 0.3)]
+    forward = [PenaltyEntry("x", c) for c in (0.1, 0.2, 0.3)]
     assert collect(forward).penalty_coeffs == {"x": 0.6}
     assert collect(forward[::-1]) == collect(forward)
 
@@ -103,7 +101,7 @@ def test_repeated_penalty_names_sum_alike_in_any_order():
     du=st.floats(-8, 8, allow_nan=False),
 )
 def test_collect_sums_each_name_exactly_once_rounded(coeffs, order, du):
-    ops = [AdditivePenalty(c, "x") for c in coeffs] + [AdditivePenalty(0.5, "y")]
+    ops = [PenaltyEntry("x", c) for c in coeffs] + [PenaltyEntry("y", 0.5)]
     shuffled = ops[:]
     order.shuffle(shuffled)
     nf = collect(ops)
@@ -132,18 +130,24 @@ def test_collect_single_pass_over_operators():
 def test_collect_merges_like_penalties_and_sorts_names():
     nf = collect(
         [
-            AdditivePenalty(0.25, "phi_b"),
-            MultiplicativeWeight("om_b"),
-            AdditivePenalty(0.5, "phi_a"),
-            AdditivePenalty(0.25, "phi_b"),
-            ReferenceAdjust("ref_b"),
-            MultiplicativeWeight("om_a"),
-            ReferenceAdjust("ref_a"),
+            PenaltyEntry("phi_b", 0.25),
+            factor("om_b"),
+            PenaltyEntry("phi_a", 0.5),
+            PenaltyEntry("phi_b", 0.25),
+            ReferenceSpec("per_prompt", None),
+            factor("om_a"),
+            ReferenceSpec("per_dataset", None),
         ]
     )
     assert nf.penalty_coeffs == {"phi_a": 0.5, "phi_b": 0.5}
     assert nf.weight_factors == ("om_a", "om_b")
-    assert nf.ref_terms == ("ref_a", "ref_b")
+    assert nf.ref_terms == (DATASET_OFFSET_KEY, PROMPT_OFFSET_KEY)
+
+
+def test_collect_refuses_what_is_not_a_document_node():
+    for op in (("phi_a", 1.0), {"name": "phi_a", "lambda": 1.0}, None):
+        with pytest.raises(TypeError, match="not a ladder operator"):
+            collect([PenaltyEntry("phi_a", 1.0), op])
 
 
 def test_collect_is_a_homomorphism_under_concatenation():
@@ -163,17 +167,17 @@ def test_collect_is_a_homomorphism_under_concatenation():
 
 
 def test_law_breaking_operators_add_their_reasons_and_evaluate_in_order():
-    plain = [FixedReference(0.25), ConstantWeight(2.0), AdditivePenalty(0.5, "phi_a"),
-             ReferenceAdjust("ref_a")]
-    broken = [FixedReference(0.25), ConstantWeight(2.0), GatedPenalty(0.5, "phi_a"),
-              ReferenceShift("ref_a")]
-    sample = PairSample("p", 1.5, delta_phi={"phi_a": 0.5}, delta_ref={"ref_a": 0.25})
+    fixed, constant = ReferenceSpec("fixed_scalar", 0.25), WeightSpec("constant", 2.0)
+    plain = [fixed, constant, PenaltyEntry("phi_a", 0.5), ReferenceSpec("per_dataset", None)]
+    broken = [fixed, constant, PenaltyEntry("phi_a", 0.5, True), ReferenceSpec("per_prompt", None)]
+    sample = PairSample("p", 1.5, delta_phi={"phi_a": 0.5},
+                        delta_ref={DATASET_OFFSET_KEY: 0.25, PROMPT_OFFSET_KEY: 0.25})
     assert collect(plain).reasons == frozenset()
     assert collect(broken).reasons == {"non_additive_gate", "reference_shift"}
     # a gate and a per-prompt shift change the verdict, not the arithmetic
     assert ladder_margin(broken, sample) == ladder_margin(plain, sample) == 1.5
     assert margin(collect(broken), sample) == margin(collect(plain), sample) == 1.5
-    score = Unvalued("score_dependent_weight", "weight form 'score_dependent'")
+    score = WeightSpec("score_dependent", None, score_fn="psi")
     assert collect([*plain, score]).reasons == {"score_dependent_weight"}
     for evaluate in (ladder_margin, lambda ops, s: margin(collect(ops), s)):
         with pytest.raises(ValueError, match="weight form 'score_dependent'"):
@@ -183,8 +187,8 @@ def test_law_breaking_operators_add_their_reasons_and_evaluate_in_order():
 def test_worked_margin_from_ladder():
     # gap 0.5 with one penalty 0.5*0.2 and one 0.1*(-0.1): margin 0.41
     ops = [
-        AdditivePenalty(0.5, "phi_a"),
-        AdditivePenalty(0.1, "phi_b"),
+        PenaltyEntry("phi_a", 0.5),
+        PenaltyEntry("phi_b", 0.1),
     ]
     sample = PairSample(
         prompt_id="w",
@@ -196,35 +200,57 @@ def test_worked_margin_from_ladder():
 
 def test_a_repeated_name_whose_partial_sums_overflow_sums_exactly():
     big = 1.5e308  # two of these leave float range; math.fsum raises
-    assert collect([AdditivePenalty(big, "x")] * 2).penalty_coeffs == {"x": math.inf}
-    assert collect([AdditivePenalty(-big, "x")] * 2).penalty_coeffs == {"x": -math.inf}
-    back = [AdditivePenalty(big, "x"), AdditivePenalty(big, "x"), AdditivePenalty(-big, "x")]
+    assert collect([PenaltyEntry("x", big)] * 2).penalty_coeffs == {"x": math.inf}
+    assert collect([PenaltyEntry("x", -big)] * 2).penalty_coeffs == {"x": -math.inf}
+    back = [PenaltyEntry("x", big), PenaltyEntry("x", big), PenaltyEntry("x", -big)]
     assert collect(back).penalty_coeffs == {"x": big}
+    # max + 2**970 lies halfway between the largest float and 2**1024; IEEE
+    # round-half-even takes the tie to 2**1024, which overflows, so the fold
+    # gives +-inf there, and just below the midpoint it stays finite
+    top = sys.float_info.max
+    for sign in (1, -1):
+        tie = collect([PenaltyEntry("x", sign * top), PenaltyEntry("x", sign * 2.0**970)])
+        assert tie.penalty_coeffs == {"x": sign * math.inf}
+    below = collect([PenaltyEntry("x", top), PenaltyEntry("x", 2.0**969)])
+    assert below.penalty_coeffs == {"x": top}
 
 
 # --- document ladders --------------------------------------------------------
 
 
-def operator_ladder(obj) -> list:
-    """obj's ladder built from the operator classes: reference, weight, then
-    penalties in file order."""
+def fold_by_form(obj) -> NormalForm:
+    """obj's normal form built by hand from the per-form rules: a fixed value,
+    a dataset offset term, a prompt offset term (reference_shift) or an
+    unvalued custom form (reference_shift); a constant, factors or an
+    unvalued form (score_dependent_weight); each penalty name's coefficients
+    summed with math.fsum, and a gate's non_additive_gate."""
     r, w = obj.reference, obj.weight
+    values, terms, constants, factors, unvalued, reasons = [], [], [], [], [], set()
     if r.form in ("fixed_zero", "fixed_scalar"):
-        ops = [FixedReference(r.value)]
+        values.append(r.value)
     elif r.form == "per_dataset":
-        ops = [ReferenceAdjust(DATASET_OFFSET_KEY)]
-    elif r.form == "per_prompt":
-        ops = [ReferenceShift(PROMPT_OFFSET_KEY)]
+        terms.append(DATASET_OFFSET_KEY)
     else:
-        ops = [Unvalued("reference_shift", f"reference form {r.form!r}")]
+        reasons.add("reference_shift")
+        if r.form == "per_prompt":
+            terms.append(PROMPT_OFFSET_KEY)
+        else:
+            unvalued.append(f"reference form {r.form!r}")
     if w.form == "constant":
-        ops.append(ConstantWeight(w.constant))
+        constants.append(w.constant)
     elif w.form == "product":
-        ops += [MultiplicativeWeight(name) for name in w.factors]
+        factors += w.factors
     else:
-        ops.append(Unvalued("score_dependent_weight", f"weight form {w.form!r}"))
-    return ops + [(GatedPenalty if p.meta_gate else AdditivePenalty)(p.coeff, p.name)
-                  for p in obj.penalties]
+        unvalued.append(f"weight form {w.form!r}")
+        reasons.add("score_dependent_weight")
+    sums: dict = {}
+    for p in obj.penalties:
+        sums.setdefault(p.name, []).append(p.coeff)
+        if p.meta_gate:
+            reasons.add("non_additive_gate")
+    return NormalForm({n: math.fsum(c) for n, c in sums.items()}, sorted(factors),
+                      terms, tuple(values), tuple(constants), frozenset(reasons),
+                      tuple(sorted(unvalued)))
 
 
 def by_bits(nf) -> tuple:
@@ -247,13 +273,13 @@ def by_bits(nf) -> tuple:
     weight_form=st.sampled_from(sorted(WEIGHT_FORMS) + [None]),
     extra=st.sampled_from([None, -0.0, 0.1, -2.5]),
 )
-def test_the_object_fold_is_the_fold_of_its_operator_ladder(
+def test_the_object_fold_follows_the_per_form_rules(
     seed, reference_form, weight_form, extra
 ):
-    """The fold reads a document's own nodes as the operator classes would
-    stand for them, bit for bit, on fuzzer draws, with a form swapped in
-    without its field (most such objects are invalid) and with a penalty
-    name repeated or given the coefficient -0.0."""
+    """The fold of a document's own nodes is the normal form its per-form
+    rules give, bit for bit, on fuzzer draws, with a form swapped in without
+    its field (most such objects are invalid) and with a penalty name
+    repeated or given the coefficient -0.0."""
     obj = random_object(random.Random(seed))
     if reference_form:
         obj = replace(obj, reference=replace(obj.reference, form=reference_form))
@@ -263,11 +289,7 @@ def test_the_object_fold_is_the_fold_of_its_operator_ladder(
         obj = replace(obj, penalties=(*obj.penalties, PenaltyEntry(obj.penalties[0].name, extra)))
     elif extra is not None:
         obj = replace(obj, penalties=(PenaltyEntry("phi_a", extra),))
-    expected = by_bits(collect(operator_ladder(obj)))
-    sums: dict = {}  # each name's coefficients sum as math.fsum sums them
-    for p in obj.penalties:
-        sums.setdefault(p.name, []).append(p.coeff)
-    assert expected[0] == by_bits(NormalForm({n: math.fsum(c) for n, c in sums.items()}, (), ()))[0]
+    expected = by_bits(fold_by_form(obj))
     assert by_bits(collect(ladder_of(obj))) == expected
     assert by_bits(object_normal_form(obj)) == expected
     assert object_normal_form(obj) is object_normal_form(obj)  # recorded once
@@ -307,15 +329,6 @@ def test_scale_fix_empty_probe_rejected():
 # --- construction guards -----------------------------------------------------
 
 
-def test_operator_names_must_be_nonempty():
-    with pytest.raises(ValueError):
-        AdditivePenalty(1.0, "")
-    with pytest.raises(ValueError):
-        MultiplicativeWeight("")
-    with pytest.raises(ValueError):
-        ReferenceAdjust("")
-
-
 def test_sample_rejects_nonpositive_omega():
     with pytest.raises(ValueError):
         PairSample("p", 1.0, omega={"om_a": 0.0})
@@ -324,20 +337,21 @@ def test_sample_rejects_nonpositive_omega():
 
 
 def test_missing_sample_entries_raise_named_keyerror():
-    nf = collect([AdditivePenalty(1.0, "phi_a")])
+    nf = collect([PenaltyEntry("phi_a", 1.0)])
     with pytest.raises(KeyError) as err:
         margin(nf, PairSample("px", 1.0))
     assert "phi_a" in str(err.value) and "px" in str(err.value)
 
-    nf = collect([MultiplicativeWeight("om_a")])
+    nf = collect([factor("om_a")])
     with pytest.raises(KeyError) as err:
         margin(nf, PairSample("py", 1.0))
     assert "om_a" in str(err.value)
 
-    nf = collect([ReferenceAdjust("ref_a")])
-    with pytest.raises(KeyError) as err:
-        ladder_margin([ReferenceAdjust("ref_a")], PairSample("pz", 1.0))
-    assert "ref_a" in str(err.value)
+    shift = ReferenceSpec("per_prompt", None)
+    for evaluate in (ladder_margin, lambda ops, s: margin(collect(ops), s)):
+        with pytest.raises(KeyError) as err:
+            evaluate([shift], PairSample("pz", 1.0))
+        assert PROMPT_OFFSET_KEY in str(err.value) and "pz" in str(err.value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -350,12 +364,13 @@ def test_missing_sample_entries_raise_named_keyerror():
 )
 def test_margin_formula_matches_direct_arithmetic(du, coeff, phi, om, ref):
     ops = [
-        AdditivePenalty(coeff, "phi_a"),
-        MultiplicativeWeight("om_a"),
-        ReferenceAdjust("ref_a"),
+        PenaltyEntry("phi_a", coeff),
+        factor("om_a"),
+        ReferenceSpec("per_dataset", None),
     ]
     sample = PairSample(
-        "h", du, delta_phi={"phi_a": phi}, omega={"om_a": om}, delta_ref={"ref_a": ref}
+        "h", du, delta_phi={"phi_a": phi}, omega={"om_a": om},
+        delta_ref={DATASET_OFFSET_KEY: ref},
     )
     expected = (du - coeff * phi - ref) * om
     assert ladder_margin(ops, sample) == pytest.approx(expected, abs=1e-12, rel=1e-12)

@@ -374,6 +374,11 @@ def test_bootstrap_ci_input_guards():
         bootstrap_ci([], resamples=500)
     with pytest.raises(ValueError):
         bootstrap_ci([1.0, 2.0], resamples=10)
+    for ci in (bootstrap_ci, lambda v, **kw: bootstrap_diff_ci(v, [0.0, 0.0], **kw)):
+        with pytest.raises(ValueError, match="at least 100"):
+            ci([1.0, 2.0], resamples=99)
+        lo, hi = ci([1.0, 2.0], resamples=100)
+        assert 1.0 <= lo <= hi <= 2.0
 
 
 @pytest.mark.parametrize(

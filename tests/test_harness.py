@@ -258,6 +258,9 @@ def test_harness_params_guards():
         HarnessParams(steps=0)
     with pytest.raises(ValueError):
         HarnessParams(seeds=())
+    with pytest.raises(ValueError, match="bootstrap_resamples"):
+        HarnessParams(bootstrap_resamples=99)
+    assert HarnessParams(bootstrap_resamples=100).bootstrap_resamples == 100
 
 
 # --- H1 ------------------------------------------------------------------------------

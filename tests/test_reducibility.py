@@ -293,6 +293,13 @@ def test_score_orders_spelled_out():
     assert result.order_penalty_first == (0.40 - 0.80) * psi(0.40 - 0.80)
 
 
+def test_score_zero_margin_flips_against_a_negative_one():
+    # README: "a flip when their signs differ"; the sign of 0 is 0, not -1
+    result = probe_score(0.0, -0.5, PiecewisePsi(1.0, 2.0))
+    assert (result.order_weight_first, result.order_penalty_first) == (0.0, -0.5)
+    assert result.flipped
+
+
 def test_score_small_shift_does_not_flip():
     result = probe_score(0.40, -0.30, PiecewisePsi(2.0, 0.5))
     assert not result.flipped
