@@ -381,20 +381,18 @@ def from_gkpo(
     return ConversionResult(CONVERTED, target=cfg, scale_applied=scale)
 
 
-def configs_equal(a: MethodConfig, b: MethodConfig, tol: float = 1e-6) -> bool:
+def configs_equal(a: MethodConfig, b: MethodConfig) -> bool:
     """Same method and the same normalized params, with every number in them
-    (a number key, a penalty coefficient, an evidence number) within tol."""
-    return a.method == b.method and _close(
-        normalize_config(a).params, normalize_config(b).params, tol
-    )
+    (a number key, a penalty coefficient, an evidence number) within 1e-6."""
+    return a.method == b.method and _close(normalize_config(a).params, normalize_config(b).params)
 
 
-def _close(a: Any, b: Any, tol: float) -> bool:
+def _close(a: Any, b: Any) -> bool:
     # normalized values have one Python type per kind: floats, dicts, lists
     if isinstance(a, float) and isinstance(b, float):
-        return math.isclose(a, b, rel_tol=0.0, abs_tol=tol)
+        return math.isclose(a, b, rel_tol=0.0, abs_tol=1e-6)
     if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_close(a[k], b[k], tol) for k in a)
+        return a.keys() == b.keys() and all(_close(a[k], b[k]) for k in a)
     if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_close(x, y, tol) for x, y in zip(a, b))
+        return len(a) == len(b) and all(_close(x, y) for x, y in zip(a, b))
     return a == b

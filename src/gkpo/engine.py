@@ -363,7 +363,8 @@ def bootstrap_ci(
 
 def _percentiles(values: np.ndarray, qs: Sequence[float]) -> tuple[float, ...]:
     """np.percentile(values, qs) bit for bit, for n >= 2 values and q < 100:
-    numpy's "linear" rule, without the numpy.ma import of its first call."""
+    numpy's "linear" rule, without the numpy.ma import of its first call.
+    Past float range it follows numpy, an inverted interval included."""
     cuts = [(values.size - 1) * (q / 100) for q in qs]
     low = [math.floor(c) for c in cuts]
     values.partition(sorted({0, -1, *low, *(i + 1 for i in low)}))  # as np.percentile

@@ -708,11 +708,12 @@ def test_configs_equal_tolerance_and_structure():
 
 def test_converted_configs_are_fixed_points_in_table_order():
     """METHOD_SHAPES is the one statement of the keys: every converted config
-    of the fixtures and 3000 fuzzed objects is what normalize_config writes
-    for it, key order included, and its keys are the table's, in its order."""
+    of the fixtures and 10000 fuzzed objects is what normalize_config writes
+    for it, key order included, and its keys are the table's, in its order.
+    About a quarter of the fuzzed conversions go through."""
     rng = random.Random(2024)
     objects = [load_fixture(p.name) for p in sorted(FIXTURES.glob("*.json"))]
-    objects += [random_object(rng) for _ in range(3000)]
+    objects += [random_object(rng) for _ in range(10000)]
     converted = 0
     for obj in objects:
         for method in METHODS:

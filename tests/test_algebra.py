@@ -432,6 +432,8 @@ def test_float_margins_keep_the_float_start_types_and_bits(seed):
 
     rng = random.Random(seed)
     forms = [object_normal_form(random_object(rng))]
+    while forms[0].unvalued:  # a form with no sample-level value
+        forms = [object_normal_form(random_object(rng))]
     if seed % 10 == 0:  # every fixture whose forms all have a sample-level value
         fixtures = [load_fixture(p.name) for p in sorted(FIXTURES.glob("*.json"))]
         forms += [nf for nf in map(object_normal_form, fixtures) if not nf.unvalued]

@@ -125,13 +125,6 @@ EDGES = {
             reasons=("score_dependent_weight", "reference_shift", "score_dependent_weight"),
         ),
     ),
-    "every optional used": GkpoObject(
-        score=ScoreSpec(type="custom", custom_name="s"),
-        weight=WeightSpec(form="score_dependent", constant=None, score_fn="fn"),
-        reference=ReferenceSpec(form="per_prompt", value=None),
-        penalties=(PenaltyEntry("b", 1.0, meta_gate=False), PenaltyEntry("a", 2.0, meta_gate=True)),
-        provenance=Provenance(method="m", opal_hash="0" * 64),
-    ),
     "repeated factors and groups": GkpoObject(
         weight=WeightSpec(form="product", constant=None, factors=("b", "a", "b")),
         dataset_ops=replace(

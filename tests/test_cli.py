@@ -12,7 +12,7 @@ from gkpo.adapters import METHOD_SHAPES, MethodConfig, normalize_config
 from gkpo.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from gkpo.schema import METHODS
 
-from conftest import DATA, FIXTURES, fixture_path
+from conftest import DATA, DELETE, FIXTURES, HOLE, dumps, edited, fixture_path, nodes
 
 DPO = str(fixture_path("dpo_fixed_reference.json"))
 DPO_ALT = str(fixture_path("dpo_alternate_reference.json"))
@@ -106,11 +106,7 @@ def test_number_literal_beyond_float_range_is_refused_at_its_path(
     from gkpo.schema import ParseError, parse
 
     doc = json.loads(fixture_path("gated_penalty.json").read_text())
-    target = doc
-    for key in node[:-1]:
-        target = target[key]
-    target[node[-1]] = "HOLE"
-    text = json.dumps(doc).replace('"HOLE"', token)
+    text = dumps(edited(doc, (node, HOLE)), token)
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (err.value.path, str(err.value)) == (path, f"{path}: number out of range")
@@ -1182,35 +1178,17 @@ FUZZ_NODES = [None, "null", "true", '"x"', "1" + "0" * 399, "1e400", "NaN",
 # command-line numbers for probe; gate joins three of them with commas
 FUZZ_NUMBERS = ["0", "0.2", "-0.5", "-1e-05", "10", "1e400", "-1e308", "1e308",
                 "nan", "-inf", "1e-320", "x", ""]
-_HOLE = "\x00hole\x00"
-
-
-def _node_paths(node, path=()):
-    yield path
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _node_paths(value, (*path, key))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from _node_paths(value, (*path, i))
 
 
 @st.composite
 def _mutated(draw, doc, jsonl=False):
     """doc as JSON bytes, or a list doc as JSON lines, with one node below the
     root deleted or replaced by a FUZZ_NODES entry."""
-    doc = json.loads(json.dumps(doc))
-    path = draw(st.sampled_from(list(_node_paths(doc))[1:]))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    path = draw(st.sampled_from([path for path, _ in nodes(doc)]))
     node = draw(st.sampled_from(FUZZ_NODES))
-    if node is None:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = _HOLE
-    text = "\n".join(map(json.dumps, doc)) if jsonl else json.dumps(doc)
-    return text.replace(json.dumps(_HOLE), node or "").encode()
+    doc = edited(doc, (path, DELETE if node is None else HOLE))
+    lines = doc if jsonl else [doc]
+    return "\n".join(dumps(line, node or "") for line in lines).encode()
 
 
 def _fuzz_text(max_size):

@@ -25,6 +25,7 @@ from gkpo.algebra import (
     weight,
     object_margin,
     object_margins_and_weights,
+    object_normal_form,
     object_weight,
 )
 from gkpo.harness import (
@@ -50,20 +51,15 @@ from test_harness import (
     orpo_shift_spec,
 )
 
-_REFERENCES = (
-    ReferenceSpec(form="fixed_zero", value=0.0),
-    ReferenceSpec(form="fixed_scalar", value=-0.375),
-    ReferenceSpec(form="per_prompt", value=None),
-    ReferenceSpec(form="per_dataset", value=None),
-)
-
 
 def _fuzzed_case(seed: int):
-    """A fuzzed object with a random reference form, and samples carrying every
-    name it reads; the dataset offset is present in all samples or in none,
+    """A fuzzed object whose forms all have a sample-level value, and samples
+    carrying every name it reads; the dataset offset is present in all samples or in none,
     read as 0 where absent."""
     rng = random.Random(seed)
-    obj = replace(random_object(rng), reference=rng.choice(_REFERENCES))
+    obj = random_object(rng)
+    while object_normal_form(obj).unvalued:  # a form with no sample-level value
+        obj = random_object(rng)
     factors = obj.weight.factors if obj.weight.form == "product" else ()
     scale = 10.0 ** rng.randint(-3, 3)
     dataset_offset = rng.random() < 0.5

@@ -9,7 +9,6 @@ texts, duplicate keys and non-finite tokens.
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 from dataclasses import fields, is_dataclass, replace
@@ -20,7 +19,7 @@ import pytest
 import parse_oracle
 from gkpo.schema import ParseError, parse, serialize
 
-from conftest import FIXTURES, fixture_text, random_object
+from conftest import DELETE, FIXTURES, HOLE, dumps, edited, fixture_text, nodes, random_object
 
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
@@ -39,60 +38,17 @@ def assert_agree(text: str):
     assert outcome(parse, text) == outcome(parse_oracle.parse, text), text
 
 
-def node_paths(value, path=()):
-    """The path of every node below the root: object keys and array indices."""
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ()
-    )
-    for key, child in items:
-        yield path + (key,)
-        yield from node_paths(child, path + (key,))
-
-
-def object_paths(value, path=()):
-    """The path of every JSON object, the root included."""
-    if isinstance(value, dict):
-        yield path
-    items = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ()
-    )
-    for key, child in items:
-        yield from object_paths(child, path + (key,))
-
-
-def at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
-def mutated(doc, *edits):
-    """A copy of doc with each (path, action, value) edit applied in order.
-
-    action is "delete", "replace" or "add" (a key, into the object at path).
-    """
-    out = copy.deepcopy(doc)
-    for path, action, value in edits:
-        if action == "add":
-            at(out, path)[value] = 1
-        elif action == "delete":
-            del at(out, path[:-1])[path[-1]]
-        elif path:
-            at(out, path[:-1])[path[-1]] = value
-        else:
-            out = value
-    return out
-
-
 def one_node_edits(doc):
-    for path in node_paths(doc):
-        yield (path, "delete", None)
+    """Every node deleted or replaced, and two unknown keys added to every
+    object, the root included (a root that is no object is a malformed text)."""
+    for path, _ in nodes(doc):
+        yield (path, DELETE)
         for value in REPLACEMENTS:
-            yield (path, "replace", value)
-    yield ((), "replace", [])
-    for path in object_paths(doc):
+            yield (path, value)
+    objects = [(), *(path for path, node in nodes(doc) if isinstance(node, dict))]
+    for path in objects:
         for key in ("zz_unknown", "a_unknown"):
-            yield (path, "add", key)
+            yield ((*path, key), 1)
 
 
 def test_parsers_agree_on_fixtures_and_fuzzed_documents():
@@ -109,9 +65,9 @@ def test_parsers_agree_on_fixtures_and_fuzzed_documents():
 def test_parsers_agree_on_one_node_mutations(name):
     doc = json.loads(fixture_text(name))
     for edit in one_node_edits(doc):
-        assert_agree(json.dumps(mutated(doc, edit)))
+        assert_agree(dumps(edited(doc, edit)))
     # two unknown keys in one object: the first in sorted order is reported
-    assert_agree(json.dumps(mutated(doc, ((), "add", "zz"), ((), "add", "aa"))))
+    assert_agree(dumps(edited(doc, (("zz",), 1), (("aa",), 1))))
 
 
 def test_parsers_agree_on_one_node_mutations_of_fuzzed_documents():
@@ -119,12 +75,7 @@ def test_parsers_agree_on_one_node_mutations_of_fuzzed_documents():
     for _ in range(20):
         doc = json.loads(serialize(random_object(rng)))
         for edit in one_node_edits(doc):
-            assert_agree(json.dumps(mutated(doc, edit)))
-
-
-def defect_path(edit):
-    path, action, value = edit
-    return path + (value,) if action == "add" else path
+            assert_agree(dumps(edited(doc, edit)))
 
 
 def test_parsers_agree_on_two_defects_at_different_nodes():
@@ -136,10 +87,10 @@ def test_parsers_agree_on_two_defects_at_different_nodes():
         edits = list(one_node_edits(doc))
         for _ in range(300):
             first, second = rng.sample(edits, 2)
-            a, b = defect_path(first), defect_path(second)
+            a, b = first[0], second[0]
             if a[: len(b)] == b or b[: len(a)] == a:
                 continue  # one node inside the other: not two separate defects
-            assert_agree(json.dumps(mutated(doc, first, second)))
+            assert_agree(dumps(edited(doc, first, second)))
             checked += 1
     assert checked > 1000
 
@@ -166,10 +117,10 @@ def test_parsers_agree_on_number_literals_beyond_float_range():
     checked = 0
     for name in FIXTURE_NAMES:
         doc = json.loads(fixture_text(name))
-        for path in node_paths(doc):
-            hole = json.dumps(mutated(doc, (path, "replace", "\x00hole\x00")))
+        for path, _ in nodes(doc):
+            with_hole = edited(doc, (path, HOLE))
             for token in ("1e400", "-1e400", "1e-400"):
-                assert_agree(hole.replace('"\\u0000hole\\u0000"', token))
+                assert_agree(dumps(with_hole, token))
                 checked += 1
     assert checked > 900
 

@@ -198,6 +198,12 @@ def test_gate_determinant_equal_to_tol_counts_as_dependent():
     assert result.coefficients is None
 
 
+def test_gate_coefficient_equal_to_minus_tol_counts_as_zero():
+    # rank 2: the solved l1 is exactly -GATE_TOL; rank 1: c / a is
+    assert probe_gate([(1.0, 0.0, -1e-9), (0.0, 1.0, 1.0)]).coefficients == (0.0, 1.0)
+    assert probe_gate([(1.0, 0.0, -1e-9)]).coefficients == (0.0, 0.0)
+
+
 def test_gate_rank1_consistent_rows():
     result = probe_gate([(1.0, 2.0, 2.0), (2.0, 4.0, 4.0)])
     assert result.feasible
@@ -440,18 +446,6 @@ def test_classify_ignores_evidence_for_unflagged_mechanisms(dpo_obj):
     )
     block = classify(dpo_obj, evidence)
     assert block.inside_R and block.witness == {}
-
-
-def test_classify_output_is_schema_valid(orpo_shift_obj, gated_obj):
-    from gkpo.schema import validate
-    from dataclasses import replace
-
-    for obj, evidence in (
-        (orpo_shift_obj, Evidence(shift_pairs=((0.20, 0.50), (0.20, -0.50)))),
-        (gated_obj, Evidence(gate_items=((1.0, 10.0, 1.0), (0.0, 1.0, 1.0)))),
-    ):
-        block = classify(obj, evidence)
-        assert validate(replace(obj, reducibility=block)) == []
 
 
 def fold_reasons(obj) -> tuple[str, ...]:

@@ -11,8 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkpo.canonical import opal_hash
+from gkpo.canonical import canonicalize, opal_hash
+from gkpo.reducibility import classify
 from gkpo.schema import (
+    ARRAY,
+    ENUM,
+    NODE,
+    REQUIRED,
+    SHAPES,
+    STRS,
     DatasetOps,
     GkpoObject,
     ParseError,
@@ -20,11 +27,10 @@ from gkpo.schema import (
     Provenance,
     ReducibilityBlock,
     ReferenceSpec,
-    NODE,
-    SHAPES,
     ScoreSpec,
     Violation,
     WeightSpec,
+    _fields,
     parse,
     require_valid,
     serialize,
@@ -32,7 +38,7 @@ from gkpo.schema import (
     validate,
 )
 
-from conftest import FIXTURES, fixture_text, load_fixture, random_object
+from conftest import FIXTURES, HOLE, dumps, edited, fixture_text, load_fixture, nodes, random_object
 
 MINIMAL = {
     "version": "gkpo-1.0",
@@ -659,13 +665,71 @@ def test_validate_reports_a_non_object_argument_without_raising(value):
         require_valid(value)
 
 
+# --- the document generator ---------------------------------------------------------
+
+
+def _keys(node, shape):
+    """(shape, SHAPES entry, value) for every key of node and of the nodes
+    below it; an absent meta is a meta whose gate is absent."""
+    fields = _fields(node, shape)
+    for entry in SHAPES[shape][1]:
+        _, kind, _, arg, field_name = entry
+        value = fields[field_name]
+        yield shape, entry, value
+        for child in (value,) if kind is NODE else value if kind is ARRAY else ():
+            yield from _keys(child, arg)
+
+
+def test_the_generator_draws_every_value_and_key_shapes_states():
+    """Within 1000 draws, every ENUM value, every allowed STRS value and each
+    optional key, present and absent, occurs, so a value or key that SHAPES
+    gains is drawn with no edit to the generator."""
+    wanted, seen = set(), set()
+    for shape, (_, entries) in SHAPES.items():
+        for key, kind, absent, arg, _ in entries:
+            if kind in (ENUM, STRS) and arg is not None:
+                wanted |= {(shape, key, value) for value in arg}
+            if absent is not REQUIRED:
+                wanted |= {(shape, key, True), (shape, key, False)}
+    for seed in range(1000):
+        obj = random_object(random.Random(seed))
+        for shape, (key, kind, absent, arg, _), value in _keys(obj, "document"):
+            if kind in (ENUM, STRS) and arg is not None:
+                seen |= {(shape, key, item) for item in ([value] if kind is ENUM else value)}
+            if absent is not REQUIRED:
+                seen.add((shape, key, value != absent))  # present
+    assert wanted <= seen, sorted(map(str, wanted - seen))
+
+
+# the witness keys of each reason's probe
+_WITNESS_KEYS = {
+    "reference_shift": {"raw_gap", "delta_ref_prompt1", "delta_ref_prompt2"},
+    "non_additive_gate": {"phi_pairs", "phi_value_equal"},
+    "score_dependent_weight": {"delta_u", "penalty_shift", "psi_neg", "psi_pos"},
+}
+
+
+def test_generated_documents_are_valid_canonical_and_declare_their_reasons():
+    """Each of 3000 draws validates clean, has canonical bytes that parse and
+    canonicalize back to themselves, declares classify's reasons, and carries
+    each reason's witness keys."""
+    for seed in range(3000):
+        obj = random_object(random.Random(seed))
+        blob = canonicalize(obj)
+        assert validate(obj) == [] and canonicalize(parse(blob.decode())) == blob, seed
+        block = obj.reducibility
+        assert block.reasons == classify(obj).reasons, seed
+        assert all(_WITNESS_KEYS[r] <= block.witness.keys() for r in block.reasons), seed
+
+
 # --- the plain serialization's bytes ------------------------------------------------
 
 # sha256 over serialize(parse(text)) for every fixtures/*.json in sorted order,
 # then serialize(random_object(rng)) 3000 times with rng = random.Random(2024);
-# each item is followed by b"\n". It pins the exact bytes of the plain form:
-# its keys, their order and the optionals it leaves out.
-SERIALIZE_DIGEST = "b73b9b8570d291c77b2cd71fc2c332d0798fe850ec7ed399f40a74a9284c2e4c"
+# each item is followed by b"\n". The draws walk schema.SHAPES, so each
+# optional key occurs present and absent. It pins the exact bytes of the
+# plain form: its keys, their order and the optionals it leaves out.
+SERIALIZE_DIGEST = "da80d12a5a8b3666880fdb7049e1ea89a7d312df1927c983ade838be5dca1c25"
 
 
 def test_serialize_bytes_pinned_over_fixtures_and_fuzz_corpus():
@@ -683,37 +747,15 @@ def test_serialize_bytes_pinned_over_fixtures_and_fuzz_corpus():
 # --- a parsed object needs no SHAPES walk -------------------------------------------
 
 
-def _one_node_mutations(node, path=()):
-    """(path, value) for every node of a JSON document replaced by a value of
-    each JSON type; "x" is outside every enum."""
-    if path:
-        for replacement in _JSON_VALUES.values():
-            yield path, replacement
-    children = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ()
-    )
-    for key, child in children:
-        yield from _one_node_mutations(child, (*path, key))
-
-
-def _mutated(doc, path, value, raw=None):
-    """doc as JSON text with the node at path set to value, or to the JSON
-    token raw, which json.dumps could not write (it writes inf as Infinity)."""
-    doc = json.loads(json.dumps(doc))
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = "\x00hole\x00" if raw else value
-    return json.dumps(doc).replace('"\\u0000hole\\u0000"', raw or "")
-
-
 _FULL_DOC = json.loads(serialize(_FULL))
 # documents that parse but break a rule relating fields to each other
 _RULE_VIOLATIONS = [
-    _mutated(_FULL_DOC, ("beta",), 0),
-    _mutated(json.loads(fixture_text("kto_product_weight.json")), ("weight", "constant"), 1.0),
-    _mutated(_FULL_DOC, ("penalties",), [{"name": "len", "lambda": 0.2}] * 2),
-    _mutated(_FULL_DOC, ("reducibility", "inside_R"), True),
+    dumps(edited(doc, edit)) for doc, edit in (
+        (_FULL_DOC, (("beta",), 0)),
+        (json.loads(fixture_text("kto_product_weight.json")), (("weight", "constant"), 1.0)),
+        (_FULL_DOC, (("penalties",), [{"name": "len", "lambda": 0.2}] * 2)),
+        (_FULL_DOC, (("reducibility", "inside_R"), True)),
+    )
 ]
 
 
@@ -724,14 +766,18 @@ def _parity_texts():
     for _ in range(3000):
         yield serialize(random_object(rng))
     yield from _RULE_VIOLATIONS
-    # parse refuses most of these; a parse that let one of those through
-    # would fail the comparison, as the walk validate skips would report it
-    for path, value in _one_node_mutations(_FULL_DOC):
-        yield _mutated(_FULL_DOC, path, value)
+    # every node set to a value of each JSON type ("x" is outside every
+    # enum); parse refuses most of these, and a parse that let one of those
+    # through would fail the comparison, as the walk validate skips would
+    # report it
+    paths = [path for path, _ in nodes(_FULL_DOC)]
+    for path in paths:
+        for value in _JSON_VALUES.values():
+            yield dumps(edited(_FULL_DOC, (path, value)))
     # number literals that decode to an infinite float, at every node
-    for path in dict.fromkeys(path for path, _ in _one_node_mutations(_FULL_DOC)):
+    for path in paths:
         for raw in ("1e400", "-1e400"):
-            yield _mutated(_FULL_DOC, path, None, raw)
+            yield dumps(edited(_FULL_DOC, (path, HOLE)), raw)
 
 
 def test_validate_of_a_parsed_object_equals_validate_of_its_unrecorded_copy():
